@@ -217,37 +217,45 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _require_band_match(model: ModelConfig, cube: HsiCube) -> None:
-    if model.bands != cube.bands:
-        raise DataError(
-            f"checkpoint expects {model.bands} bands, cube has {cube.bands}"
-        )
-
-
-def cmd_eval(args) -> int:
+def _predict(args, command: str):
+    """Shared front half of eval and unmix: load the checkpoint and cube,
+    check their band counts agree, echo the config line and predict every
+    pixel. Returns (model config, cube, Prediction); nothing is written."""
     checkpoint = load_checkpoint(args.checkpoint)
     cube = load_cube(args.data)
-    _require_band_match(checkpoint.model, cube)
+    model = checkpoint.model
+    if model.bands != cube.bands:
+        raise DataError(f"checkpoint expects {model.bands} bands, cube has {cube.bands}")
     _emit(
         {
-            "command": "eval",
+            "command": command,
             "checkpoint": args.checkpoint,
             "data": args.data,
             "out": args.out,
-            "model": dataclasses.asdict(checkpoint.model),
+            "model": dataclasses.asdict(model),
         }
     )
-    abundances, means, _ = predict_cube(checkpoint.params, checkpoint.model, cube)
-    report = evaluate(abundances, means, cube)
+    return model, cube, predict_cube(checkpoint.params, model, cube)
 
-    out = Path(args.out)
+
+def _write_abundances(out_dir, cube: HsiCube, abundances: np.ndarray) -> tuple[Path, Path]:
+    """Create the output directory and write the (H, W, K) abundance maps
+    there as BSQ. Returns (output directory, path of the .bsq file)."""
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    maps_base = _strip_known_suffix(out / "abundances.bsq")
+    _write_bsq(maps_base, abundances.reshape(cube.height, cube.width, -1))
+    return out, Path(str(maps_base) + ".bsq")
+
+
+def cmd_eval(args) -> int:
+    _, cube, prediction = _predict(args, "eval")
+    means = prediction.endmember_means
+    # scoring first: a cube without ground truth fails before any file is written
+    report = evaluate(prediction.abundances, means, cube)
+    out, maps_path = _write_abundances(args.out, cube, prediction.abundances)
     metrics_path = out / "metrics.csv"
     save_report(report, metrics_path)
-
-    maps = abundances.reshape(cube.height, cube.width, checkpoint.model.k)
-    maps_base = _strip_known_suffix(out / "abundances.bsq")
-    _write_bsq(maps_base, maps)
 
     k = len(cube.gt_bundles)
     pred_for_gt = np.empty(k, dtype=np.int64)
@@ -269,7 +277,7 @@ def cmd_eval(args) -> int:
     _emit(
         {
             "metrics": metrics_path,
-            "abundances": Path(str(maps_base) + ".bsq"),
+            "abundances": maps_path,
             "spectra": spectra_path,
             "avg_sad": report.avg_sad,
             "avg_rmse": report.avg_rmse,
@@ -279,35 +287,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_unmix(args) -> int:
-    checkpoint = load_checkpoint(args.checkpoint)
-    cube = load_cube(args.data)
-    _require_band_match(checkpoint.model, cube)
-    _emit(
-        {
-            "command": "unmix",
-            "checkpoint": args.checkpoint,
-            "data": args.data,
-            "out": args.out,
-            "model": dataclasses.asdict(checkpoint.model),
-        }
-    )
-    model = checkpoint.model
-    abundances, means, _, (chol_diag, chol_off) = predict_cube(
-        checkpoint.params, model, cube, return_bundles=True
-    )
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    maps = abundances.reshape(cube.height, cube.width, model.k)
-    maps_base = _strip_known_suffix(out / "abundances.bsq")
-    _write_bsq(maps_base, maps)
+    model, cube, prediction = _predict(args, "unmix")
+    out, maps_path = _write_abundances(args.out, cube, prediction.abundances)
 
     sizes = segment_sizes(model.bands, model.seg_len)
-    blocks = packed_chol_to_blocks(chol_diag, chol_off, sizes)
+    blocks = packed_chol_to_blocks(prediction.chol_diag, prediction.chol_off, sizes)
     bundles = [
         EndmemberBundle(
             name=f"em{j}",
-            mean=means[j],
+            mean=prediction.endmember_means[j],
             chol_blocks=[segment[j] for segment in blocks],
             seg_len=model.seg_len,
         )
@@ -318,7 +306,7 @@ def cmd_unmix(args) -> int:
 
     _emit(
         {
-            "abundances": Path(str(maps_base) + ".bsq"),
+            "abundances": maps_path,
             "bundles": bundles_path,
             "pixels": cube.n_pixels,
         }

@@ -273,23 +273,6 @@ def load_cube(path) -> HsiCube:
 # patches and splits
 
 
-def extract_patch(cube, row: int, col: int, patch_size: int) -> np.ndarray:
-    """Centered (P, P, C) window around a pixel with exact-zero padding
-    outside the image. patch_size must be odd."""
-    reflectance = cube.reflectance if isinstance(cube, HsiCube) else np.asarray(cube, float)
-    if patch_size < 1 or patch_size % 2 == 0:
-        raise DataError(f"patch size must be odd and positive, got {patch_size}")
-    h, w, c = reflectance.shape
-    if not (0 <= row < h and 0 <= col < w):
-        raise DataError(f"pixel ({row}, {col}) outside image of shape {(h, w)}")
-    r = patch_size // 2
-    out = np.zeros((patch_size, patch_size, c))
-    r0, r1 = max(0, row - r), min(h, row + r + 1)
-    c0, c1 = max(0, col - r), min(w, col + r + 1)
-    out[r0 - row + r : r1 - row + r, c0 - col + r : c1 - col + r] = reflectance[r0:r1, c0:c1]
-    return out
-
-
 class PatchSource:
     """Zero-padded copy of a cube for fast batched patch gathering."""
 
@@ -298,13 +281,17 @@ class PatchSource:
             raise DataError(f"patch size must be odd and positive, got {patch_size}")
         self.patch_size = patch_size
         self.width = cube.width
+        self.n_pixels = cube.n_pixels
         pad = patch_size // 2
         h, w, c = cube.reflectance.shape
         self._padded = np.zeros((h + 2 * pad, w + 2 * pad, c))
         self._padded[pad : pad + h, pad : pad + w] = cube.reflectance
 
     def batch(self, indices) -> np.ndarray:
+        """(N, P, P, C) zero-padded windows centred on the flat pixel indices."""
         idx = np.asarray(indices, dtype=np.int64)
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n_pixels):
+            raise DataError(f"pixel indices must lie in [0, {self.n_pixels})")
         p = self.patch_size
         c = self._padded.shape[2]
         out = np.empty((idx.size, p, p, c))

@@ -14,7 +14,7 @@ type so gradients reach every parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -203,12 +203,6 @@ def tokenize_batch(patches: np.ndarray, params: dict, config: ModelConfig) -> Te
     return ops.add(ops.matmul(raw, params["tok.w"]), params["tok.b"])
 
 
-def tokenize_patch(patch: np.ndarray, params: dict, config: ModelConfig) -> Tensor:
-    """(P, P, C) -> (S, d) token sequence."""
-    tokens = tokenize_batch(np.asarray(patch, dtype=np.float64)[None], params, config)
-    return ops.reshape(tokens, (config.n_tokens, config.d))
-
-
 # ---------------------------------------------------------------------------
 # encoder
 
@@ -218,7 +212,7 @@ def _split_heads(x: Tensor, b: int, s: int, config: ModelConfig) -> Tensor:
     return ops.transpose(x, (0, 2, 1, 3))
 
 
-def _attention(x_norm: Tensor, params: dict, prefix: str, config: ModelConfig):
+def _attention(x_norm: Tensor, params: dict, prefix: str, config: ModelConfig) -> Tensor:
     b, s, _ = x_norm.shape
     q = ops.add(ops.matmul(x_norm, params[f"{prefix}.wq"]), params[f"{prefix}.bq"])
     k = ops.matmul(x_norm, params[f"{prefix}.wk"])
@@ -231,42 +225,25 @@ def _attention(x_norm: Tensor, params: dict, prefix: str, config: ModelConfig):
     attn = ops.softmax(scores, axis=-1)
     ctx = ops.matmul(attn, vh)
     merged = ops.reshape(ops.transpose(ctx, (0, 2, 1, 3)), (b, s, config.d))
-    out = ops.add(ops.matmul(merged, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
-    return out, attn
+    return ops.add(ops.matmul(merged, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
 
 
-def encode_batch(tokens: Tensor, params: dict, config: ModelConfig, return_attn: bool = False):
-    """(B, S, d) tokens -> (h: (B, S, d), x_latent: (B, d)[, attn maps])."""
+def encode_batch(tokens: Tensor, params: dict, config: ModelConfig):
+    """(B, S, d) tokens -> (h: (B, S, d), x_latent: (B, d))."""
     if tokens.ndim != 3 or tokens.shape[1] != config.n_tokens or tokens.shape[2] != config.d:
         raise ShapeError(
             f"token batch shape {tokens.shape} does not match (B, {config.n_tokens}, {config.d})"
         )
     x = ops.add(tokens, params["pos"])
-    attn_maps = []
     for i in range(config.layers):
         pre = f"enc{i}"
         normed = ops.layer_norm(x, params[f"{pre}.ln1.g"], params[f"{pre}.ln1.b"])
-        attn_out, attn = _attention(normed, params, f"{pre}.attn", config)
-        attn_maps.append(attn)
-        x = ops.add(x, attn_out)
+        x = ops.add(x, _attention(normed, params, f"{pre}.attn", config))
         normed = ops.layer_norm(x, params[f"{pre}.ln2.g"], params[f"{pre}.ln2.b"])
         hidden = ops.relu(ops.add(ops.matmul(normed, params[f"{pre}.ffn.w1"]), params[f"{pre}.ffn.b1"]))
         ffn_out = ops.add(ops.matmul(hidden, params[f"{pre}.ffn.w2"]), params[f"{pre}.ffn.b2"])
         x = ops.add(x, ffn_out)
-    x_latent = ops.max_reduce(x, axis=1)
-    if return_attn:
-        return x, x_latent, attn_maps
-    return x, x_latent
-
-
-def encode(tokens: Tensor, params: dict, config: ModelConfig):
-    """(S, d) -> (h: (S, d), x_latent: (d,))."""
-    batched = ops.reshape(tokens, (1, config.n_tokens, config.d))
-    h, x_latent = encode_batch(batched, params, config)
-    return (
-        ops.reshape(h, (config.n_tokens, config.d)),
-        ops.reshape(x_latent, (config.d,)),
-    )
+    return x, ops.max_reduce(x, axis=1)
 
 
 def alpha_head(x_latent: Tensor, params: dict, config: ModelConfig) -> Tensor:
@@ -433,26 +410,31 @@ def forward(
     )
 
 
+@dataclass
+class Prediction:
+    """Deterministic inference over a set of pixels. The bundle fields are
+    the decoder outputs averaged over those pixels."""
+
+    abundances: np.ndarray  # (N, K) Dirichlet means
+    endmember_means: np.ndarray  # (K, C)
+    chol_diag: np.ndarray  # (K, C)
+    chol_off: np.ndarray  # (K, total off-diagonal length), packed row-major
+
+
 def predict_cube(
     params: dict,
     config: ModelConfig,
     cube: HsiCube,
     indices=None,
     batch_size: int = 256,
-    return_bundles: bool = False,
-):
-    """Deterministic inference over pixels: per-pixel abundance means plus
-    the per-endmember decoder means averaged over those pixels.
-
-    Returns (abundances (N, K), endmember_means (K, C), recon (N, C)); with
-    return_bundles also the pixel-averaged Cholesky components as a trailing
-    (diag (K, C), packed off-diagonals (K, OFF)) pair."""
+) -> Prediction:
+    """Per-pixel abundance means plus the endmember bundles averaged over the
+    pixels, computed batch by batch without sampling."""
     source = PatchSource(cube, config.patch)
     if indices is None:
         indices = np.arange(cube.n_pixels)
     indices = np.asarray(indices, dtype=np.int64)
     abundances = np.empty((indices.size, config.k))
-    recon = np.empty((indices.size, config.bands))
     mean_sum = np.zeros((config.k, config.bands))
     diag_sum = np.zeros((config.k, config.bands))
     off_sum = np.zeros((config.k, sum(config.cov_offdiag_sizes())))
@@ -460,19 +442,15 @@ def predict_cube(
         batch_idx = indices[start : start + batch_size]
         out = forward(source.batch(batch_idx), params, config, sample=False)
         abundances[start : start + batch_idx.size] = out.z_mean.data
-        recon[start : start + batch_idx.size] = out.x_recon.data
         mean_sum += out.bundles.means.data.sum(axis=0)
-        if return_bundles:
-            diag_sum += out.bundles.chol_diag.data.sum(axis=0)
-            off_sum += out.bundles.chol_off.data.sum(axis=0)
-    if return_bundles:
-        return (
-            abundances,
-            mean_sum / indices.size,
-            recon,
-            (diag_sum / indices.size, off_sum / indices.size),
-        )
-    return abundances, mean_sum / indices.size, recon
+        diag_sum += out.bundles.chol_diag.data.sum(axis=0)
+        off_sum += out.bundles.chol_off.data.sum(axis=0)
+    return Prediction(
+        abundances=abundances,
+        endmember_means=mean_sum / indices.size,
+        chol_diag=diag_sum / indices.size,
+        chol_off=off_sum / indices.size,
+    )
 
 
 def packed_chol_to_blocks(diag: np.ndarray, off: np.ndarray, seg_sizes) -> list[np.ndarray]:

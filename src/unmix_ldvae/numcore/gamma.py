@@ -99,8 +99,3 @@ def gamma_from_noise(shape_param, noise: GammaNoise) -> Tensor:
 
     return _finish("gamma_from_noise", (t,), out, vjp)
 
-
-def sample_gamma_reparam(shape_param, rng: np.random.Generator) -> Tensor:
-    """Draw Gamma(shape_param, 1) elementwise with pathwise gradients."""
-    t = as_tensor(shape_param)
-    return gamma_from_noise(t, draw_gamma_noise(t.data, rng))

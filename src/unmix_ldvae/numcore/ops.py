@@ -389,38 +389,3 @@ def mean_reduce(a, axis=None, keepdims: bool = False) -> Tensor:
 
     return _finish("mean_reduce", (a,), out, vjp)
 
-
-PRIMITIVES = {
-    "add": add,
-    "subtract": subtract,
-    "multiply": multiply,
-    "divide": divide,
-    "negate": negate,
-    "matmul": matmul,
-    "transpose": transpose,
-    "reshape": reshape,
-    "concat": concat,
-    "slice": slice_,
-    "tril_compose": tril_compose,
-    "exp": exp,
-    "log": log,
-    "sqrt": sqrt,
-    "softplus": softplus,
-    "relu": relu,
-    "lgamma": lgamma,
-    "digamma": digamma,
-    "softmax": softmax,
-    "layer_norm": layer_norm,
-    "max_reduce": max_reduce,
-    "sum_reduce": sum_reduce,
-    "mean_reduce": mean_reduce,
-}
-
-
-def primitive_forward(op: str, *inputs, **kwargs) -> Tensor:
-    """Apply a primitive by name; unknown names raise ValueError."""
-    try:
-        fn = PRIMITIVES[op]
-    except KeyError:
-        raise ValueError(f"unknown primitive '{op}'") from None
-    return fn(*inputs, **kwargs)

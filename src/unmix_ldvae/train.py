@@ -221,6 +221,9 @@ def load_checkpoint(path) -> Checkpoint:
         (header_len,) = struct.unpack_from("<I", buf, pos)
         pos += 4
         header = json.loads(buf[pos : pos + header_len].decode("utf-8"))
+        adam_t, epoch, seed = (int(header[key]) for key in ("adam_t", "epoch", "seed"))
+        rng_state = header["rng_state"]
+        model = ModelConfig.from_dict(header["model"])
         pos += header_len
         (n_tensors,) = struct.unpack_from("<I", buf, pos)
         pos += 4
@@ -238,8 +241,12 @@ def load_checkpoint(path) -> Checkpoint:
             arr = np.frombuffer(buf, dtype="<f8", count=count, offset=pos)
             pos += 8 * count
             tensors[name] = arr.reshape(dims).astype(np.float64)
-    except (struct.error, IndexError, UnicodeDecodeError, ValueError) as err:
+    except KeyError as err:
+        raise TrainError(f"corrupt checkpoint {path}: header lacks {err}") from err
+    except (struct.error, IndexError, TypeError, UnicodeDecodeError, ValueError) as err:
         raise TrainError(f"corrupt checkpoint {path}: {err}") from err
+    if not isinstance(rng_state, dict):
+        raise TrainError(f"corrupt checkpoint {path}: rng_state is not an object")
     params: dict[str, Tensor] = {}
     m: dict[str, np.ndarray] = {}
     v: dict[str, np.ndarray] = {}
@@ -254,11 +261,11 @@ def load_checkpoint(path) -> Checkpoint:
         raise TrainError(f"checkpoint {path} has mismatched optimizer state")
     return Checkpoint(
         params=params,
-        opt=AdamState(m=m, v=v, t=int(header["adam_t"])),
-        epoch=int(header["epoch"]),
-        rng_state=header["rng_state"],
-        model=ModelConfig.from_dict(header["model"]),
-        seed=int(header["seed"]),
+        opt=AdamState(m=m, v=v, t=adam_t),
+        epoch=epoch,
+        rng_state=rng_state,
+        model=model,
+        seed=seed,
     )
 
 
@@ -266,25 +273,21 @@ def load_checkpoint(path) -> Checkpoint:
 # fit driver
 
 
-def _snapshot(params, opt, rng, epoch):
-    return {
-        "params": {name: p.data.copy() for name, p in params.items()},
-        "m": {name: a.copy() for name, a in opt.m.items()},
-        "v": {name: a.copy() for name, a in opt.v.items()},
-        "t": opt.t,
-        "rng_state": copy.deepcopy(rng.bit_generator.state),
-        "epoch": epoch,
-    }
-
-
-def _snapshot_checkpoint(snap, model: ModelConfig, seed: int) -> Checkpoint:
+def _snapshot(params, opt, rng, epoch: int, config: TrainConfig) -> Checkpoint:
+    """A copy of the training state that later steps cannot modify. Its
+    parameters carry no gradient buffers, so a snapshot per epoch costs one
+    copy of the weights and moments."""
     return Checkpoint(
-        params={name: Tensor(a, requires_grad=True) for name, a in snap["params"].items()},
-        opt=AdamState(m=snap["m"], v=snap["v"], t=snap["t"]),
-        epoch=snap["epoch"],
-        rng_state=snap["rng_state"],
-        model=model,
-        seed=seed,
+        params={name: Tensor(p.data.copy()) for name, p in params.items()},
+        opt=AdamState(
+            m={name: a.copy() for name, a in opt.m.items()},
+            v={name: a.copy() for name, a in opt.v.items()},
+            t=opt.t,
+        ),
+        epoch=epoch,
+        rng_state=copy.deepcopy(rng.bit_generator.state),
+        model=config.model,
+        seed=config.seed,
     )
 
 
@@ -363,30 +366,22 @@ def fit(
         raise TrainError("training split is empty; raise train_fraction")
 
     rows = []
-    last_good = _snapshot(params, opt, rng, start_epoch)
+    last_good = _snapshot(params, opt, rng, start_epoch, config)
     for epoch in range(start_epoch, config.epochs):
         try:
             epoch_mean, _ = train_epoch(
                 params, config, cube, split.train_indices, opt, epoch, rng
             )
         except (NumericError, TrainError) as err:
-            save_checkpoint(ck_path, _snapshot_checkpoint(last_good, config.model, config.seed))
+            save_checkpoint(ck_path, last_good)
             _write_log(log_path, rows)
             raise TrainError(
                 f"aborted at epoch {epoch}: {err}; "
-                f"last good checkpoint (epoch {last_good['epoch']}) kept at {ck_path}"
+                f"last good checkpoint (epoch {last_good.epoch}) kept at {ck_path}"
             ) from err
         rows.append((epoch, epoch_mean))
-        last_good = _snapshot(params, opt, rng, epoch + 1)
+        last_good = _snapshot(params, opt, rng, epoch + 1, config)
 
-    final = Checkpoint(
-        params=params,
-        opt=opt,
-        epoch=max(start_epoch, config.epochs),
-        rng_state=copy.deepcopy(rng.bit_generator.state),
-        model=config.model,
-        seed=config.seed,
-    )
-    save_checkpoint(ck_path, final)
+    save_checkpoint(ck_path, last_good)
     _write_log(log_path, rows)
-    return final, log_path
+    return last_good, log_path

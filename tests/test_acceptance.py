@@ -113,8 +113,10 @@ def test_criterion_01_benchmark_scores_substituted(tmp_path):
     config = TrainConfig(epochs=1000, seed=0, model=model)
     ck, _ = fit(config, cube, tmp_path)
     split = split_pixels(cube.n_pixels, config.split)
-    ab, means, _ = predict_cube(ck.params, ck.model, cube, split.test_indices)
-    report = evaluate(ab, means, cube, indices=split.test_indices)
+    prediction = predict_cube(ck.params, ck.model, cube, split.test_indices)
+    report = evaluate(
+        prediction.abundances, prediction.endmember_means, cube, indices=split.test_indices
+    )
     ok = report.avg_sad < 0.05 and report.avg_rmse < 0.15
     _report(
         1,
@@ -667,8 +669,10 @@ def test_criterion_07_synthetic_recovery(tmp_path):
     ck, _ = fit(config, scene, tmp_path)
     wall = time.perf_counter() - start
     split = split_pixels(scene.n_pixels, config.split)
-    ab, means, _ = predict_cube(ck.params, ck.model, scene, split.test_indices)
-    report = evaluate(ab, means, scene, indices=split.test_indices)
+    prediction = predict_cube(ck.params, ck.model, scene, split.test_indices)
+    report = evaluate(
+        prediction.abundances, prediction.endmember_means, scene, indices=split.test_indices
+    )
     ok = report.avg_sad < 0.05 and report.avg_rmse < 0.10 and wall < 600.0
     _report(
         7,

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface."""
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -249,7 +250,8 @@ def test_eval_outputs_parse_and_recompute(ws, capsys):
     assert all(np.isfinite(float(cell)) for cell in first)
 
 
-def test_eval_rejects_band_mismatch(ws, capsys):
+@pytest.mark.parametrize("command", ["eval", "unmix"])
+def test_eval_rejects_band_mismatch(ws, capsys, command):
     wide = ws / "wide_scene.json"
     wide.write_text(json.dumps({**SCENE_CFG, "bands": 24}))
     rc, out, _ = run_cli(
@@ -258,16 +260,67 @@ def test_eval_rejects_band_mismatch(ws, capsys):
     assert rc == 0
     rc, _, err = run_cli(
         capsys,
-        "eval",
+        command,
         "--checkpoint",
         str(ws / "run" / "checkpoint.ldvt"),
         "--data",
         out[1]["scene"],
         "--out",
-        str(ws / "eval_bad"),
+        str(ws / f"{command}_bad"),
     )
     assert rc == 1
     assert "bands" in err["message"]
+    assert not (ws / f"{command}_bad").exists()
+
+
+def test_eval_without_ground_truth_fails_before_writing(ws, capsys):
+    bare = HsiCube(np.abs(np.random.default_rng(1).normal(0.4, 0.1, (4, 5, 16))))
+    save_cube(bare, ws / "bare_eval" / "cube")
+    common = ["--checkpoint", str(ws / "run" / "checkpoint.ldvt"),
+              "--data", str(ws / "bare_eval" / "cube")]
+    rc = main(["eval", *common, "--out", str(ws / "bare_scores")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["error"] == "MetricsError"
+    assert not (ws / "bare_scores").exists()
+    # unmix needs no ground truth on the same cube
+    rc, out, _ = run_cli(capsys, "unmix", *common, "--out", str(ws / "bare_maps"))
+    assert rc == 0
+    assert _read_bsq(Path(out[1]["abundances"]).with_suffix("")).shape == (4, 5, 3)
+
+
+def _drop(key):
+    return lambda header: header.pop(key)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        *(pytest.param(_drop(key), id=f"missing-{key}")
+          for key in ("adam_t", "epoch", "seed", "rng_state", "model")),
+        pytest.param(lambda header: header.update(model=[3, 16]), id="model-not-object"),
+        pytest.param(lambda header: header["model"].update(dropout=0.1), id="unknown-model-key"),
+        pytest.param(lambda header: header["model"].update(patch=4), id="invalid-model-value"),
+        pytest.param(lambda header: header.update(rng_state=7), id="rng-state-not-object"),
+    ],
+)
+def test_malformed_checkpoint_header_is_one_json_error(ws, capsys, tmp_path, edit):
+    buf = (ws / "run" / "checkpoint.ldvt").read_bytes()
+    (length,) = struct.unpack_from("<I", buf, 8)
+    header = json.loads(buf[12 : 12 + length])
+    edit(header)
+    packed = json.dumps(header).encode("utf-8")
+    bad = tmp_path / "bad.ldvt"
+    bad.write_bytes(buf[:8] + struct.pack("<I", len(packed)) + packed + buf[12 + length :])
+    rc = main(["unmix", "--checkpoint", str(bad), "--data", str(ws / "data" / "scene"),
+               "--out", str(tmp_path / "maps")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["error"] == "TrainError"
+    assert not (tmp_path / "maps").exists()
 
 
 def test_unmix_matches_eval_and_round_trips(ws, capsys):

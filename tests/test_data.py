@@ -29,7 +29,6 @@ from unmix_ldvae.data import (
     bundles_from_json,
     bundles_to_json,
     estimate_bundles,
-    extract_patch,
     load_cube,
     make_scene_bundles,
     ppi_scores,
@@ -195,15 +194,20 @@ def test_load_cube_missing_sidecar_raises(tmp_path):
 # patches
 
 
+def patch_at(scene, row: int, col: int, patch_size: int) -> np.ndarray:
+    """The (P, P, C) window around one pixel, through the batched gather."""
+    return PatchSource(scene, patch_size).batch([row * scene.width + col])[0]
+
+
 def test_patch_center_matches_plain_slice():
     scene, _ = small_scene()
-    patch = extract_patch(scene, 4, 4, 3)
+    patch = patch_at(scene, 4, 4, 3)
     assert np.array_equal(patch, scene.reflectance[3:6, 3:6])
 
 
 def test_patch_corner_pads_with_exact_zeros():
     scene, _ = small_scene()
-    patch = extract_patch(scene, 0, 0, 3)
+    patch = patch_at(scene, 0, 0, 3)
     zero_positions = [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)]
     for r, c in zero_positions:
         assert np.all(patch[r, c] == 0.0)
@@ -212,15 +216,17 @@ def test_patch_corner_pads_with_exact_zeros():
 
 def test_patch_size_one_is_the_pixel():
     scene, _ = small_scene()
-    assert np.array_equal(extract_patch(scene, 2, 5, 1)[0, 0], scene.reflectance[2, 5])
+    assert np.array_equal(patch_at(scene, 2, 5, 1)[0, 0], scene.reflectance[2, 5])
 
 
 def test_patch_rejects_even_size_and_bad_position():
     scene, _ = small_scene()
     with pytest.raises(DataError):
-        extract_patch(scene, 1, 1, 4)
-    with pytest.raises(DataError):
-        extract_patch(scene, 99, 0, 3)
+        PatchSource(scene, 4)
+    source = PatchSource(scene, 3)
+    for bad in (-1, scene.n_pixels, 99 * scene.width):
+        with pytest.raises(DataError, match="pixel indices"):
+            source.batch([0, bad])
 
 
 def test_patch_matches_padded_reference_at_random_positions():
@@ -229,21 +235,15 @@ def test_patch_matches_padded_reference_at_random_positions():
     pad = p // 2
     reference = np.pad(scene.reflectance, ((pad, pad), (pad, pad), (0, 0)))
     rng = np.random.default_rng(11)
-    for _ in range(25):
-        r = int(rng.integers(scene.height))
-        c = int(rng.integers(scene.width))
-        expected = reference[r : r + p, c : c + p]
-        assert np.array_equal(extract_patch(scene, r, c, p), expected)
-
-
-def test_patch_source_matches_per_pixel_extraction():
-    scene, _ = small_scene(seed=9)
-    source = PatchSource(scene, 3)
-    idx = np.array([0, 7, 13, 63])
-    batch = source.batch(idx)
-    for i, flat in enumerate(idx):
-        r, c = divmod(int(flat), scene.width)
-        assert np.array_equal(batch[i], extract_patch(scene, r, c, 3))
+    rows = rng.integers(scene.height, size=25)
+    cols = rng.integers(scene.width, size=25)
+    # one batched gather, including the image corners and a repeated pixel
+    rows = np.concatenate([rows, [0, 0, scene.height - 1, scene.height - 1, rows[0]]])
+    cols = np.concatenate([cols, [0, scene.width - 1, 0, scene.width - 1, cols[0]]])
+    batch = PatchSource(scene, p).batch(rows * scene.width + cols)
+    assert batch.shape == (rows.size, p, p, scene.bands)
+    for i, (r, c) in enumerate(zip(rows, cols)):
+        assert np.array_equal(batch[i], reference[r : r + p, c : c + p])
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from unmix_ldvae.model import (
     alpha_head,
     decode_bundles,
     dirichlet_mean,
-    encode,
     encode_batch,
     forward,
     init_params,
@@ -30,7 +29,6 @@ from unmix_ldvae.model import (
     sample_endmembers,
     segment_patch_values,
     tokenize_batch,
-    tokenize_patch,
 )
 from unmix_ldvae.numcore import ShapeError, Tape, Tensor, backward, finite_diff_check, ops
 
@@ -118,9 +116,10 @@ def test_single_token_latent_equals_hidden_state():
     config = ModelConfig(patch=1, bands=8, k=2, seg_len=8, d=8, layers=1, heads=2, ff_dim=8)
     assert config.n_tokens == 1
     params = init_params(config, np.random.default_rng(1))
-    tokens = tokenize_patch(np.random.default_rng(2).random((1, 1, 8)), params, config)
-    h, x_latent = encode(tokens, params, config)
-    np.testing.assert_array_equal(x_latent.data, h.data[0])
+    tokens = tokenize_batch(np.random.default_rng(2).random((1, 1, 1, 8)), params, config)
+    h, x_latent = encode_batch(tokens, params, config)
+    assert h.shape == (1, 1, config.d) and x_latent.shape == (1, config.d)
+    np.testing.assert_array_equal(x_latent.data[0], h.data[0, 0])
 
 
 def test_residual_only_encoder_is_permutation_invariant():
@@ -138,11 +137,20 @@ def test_residual_only_encoder_is_permutation_invariant():
     np.testing.assert_array_equal(base.data, shuffled.data)
 
 
-def test_attention_rows_sum_to_one():
+def test_attention_rows_sum_to_one(monkeypatch):
     config = small_config()
     params = init_params(config, np.random.default_rng(5))
     tokens = Tensor(np.random.default_rng(6).random((2, config.n_tokens, config.d)))
-    _, _, attn_maps = encode_batch(tokens, params, config, return_attn=True)
+    attn_maps = []
+    softmax = ops.softmax
+
+    def capture(*args, **kwargs):
+        out = softmax(*args, **kwargs)
+        attn_maps.append(out)
+        return out
+
+    monkeypatch.setattr(ops, "softmax", capture)
+    encode_batch(tokens, params, config)
     assert len(attn_maps) == config.layers
     for attn in attn_maps:
         sums = attn.data.sum(axis=-1)
@@ -442,9 +450,11 @@ def test_predict_cube_outputs_are_clean():
         ),
         np.random.default_rng(26),
     )
-    abundances, endmember_means, recon = predict_cube(params, config, scene, batch_size=7)
-    assert abundances.shape == (30, 3)
-    assert endmember_means.shape == (3, 12)
-    assert recon.shape == (30, 12)
-    assert np.abs(abundances.sum(axis=1) - 1.0).max() < 1e-9
-    assert np.isfinite(endmember_means).all()
+    prediction = predict_cube(params, config, scene, batch_size=7)
+    assert prediction.abundances.shape == (30, 3)
+    assert prediction.endmember_means.shape == (3, 12)
+    assert prediction.chol_diag.shape == (3, 12)
+    assert prediction.chol_off.shape == (3, sum(config.cov_offdiag_sizes()))
+    assert np.abs(prediction.abundances.sum(axis=1) - 1.0).max() < 1e-9
+    assert np.isfinite(prediction.endmember_means).all()
+    assert np.all(prediction.chol_diag > 0.0) and np.isfinite(prediction.chol_off).all()

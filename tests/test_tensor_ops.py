@@ -176,13 +176,6 @@ def test_lgamma_rejects_nonpositive():
         nc.lgamma(Tensor(-1.0))
 
 
-def test_primitive_forward_dispatch():
-    out = nc.primitive_forward("add", Tensor(1.0), Tensor(2.0))
-    assert out.data == 3.0
-    with pytest.raises(ValueError, match="unknown primitive"):
-        nc.primitive_forward("convolve", Tensor(1.0))
-
-
 def test_operator_sugar_matches_functions():
     x = Tensor(np.array([1.0, 2.0]))
     y = Tensor(np.array([3.0, 4.0]))
