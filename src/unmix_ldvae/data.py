@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 SIMPLEX_TOL = 1e-6
 RIDGE_FACTOR = 1e-6
@@ -284,21 +285,18 @@ class PatchSource:
         self.n_pixels = cube.n_pixels
         pad = patch_size // 2
         h, w, c = cube.reflectance.shape
-        self._padded = np.zeros((h + 2 * pad, w + 2 * pad, c))
-        self._padded[pad : pad + h, pad : pad + w] = cube.reflectance
+        padded = np.zeros((h + 2 * pad, w + 2 * pad, c))
+        padded[pad : pad + h, pad : pad + w] = cube.reflectance
+        # (H, W, P, P, C) read-only view: the window whose corner is (r, c)
+        self._windows = sliding_window_view(padded, (patch_size, patch_size, c))[:, :, 0]
 
     def batch(self, indices) -> np.ndarray:
         """(N, P, P, C) zero-padded windows centred on the flat pixel indices."""
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n_pixels):
             raise DataError(f"pixel indices must lie in [0, {self.n_pixels})")
-        p = self.patch_size
-        c = self._padded.shape[2]
-        out = np.empty((idx.size, p, p, c))
         rows, cols = np.divmod(idx, self.width)
-        for i, (r, col) in enumerate(zip(rows, cols)):
-            out[i] = self._padded[r : r + p, col : col + p]
-        return out
+        return self._windows[rows, cols]
 
 
 @dataclass

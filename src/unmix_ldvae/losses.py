@@ -135,9 +135,25 @@ def kl_dirichlet(alpha_hat, alpha_prior) -> Tensor:
     return ops.mean_reduce(kl_dirichlet_per(alpha_hat, alpha_prior))
 
 
-def _gt_block_constants(gt_bundles: list[EndmemberBundle]):
-    """Per segment: stacked inverse Cholesky factors (K, m, m), stacked means
-    (K, m), and log-determinants (K,) of the reference covariances."""
+@dataclass
+class ReferenceBlocks:
+    """What ``kl_bundle`` needs of the reference bundles, per segment:
+    stacked inverse Cholesky factors (K, m, m), stacked means (K, m) and
+    log-determinants (K,) of the reference covariances."""
+
+    k: int
+    bands: int
+    sizes: list[int]
+    inv_chols: list[np.ndarray]
+    means: list[np.ndarray]
+    logdets: list[np.ndarray]
+
+
+def reference_blocks(gt_bundles: list[EndmemberBundle]) -> ReferenceBlocks:
+    """The per-segment constants of ``kl_bundle``, computed once so a
+    training loop can reuse them for every batch."""
+    if not gt_bundles:
+        raise ShapeError("need at least one reference bundle")
     sizes = [blk.shape[0] for blk in gt_bundles[0].chol_blocks]
     for bundle in gt_bundles:
         if [blk.shape[0] for blk in bundle.chol_blocks] != sizes:
@@ -151,29 +167,40 @@ def _gt_block_constants(gt_bundles: list[EndmemberBundle]):
             np.stack([2.0 * np.log(np.diag(b.chol_blocks[s])).sum() for b in gt_bundles])
         )
         start += m
-    return sizes, inv_chols, means, logdets
+    return ReferenceBlocks(
+        k=len(gt_bundles),
+        bands=gt_bundles[0].bands,
+        sizes=sizes,
+        inv_chols=inv_chols,
+        means=means,
+        logdets=logdets,
+    )
 
 
-def kl_bundle(pred: DecodedBundles, gt_bundles: list[EndmemberBundle], alpha_hat) -> Tensor:
+def kl_bundle(
+    pred: DecodedBundles, gt_bundles: list[EndmemberBundle] | ReferenceBlocks, alpha_hat
+) -> Tensor:
     """Abundance-weighted Gaussian KL from predicted to reference bundles.
 
     Per pixel: sum_k w_k KL(N(mu_hat_k, L_hat_k L_hat_k^T) || N(mu_k, Sigma_k))
     with w = alpha_hat / sum(alpha_hat), evaluated block by block over the
-    spectral segments; the batch reduces to its mean.
+    spectral segments; the batch reduces to its mean. ``gt_bundles`` is the
+    list of reference bundles or their ``reference_blocks``.
     """
     alpha = _as_batch(alpha_hat, "alpha_hat")
-    k = len(gt_bundles)
+    ref = gt_bundles if isinstance(gt_bundles, ReferenceBlocks) else reference_blocks(gt_bundles)
+    k = ref.k
     if alpha.shape[1] != k or pred.means.shape[1] != k:
         raise ShapeError(
             f"endmember counts disagree: {alpha.shape[1]} weights, "
             f"{pred.means.shape[1]} predictions, {k} references"
         )
-    if pred.means.shape[-1] != gt_bundles[0].bands:
+    if pred.means.shape[-1] != ref.bands:
         raise ShapeError(
             f"band counts disagree: predicted {pred.means.shape[-1]}, "
-            f"reference {gt_bundles[0].bands}"
+            f"reference {ref.bands}"
         )
-    sizes, inv_chols, gt_means, gt_logdets = _gt_block_constants(gt_bundles)
+    sizes = ref.sizes
     if [blk.shape[-1] for blk in pred.chol_blocks] != sizes:
         raise ShapeError(
             f"segment sizes disagree: predicted {[b.shape[-1] for b in pred.chol_blocks]}, "
@@ -183,7 +210,7 @@ def kl_bundle(pred: DecodedBundles, gt_bundles: list[EndmemberBundle], alpha_hat
     total_bk = None
     c0 = 0
     for m, block, a, mu_gt, logdet_gt in zip(
-        sizes, pred.chol_blocks, inv_chols, gt_means, gt_logdets
+        sizes, pred.chol_blocks, ref.inv_chols, ref.means, ref.logdets
     ):
         a_t = Tensor(a)
         whitened_chol = ops.matmul(a_t, block)
@@ -263,7 +290,8 @@ def total_loss(
 
 
 def compute_losses(out, x, z_gt, gt_bundles, weights: LossWeights, epoch: int):
-    """All loss terms for one forward batch against its references."""
+    """All loss terms for one forward batch against its references;
+    ``gt_bundles`` is passed on to ``kl_bundle`` as it is."""
     recon = loss_recon(out.x_recon, x)
     kld = kl_dirichlet(out.alpha_hat, weights.prior_for(out.alpha_hat.shape[-1]))
     abundance = loss_abundance(out.z_hat, z_gt)

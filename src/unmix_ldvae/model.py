@@ -207,25 +207,9 @@ def tokenize_batch(patches: np.ndarray, params: dict, config: ModelConfig) -> Te
 # encoder
 
 
-def _split_heads(x: Tensor, b: int, s: int, config: ModelConfig) -> Tensor:
-    x = ops.reshape(x, (b, s, config.heads, config.head_dim))
-    return ops.transpose(x, (0, 2, 1, 3))
-
-
 def _attention(x_norm: Tensor, params: dict, prefix: str, config: ModelConfig) -> Tensor:
-    b, s, _ = x_norm.shape
-    q = ops.add(ops.matmul(x_norm, params[f"{prefix}.wq"]), params[f"{prefix}.bq"])
-    k = ops.matmul(x_norm, params[f"{prefix}.wk"])
-    v = ops.add(ops.matmul(x_norm, params[f"{prefix}.wv"]), params[f"{prefix}.bv"])
-    qh = _split_heads(q, b, s, config)
-    kh = _split_heads(k, b, s, config)
-    vh = _split_heads(v, b, s, config)
-    scale = Tensor(1.0 / math.sqrt(config.head_dim))
-    scores = ops.multiply(ops.matmul(qh, ops.transpose(kh, (0, 1, 3, 2))), scale)
-    attn = ops.softmax(scores, axis=-1)
-    ctx = ops.matmul(attn, vh)
-    merged = ops.reshape(ops.transpose(ctx, (0, 2, 1, 3)), (b, s, config.d))
-    return ops.add(ops.matmul(merged, params[f"{prefix}.wo"]), params[f"{prefix}.bo"])
+    names = ("wq", "wk", "wv", "wo", "bq", "bv", "bo")
+    return ops.attention(x_norm, *(params[f"{prefix}.{n}"] for n in names), config.heads)
 
 
 def encode_batch(tokens: Tensor, params: dict, config: ModelConfig):

@@ -4,9 +4,16 @@ Elementwise primitives follow numpy broadcasting; their vjps reduce the
 cotangent back onto each input's shape. matmul contracts the last two axes
 and broadcasts leading batch axes, with 2-d weight operands shared across
 the batch. Reductions accept an int, a tuple of ints, or None for the axis.
+
+The binary arithmetic primitives and matmul return None instead of a
+cotangent for an input that does not require gradients, so constants cost
+nothing in backward. A vjp never writes into the cotangent it is given:
+backward may hand one array to several records.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -19,9 +26,11 @@ def as_tensor(value) -> Tensor:
 
 
 def _finish(op: str, inputs, out_data, vjp) -> Tensor:
-    requires = active_tape() is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=requires)
-    if requires:
+    """Wrap a primitive's result; on a recording tape with a tracked input,
+    mark it tracked (without a gradient buffer) and record it."""
+    out = Tensor(out_data)
+    if active_tape() is not None and any(t.requires_grad for t in inputs):
+        out.requires_grad = True
         record(op, inputs, out, vjp)
     return out
 
@@ -61,7 +70,10 @@ def add(a, b) -> Tensor:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from exc
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.shape) if b.requires_grad else None,
+        )
 
     return _finish("add", (a, b), out, vjp)
 
@@ -74,7 +86,10 @@ def subtract(a, b) -> Tensor:
         raise ShapeError(f"subtract: shapes {a.shape} and {b.shape} do not broadcast") from exc
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (
+            _unbroadcast(g, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g, b.shape) if b.requires_grad else None,
+        )
 
     return _finish("subtract", (a, b), out, vjp)
 
@@ -87,7 +102,10 @@ def multiply(a, b) -> Tensor:
         raise ShapeError(f"multiply: shapes {a.shape} and {b.shape} do not broadcast") from exc
 
     def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (
+            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
+        )
 
     return _finish("multiply", (a, b), out, vjp)
 
@@ -100,7 +118,10 @@ def divide(a, b) -> Tensor:
         raise ShapeError(f"divide: shapes {a.shape} and {b.shape} do not broadcast") from exc
 
     def vjp(g):
-        return _unbroadcast(g / b.data, a.shape), _unbroadcast(-g * out / b.data, b.shape)
+        return (
+            _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+            _unbroadcast(-g * out / b.data, b.shape) if b.requires_grad else None,
+        )
 
     return _finish("divide", (a, b), out, vjp)
 
@@ -129,11 +150,78 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: batch dimensions do not broadcast, {a.shape} @ {b.shape}") from exc
 
     def vjp(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None
         return ga, gb
 
     return _finish("matmul", (a, b), out, vjp)
+
+
+def attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int) -> Tensor:
+    """Multi-head self-attention over (B, S, d) tokens as one primitive.
+
+    q = x wq + bq, k = x wk and v = x wv + bv come from one (d, 3d) matmul
+    and are cut into ``heads`` slices of width e = d / heads. Each head mixes
+    its values by the rows of softmax(q k^T / sqrt(e)), and the merged heads
+    go through wo + bo. The vjp is derived by hand, as in Dao et al.,
+    "FlashAttention" (2022) without the tiling, so the tape holds a single
+    record in place of the projections, head splits, scores and merge.
+    """
+    x, wq, wk, wv, wo, bq, bv, bo = (as_tensor(t) for t in (x, wq, wk, wv, wo, bq, bv, bo))
+    if x.ndim != 3:
+        raise ShapeError(f"attention: tokens need shape (B, S, d), got {x.shape}")
+    b, s, d = x.shape
+    for name, t, shape in (
+        ("wq", wq, (d, d)), ("wk", wk, (d, d)), ("wv", wv, (d, d)), ("wo", wo, (d, d)),
+        ("bq", bq, (d,)), ("bv", bv, (d,)), ("bo", bo, (d,)),
+    ):
+        if t.shape != shape:
+            raise ShapeError(f"attention: {name} has shape {t.shape}, expected {shape}")
+    if heads < 1 or d % heads:
+        raise ShapeError(f"attention: width {d} does not split into {heads} heads")
+    e = d // heads
+    scale = 1.0 / math.sqrt(e)
+    w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+    x2 = x.data.reshape(b * s, d)
+    qkv = x2 @ w_qkv
+    qkv[:, :d] += bq.data
+    qkv[:, 2 * d :] += bv.data
+    # (3, B, heads, S, e) views of the projections
+    q, k, v = qkv.reshape(b, s, 3, heads, e).transpose(2, 0, 3, 1, 4)
+    attn = q @ k.swapaxes(-1, -2)
+    attn *= scale
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    ctx = attn @ v
+    merged = ctx.transpose(0, 2, 1, 3).reshape(b * s, d)
+    out = (merged @ wo.data + bo.data).reshape(b, s, d)
+
+    def vjp(g):
+        g2 = g.reshape(b * s, d)
+        g_ctx = (g2 @ wo.data.T).reshape(b, s, heads, e).transpose(0, 2, 1, 3)
+        g_qkv = np.empty((b, s, 3, heads, e))
+        gq, gk, gv = g_qkv.transpose(2, 0, 3, 1, 4)
+        gv[...] = attn.swapaxes(-1, -2) @ g_ctx
+        # softmax vjp: the row sums of g_attn * attn equal those of g_ctx * ctx,
+        # which are (S, e) instead of (S, S) per head
+        g_scores = g_ctx @ v.swapaxes(-1, -2)
+        g_scores -= np.sum(g_ctx * ctx, axis=-1, keepdims=True)
+        g_scores *= attn
+        # the scale rides on the (S, e) operands
+        gq[...] = g_scores @ (k * scale)
+        gk[...] = g_scores.swapaxes(-1, -2) @ (q * scale)
+        g_qkv = g_qkv.reshape(b * s, 3 * d)
+        gw = x2.T @ g_qkv
+        gb = g_qkv.sum(axis=0)
+        gx = (g_qkv @ w_qkv.T).reshape(b, s, d)
+        gwo = merged.T @ g2
+        return (
+            gx, gw[:, :d], gw[:, d : 2 * d], gw[:, 2 * d :], gwo,
+            gb[:d], gb[2 * d :], g2.sum(axis=0),
+        )
+
+    return _finish("attention", (x, wq, wk, wv, wo, bq, bv, bo), out, vjp)
 
 
 def transpose(a, axes=None) -> Tensor:

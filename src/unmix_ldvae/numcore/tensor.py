@@ -5,6 +5,8 @@ Tape is recording, appends a record holding the inputs, the output and a
 closure mapping the output cotangent to input cotangents. Records land in
 execution order, which is a valid topological order by construction, so
 backward is a single reverse sweep that touches every record at most once.
+Only leaves (tensors built with ``requires_grad=True``) own a gradient
+buffer; cotangents of primitive outputs live in the sweep alone.
 Tapes are thread-confined: the active tape lives in thread-local state and a
 tape must only be used on the thread that opened it.
 """
@@ -81,9 +83,11 @@ class Tape:
 class Tensor:
     """A float64 n-dimensional value, optionally tracked for gradients.
 
-    ``grad`` is allocated zero-filled exactly when ``requires_grad`` is set
-    and accumulates contributions from every consumer across backward passes
-    until ``zero_grad`` resets it.
+    A leaf, built with ``requires_grad=True``, gets a zero-filled ``grad``
+    that accumulates contributions from every consumer across backward passes
+    until ``zero_grad`` resets it. Primitive outputs recorded on a tape are
+    tracked too, but their ``grad`` stays None: backward hands their
+    cotangents from record to record and drops each once it is consumed.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -182,11 +186,16 @@ def record(op: str, inputs, output: Tensor, vjp) -> None:
 
 
 def backward(root: Tensor, tape: Tape | None = None) -> None:
-    """Accumulate d(root)/d(leaf) into ``grad`` for every tracked tensor.
+    """Accumulate d(root)/d(leaf) into ``grad`` for every leaf on ``tape``.
 
-    ``root`` must be a single-element tensor recorded on ``tape`` (default:
-    the currently active tape). Tracked leaves the root does not depend on
-    keep their zero gradient.
+    ``root`` must be a tracked single-element tensor recorded on ``tape``
+    (default: the currently active tape). Leaves add their cotangent into
+    their own buffer in place, and leaves the root does not depend on keep
+    their gradient. Other tracked tensors get no buffer: their cotangents
+    wait in a table keyed by tensor identity until the sweep reaches the
+    record that produced them, which consumes and drops them. vjps may
+    return one array for two inputs or a read-only view, so a pending
+    cotangent is never updated in place.
     """
     if tape is None:
         tape = active_tape()
@@ -196,14 +205,20 @@ def backward(root: Tensor, tape: Tape | None = None) -> None:
         raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
     if not root.requires_grad:
         raise RuntimeError("backward root is not tracked; it was not produced on a recording tape")
-    root.grad += np.ones_like(root.data)
-    reached = {id(root)}
-    for rec in reversed(tape.records):
-        if id(rec.output) not in reached:
-            continue
-        grads = rec.vjp(rec.output.grad)
-        for tensor, grad in zip(rec.inputs, grads):
-            if grad is None or not tensor.requires_grad:
-                continue
+    pending: dict[int, np.ndarray] = {}
+
+    def accumulate(tensor: Tensor, grad: np.ndarray) -> None:
+        if tensor.grad is not None:
             tensor.grad += grad
-            reached.add(id(tensor))
+            return
+        prev = pending.get(id(tensor))
+        pending[id(tensor)] = grad if prev is None else prev + grad
+
+    accumulate(root, np.ones_like(root.data))
+    for rec in reversed(tape.records):
+        cotangent = pending.pop(id(rec.output), None)
+        if cotangent is None:
+            continue
+        for tensor, grad in zip(rec.inputs, rec.vjp(cotangent)):
+            if grad is not None and tensor.requires_grad:
+                accumulate(tensor, grad)

@@ -18,7 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .data import DataError, HsiCube, PatchSource, SplitSpec, split_pixels
-from .losses import LossBreakdown, LossWeights, anneal_lambda, compute_losses
+from .losses import (
+    LossBreakdown,
+    LossWeights,
+    anneal_lambda,
+    compute_losses,
+    reference_blocks,
+)
 from .model import ModelConfig, forward, init_params
 from .numcore import NumericError, Tape, Tensor, backward
 
@@ -126,6 +132,7 @@ def train_epoch(
     source = PatchSource(cube, config.model.patch)
     x_pixels = cube.pixels()
     z_pixels = cube.abundance_pixels()
+    reference = reference_blocks(cube.gt_bundles)
     order = rng.permutation(train_indices)
     batch_logs: list[LossBreakdown] = []
     sums = np.zeros(5)
@@ -134,7 +141,7 @@ def train_epoch(
         with Tape() as tape:
             out = forward(source.batch(idx), params, config.model, rng=rng)
             total, bd = compute_losses(
-                out, x_pixels[idx], z_pixels[idx], cube.gt_bundles,
+                out, x_pixels[idx], z_pixels[idx], reference,
                 config.loss_weights, epoch,
             )
             for p in params.values():

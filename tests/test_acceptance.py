@@ -468,6 +468,22 @@ def test_criterion_04_gradient_suite():
     entries.append(("kl_bundle-diag", diag0, bundle_objective("diag")))
     entries.append(("kl_bundle-off", off0, bundle_objective("off")))
 
+    attn_names = ("x", "wq", "wk", "wv", "wo", "bq", "bv", "bo")
+    attn_args = [rng.standard_normal((2, 3, 4))]
+    attn_args += [0.5 * rng.standard_normal((4, 4)) for _ in range(4)]
+    attn_args += [rng.standard_normal(4) for _ in range(3)]
+    attn_w = rng.random((2, 3, 4))
+
+    def attention_objective(slot):
+        def objective(p):
+            args = [p if i == slot else Tensor(a) for i, a in enumerate(attn_args)]
+            return ops.sum_reduce(ops.multiply(ops.attention(*args, 2), Tensor(attn_w)))
+
+        return objective
+
+    for slot, name in enumerate(attn_names):
+        entries.append((f"attention-{name}", attn_args[slot], attention_objective(slot)))
+
     worst_name, worst_err = "", 0.0
     for name, base, objective in entries:
         err = finite_diff_check(objective, Tensor(np.asarray(base, dtype=np.float64)))

@@ -220,3 +220,58 @@ def test_finite_diff_check_flags_non_finite():
     with np.errstate(invalid="ignore"):
         with pytest.raises(nc.NumericError):
             finite_diff_check(bad, Tensor(np.array([1e-6, 1.0])), h=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# tape contract: buffers only on leaves, no cotangents for constants, and
+# pending cotangents never updated in place
+
+
+def test_backward_leaves_intermediates_without_buffers():
+    x_arr = np.array([[0.5, -1.0, 2.0], [1.5, 0.3, -0.7]])
+    w_arr = np.array([[1.0, -2.0], [0.5, 0.25], [-1.0, 3.0]])
+    with Tape() as tape:
+        x = Tensor(x_arr, requires_grad=True)
+        w = Tensor(w_arr, requires_grad=True)
+        y = nc.matmul(x, w)
+        loss = nc.sum_reduce(nc.multiply(y, y))
+        backward(loss, tape)
+    assert len(tape) == 3
+    assert all(rec.output.requires_grad and rec.output.grad is None for rec in tape.records)
+    y_arr = x_arr @ w_arr
+    np.testing.assert_allclose(x.grad, 2.0 * y_arr @ w_arr.T, rtol=1e-14)
+    np.testing.assert_allclose(w.grad, 2.0 * x_arr.T @ y_arr, rtol=1e-14)
+
+
+@pytest.mark.parametrize("op", ["add", "subtract", "multiply", "divide", "matmul"])
+@pytest.mark.parametrize("constant_slot", [0, 1])
+def test_vjp_gives_no_cotangent_for_a_constant(op, constant_slot):
+    rng = np.random.default_rng(7)
+    arrays = [0.5 + rng.random((2, 2)), 0.5 + rng.random((2, 2))]
+    with Tape() as tape:
+        inputs = [Tensor(a, requires_grad=i != constant_slot) for i, a in enumerate(arrays)]
+        getattr(nc, op)(*inputs)
+    (rec,) = tape.records
+    grads = rec.vjp(np.ones((2, 2)))
+    assert grads[constant_slot] is None
+    assert grads[1 - constant_slot].shape == (2, 2)
+
+
+def test_shared_cotangents_are_not_mutated_in_place():
+    """add(u, u) hands one array to both slots, and add(z, v) hands one array
+    to z and v; z then gets a second contribution before v is consumed, so
+    updating z's pending cotangent in place would corrupt v's."""
+    x_arr = np.array([0.2, -0.4, 0.9])
+    c_arr = np.array([1.5, -2.0, 0.5])
+    w_arr = np.array([0.7, 1.1, -0.3])
+    with Tape() as tape:
+        x = Tensor(x_arr, requires_grad=True)
+        u = nc.exp(x)
+        z = nc.add(u, u)
+        v = nc.multiply(x, Tensor(c_arr))
+        q = nc.multiply(z, z)
+        p = nc.add(z, v)
+        loss = nc.add(nc.sum_reduce(q), nc.sum_reduce(nc.multiply(p, Tensor(w_arr))))
+        backward(loss, tape)
+    e = np.exp(x_arr)
+    np.testing.assert_allclose(x.grad, 8.0 * e * e + 2.0 * w_arr * e + w_arr * c_arr, rtol=1e-14)

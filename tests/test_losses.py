@@ -24,6 +24,7 @@ from unmix_ldvae.losses import (
     kl_dirichlet_per,
     loss_abundance,
     loss_recon,
+    reference_blocks,
     total_loss,
 )
 from unmix_ldvae.model import (
@@ -504,3 +505,27 @@ def test_backward_reaches_every_parameter_group():
         backward(total, tape)
     for name, param in params.items():
         assert np.any(param.grad != 0.0), f"zero gradient for parameter {name}"
+
+
+def test_bundle_kl_reuses_reference_blocks_exactly():
+    rng = np.random.default_rng(21)
+    seg_len, c, k = 2, 4, 2
+    gt = []
+    for _ in range(k):
+        factors = []
+        for _ in range(c // seg_len):
+            f = 0.1 * np.tril(rng.random((seg_len, seg_len)), -1)
+            f[np.arange(seg_len), np.arange(seg_len)] = 0.5 + rng.random(seg_len)
+            factors.append(f)
+        gt.append(gt_bundle_from_factor(rng.random(c), factors, seg_len))
+    means = rng.random((3, k, c))
+    factors = [0.3 * np.tile(np.eye(seg_len), (3, k, 1, 1)) for _ in range(c // seg_len)]
+    alpha = Tensor(0.5 + rng.random((3, k)))
+    pred = bundles_from_factors(means, factors)
+    direct = kl_bundle(pred, gt, alpha).item()
+    assert kl_bundle(pred, reference_blocks(gt), alpha).item() == direct
+
+
+def test_reference_blocks_reject_empty_list():
+    with pytest.raises(ShapeError):
+        reference_blocks([])

@@ -137,24 +137,87 @@ def test_residual_only_encoder_is_permutation_invariant():
     np.testing.assert_array_equal(base.data, shuffled.data)
 
 
+def composed_attention(x, wq, wk, wv, wo, bq, bv, bo, heads):
+    """Test oracle for ``ops.attention``: the same layer assembled from
+    single-purpose primitives, one tape record per step."""
+    b, s, d = x.shape
+    e = d // heads
+
+    def split(t):
+        return ops.transpose(ops.reshape(t, (b, s, heads, e)), (0, 2, 1, 3))
+
+    q = split(ops.add(ops.matmul(x, wq), bq))
+    k = split(ops.matmul(x, wk))
+    v = split(ops.add(ops.matmul(x, wv), bv))
+    scores = ops.multiply(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), Tensor(1.0 / math.sqrt(e)))
+    attn = ops.softmax(scores, axis=-1)
+    merged = ops.reshape(ops.transpose(ops.matmul(attn, v), (0, 2, 1, 3)), (b, s, d))
+    return ops.add(ops.matmul(merged, wo), bo)
+
+
 def test_attention_rows_sum_to_one(monkeypatch):
+    """Every encoder layer's fused attention equals the composed oracle,
+    whose softmax rows lie on the simplex."""
     config = small_config()
     params = init_params(config, np.random.default_rng(5))
     tokens = Tensor(np.random.default_rng(6).random((2, config.n_tokens, config.d)))
     attn_maps = []
-    softmax = ops.softmax
+    fused, softmax = ops.attention, ops.softmax
 
     def capture(*args, **kwargs):
         out = softmax(*args, **kwargs)
         attn_maps.append(out)
         return out
 
-    monkeypatch.setattr(ops, "softmax", capture)
+    def checked(*args):
+        out = fused(*args)
+        with monkeypatch.context() as patch:
+            patch.setattr(ops, "softmax", capture)
+            reference = composed_attention(*args)
+        np.testing.assert_allclose(out.data, reference.data, rtol=1e-12, atol=1e-12)
+        return out
+
+    monkeypatch.setattr(ops, "attention", checked)
     encode_batch(tokens, params, config)
     assert len(attn_maps) == config.layers
     for attn in attn_maps:
+        assert attn.shape == (2, config.heads, config.n_tokens, config.n_tokens)
+        assert attn.data.min() >= 0.0
         sums = attn.data.sum(axis=-1)
         assert np.abs(sums - 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("b,s,d,heads", [(3, 5, 8, 2), (2, 4, 6, 1)])
+def test_fused_attention_matches_composed_oracle(b, s, d, heads):
+    rng = np.random.default_rng(b * 100 + heads)
+    arrays = (
+        [rng.standard_normal((b, s, d))]
+        + [rng.standard_normal((d, d)) / math.sqrt(d) for _ in range(4)]
+        + [rng.standard_normal(d) for _ in range(3)]
+    )
+    weights = Tensor(rng.standard_normal((b, s, d)))
+    results = []
+    for layer in (ops.attention, composed_attention):
+        with Tape() as tape:
+            inputs = [Tensor(a, requires_grad=True) for a in arrays]
+            out = layer(*inputs, heads)
+            backward(ops.sum_reduce(ops.multiply(out, weights)), tape)
+        results.append((out.data, [t.grad for t in inputs]))
+    (fused_out, fused_grads), (ref_out, ref_grads) = results
+    np.testing.assert_allclose(fused_out, ref_out, rtol=1e-12, atol=1e-12)
+    for name, got, want in zip(("x", "wq", "wk", "wv", "wo", "bq", "bv", "bo"), fused_grads, ref_grads):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+def test_fused_attention_is_one_tape_record():
+    config = small_config()
+    params = init_params(config, np.random.default_rng(7))
+    tokens = Tensor(np.random.default_rng(8).random((2, config.n_tokens, config.d)))
+    with Tape() as tape:
+        encode_batch(tokens, params, config)
+    ops_recorded = [rec.op for rec in tape.records]
+    assert ops_recorded.count("attention") == config.layers
+    assert "softmax" not in ops_recorded and "transpose" not in ops_recorded
 
 
 def test_encoder_rejects_wrong_sequence_length():

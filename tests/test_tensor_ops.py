@@ -185,3 +185,17 @@ def test_operator_sugar_matches_functions():
     np.testing.assert_array_equal((x / y).data, [1.0 / 3.0, 0.5])
     np.testing.assert_array_equal((-x).data, [-1.0, -2.0])
     np.testing.assert_array_equal((2.0 + x).data, [3.0, 4.0])
+
+
+def test_attention_rejects_bad_shapes():
+    x = Tensor(np.ones((2, 3, 4)))
+    w = Tensor(np.eye(4))
+    bias = Tensor(np.zeros(4))
+    with pytest.raises(ShapeError, match="tokens"):
+        nc.attention(Tensor(np.ones((3, 4))), w, w, w, w, bias, bias, bias, 2)
+    with pytest.raises(ShapeError, match="wk"):
+        nc.attention(x, w, Tensor(np.eye(3)), w, w, bias, bias, bias, 2)
+    with pytest.raises(ShapeError, match="bo"):
+        nc.attention(x, w, w, w, w, bias, bias, Tensor(np.zeros(3)), 2)
+    with pytest.raises(ShapeError, match="heads"):
+        nc.attention(x, w, w, w, w, bias, bias, bias, 3)
