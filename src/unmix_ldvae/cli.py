@@ -28,12 +28,11 @@ from .data import (
     load_cube,
     save_bundles,
     save_cube,
-    segment_sizes,
     synth_scene,
 )
 from .losses import LossError, LossWeights
 from .metrics import MetricsError, evaluate, save_report
-from .model import ModelConfig, ModelError, packed_chol_to_blocks, predict_cube
+from .model import ModelConfig, ModelError, predict_cube
 from .numcore import NumericError, ShapeError
 from .train import TrainConfig, TrainError, fit, load_checkpoint
 
@@ -57,6 +56,13 @@ def _check_keys(cfg: dict, allowed: set, where: str) -> None:
         raise CliError(f"unknown {where} config keys: {', '.join(unknown)}")
 
 
+def _object(value, where: str) -> dict:
+    """A copy of a config section, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise CliError(f"{where} must be a JSON object")
+    return dict(value)
+
+
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
@@ -64,12 +70,11 @@ def _load_config_file(path) -> dict:
         loaded = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise CliError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(loaded, dict):
-        raise CliError(f"config file {path} must hold a JSON object")
-    return loaded
+    return _object(loaded, f"config file {path}")
 
 
-def _build_dataclass(cls, cfg: dict, where: str):
+def _build_dataclass(cls, cfg, where: str):
+    cfg = _object(cfg, where)
     _check_keys(cfg, _field_names(cls), where)
     try:
         return cls(**cfg)
@@ -109,7 +114,7 @@ def _scene_config(cfg: dict, seed_flag) -> tuple[SceneConfig, int]:
         if not isinstance(bundle_cfg, list):
             raise CliError("bundle_spec must be a list of bundle objects")
         bundle_cfg = [
-            _build_dataclass(BundleSpec, dict(entry), f"bundle_spec[{i}]")
+            _build_dataclass(BundleSpec, entry, f"bundle_spec[{i}]")
             for i, entry in enumerate(bundle_cfg)
         ]
     scene = _build_dataclass(SceneConfig, cfg, "scene")
@@ -128,7 +133,7 @@ def _infer_k(cube: HsiCube) -> int | None:
 
 def _train_config(cfg: dict, cube: HsiCube, seed_flag) -> TrainConfig:
     cfg = dict(cfg)
-    model_cfg = dict(cfg.pop("model", {}))
+    model_cfg = _object(cfg.pop("model", {}), "model")
     model_cfg.setdefault("bands", cube.bands)
     if "k" not in model_cfg:
         inferred = _infer_k(cube)
@@ -137,13 +142,13 @@ def _train_config(cfg: dict, cube: HsiCube, seed_flag) -> TrainConfig:
         model_cfg["k"] = inferred
     model = _build_dataclass(ModelConfig, model_cfg, "model")
 
-    weights_cfg = dict(cfg.pop("loss_weights", {}))
+    weights_cfg = _object(cfg.pop("loss_weights", {}), "loss_weights")
     prior = weights_cfg.pop("alpha_prior", None)
     weights = _build_dataclass(LossWeights, weights_cfg, "loss_weights")
     if prior is not None:
         weights.alpha_prior = np.asarray(prior, dtype=np.float64)
 
-    split = _build_dataclass(SplitSpec, dict(cfg.pop("split", {})), "split")
+    split = _build_dataclass(SplitSpec, cfg.pop("split", {}), "split")
 
     if seed_flag is not None:
         cfg["seed"] = seed_flag
@@ -290,13 +295,11 @@ def cmd_unmix(args) -> int:
     model, cube, prediction = _predict(args, "unmix")
     out, maps_path = _write_abundances(args.out, cube, prediction.abundances)
 
-    sizes = segment_sizes(model.bands, model.seg_len)
-    blocks = packed_chol_to_blocks(prediction.chol_diag, prediction.chol_off, sizes)
     bundles = [
         EndmemberBundle(
             name=f"em{j}",
             mean=prediction.endmember_means[j],
-            chol_blocks=[segment[j] for segment in blocks],
+            chol_blocks=[segment[j] for segment in prediction.chol_blocks],
             seg_len=model.seg_len,
         )
         for j in range(model.k)

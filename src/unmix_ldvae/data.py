@@ -174,9 +174,11 @@ def _read_bsq(base: Path) -> np.ndarray:
     header_path = Path(str(base) + ".json")
     data_path = Path(str(base) + ".bsq")
     try:
-        header = json.loads(header_path.read_text())
-    except json.JSONDecodeError as exc:
+        header = json.loads(header_path.read_bytes())
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise DataError(f"malformed sidecar {header_path}: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"sidecar {header_path} must hold a JSON object")
     for key in ("height", "width", "bands", "dtype", "interleave"):
         if key not in header:
             raise DataError(f"sidecar {header_path} is missing '{key}'")
@@ -184,7 +186,12 @@ def _read_bsq(base: Path) -> np.ndarray:
         raise DataError(
             f"unsupported format {header['dtype']}/{header['interleave']} in {header_path}"
         )
-    h, w, b = int(header["height"]), int(header["width"]), int(header["bands"])
+    try:
+        h, w, b = int(header["height"]), int(header["width"]), int(header["bands"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"sidecar {header_path} has a non-integer dimension: {exc}") from exc
+    if min(h, w, b) < 1:
+        raise DataError(f"sidecar {header_path} has a non-positive dimension")
     raw = np.frombuffer(data_path.read_bytes(), dtype="<f4")
     if raw.size != h * w * b:
         raise DataError(
@@ -214,23 +221,34 @@ def bundles_to_json(bundles: list[EndmemberBundle]) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def bundles_from_json(text: str) -> list[EndmemberBundle]:
+def bundles_from_json(text: str | bytes) -> list[EndmemberBundle]:
+    """Parse bundles_to_json output, given as str or UTF-8 bytes."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise DataError(f"malformed bundle JSON: {exc}") from exc
-    if "seg_len" not in payload or "endmembers" not in payload:
-        raise DataError("bundle JSON needs 'seg_len' and 'endmembers'")
-    seg_len = int(payload["seg_len"])
-    return [
-        EndmemberBundle(
-            name=str(e.get("name", f"em{i}")),
-            mean=np.asarray(e["mean"], dtype=np.float64),
-            chol_blocks=[np.asarray(b, dtype=np.float64) for b in e["chol_blocks"]],
-            seg_len=seg_len,
-        )
-        for i, e in enumerate(payload["endmembers"])
-    ]
+    if not isinstance(payload, dict) or "seg_len" not in payload or "endmembers" not in payload:
+        raise DataError("bundle JSON must be an object with 'seg_len' and 'endmembers'")
+    entries = payload["endmembers"]
+    if not isinstance(entries, list) or not all(
+        isinstance(e, dict) and "mean" in e and "chol_blocks" in e for e in entries
+    ):
+        raise DataError("bundle JSON 'endmembers' must list objects with 'mean' and 'chol_blocks'")
+    try:
+        seg_len = int(payload["seg_len"])
+        return [
+            EndmemberBundle(
+                name=str(e.get("name", f"em{i}")),
+                mean=np.asarray(e["mean"], dtype=np.float64),
+                chol_blocks=[np.asarray(b, dtype=np.float64) for b in e["chol_blocks"]],
+                seg_len=seg_len,
+            )
+            for i, e in enumerate(entries)
+        ]
+    except DataError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"bundle JSON holds a non-numeric value: {exc}") from exc
 
 
 def save_bundles(path, bundles: list[EndmemberBundle]) -> None:
@@ -238,7 +256,7 @@ def save_bundles(path, bundles: list[EndmemberBundle]) -> None:
 
 
 def load_bundles(path) -> list[EndmemberBundle]:
-    return bundles_from_json(Path(path).read_text())
+    return bundles_from_json(Path(path).read_bytes())
 
 
 def save_cube(cube: HsiCube, base_path) -> None:

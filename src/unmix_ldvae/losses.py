@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .data import EndmemberBundle
 from .model import DecodedBundles
-from .numcore import NumericError, ShapeError, Tensor, ops, special
+from .numcore import NumericError, ShapeError, Tensor, ops
 
 
 class LossError(ValueError):
@@ -120,7 +121,7 @@ def kl_dirichlet_per(alpha_hat, alpha_prior) -> Tensor:
     entropy_terms = ops.subtract(
         ops.lgamma(alpha_sum), ops.sum_reduce(ops.lgamma(alpha), axis=1)
     )
-    prior_const = float(special.lgamma(prior.sum()) - special.lgamma(prior).sum())
+    prior_const = float(gammaln(prior.sum()) - gammaln(prior).sum())
     centered_digamma = ops.subtract(
         ops.digamma(alpha), ops.reshape(ops.digamma(alpha_sum), (b, 1))
     )

@@ -52,6 +52,9 @@ class ModelConfig:
     eps_chol: float = 1e-4
 
     def validate(self) -> None:
+        for name in ("patch", "bands", "k", "seg_len", "d", "layers", "heads", "ff_dim"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ModelError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.patch < 1 or self.patch % 2 == 0:
             raise ModelError(f"patch must be odd and positive, got {self.patch}")
         if self.bands < 1 or self.seg_len < 1:
@@ -62,8 +65,8 @@ class ModelConfig:
             raise ModelError(f"need at least 2 endmembers, got {self.k}")
         if self.layers < 1:
             raise ModelError(f"need at least one encoder layer, got {self.layers}")
-        if self.d % self.heads != 0:
-            raise ModelError(f"embedding dim {self.d} not divisible by {self.heads} heads")
+        if self.d < 1 or self.heads < 1 or self.d % self.heads != 0:
+            raise ModelError(f"embedding dim {self.d} does not split into {self.heads} heads")
         if self.ff_dim < 1:
             raise ModelError(f"ff_dim must be positive, got {self.ff_dim}")
         if self.eps_alpha <= 0 or self.eps_chol <= 0:
@@ -120,45 +123,70 @@ def _uniform(rng, fan_in: int, shape) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def init_params(config: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    """Fresh trainable parameters, flat dict keyed by dotted names."""
-    config.validate()
-    d, ff = config.d, config.ff_dim
-    p: dict[str, np.ndarray] = {}
-    p["tok.w"] = _uniform(rng, config.seg_len, (config.seg_len, d))
-    p["tok.b"] = np.zeros(d)
-    p["pos"] = POS_INIT_SCALE * rng.standard_normal((config.n_tokens, d))
+def param_shapes(config: ModelConfig):
+    """Yield (name, shape) of every trainable parameter in the order
+    init_params draws them. Lazy, so a reader can stop at the first
+    parameter a file lacks before a large config is spelled out."""
+    d, ff, c, k = config.d, config.ff_dim, config.bands, config.k
+    yield "tok.w", (config.seg_len, d)
+    yield "tok.b", (d,)
+    yield "pos", (config.n_tokens, d)
     for i in range(config.layers):
         pre = f"enc{i}"
-        p[f"{pre}.ln1.g"] = np.ones(d)
-        p[f"{pre}.ln1.b"] = np.zeros(d)
+        yield f"{pre}.ln1.g", (d,)
+        yield f"{pre}.ln1.b", (d,)
         for name in ("wq", "wk", "wv", "wo"):
-            p[f"{pre}.attn.{name}"] = _uniform(rng, d, (d, d))
+            yield f"{pre}.attn.{name}", (d, d)
         # no key bias: a per-row constant in the scores cancels in softmax
         for name in ("bq", "bv", "bo"):
-            p[f"{pre}.attn.{name}"] = np.zeros(d)
-        p[f"{pre}.ln2.g"] = np.ones(d)
-        p[f"{pre}.ln2.b"] = np.zeros(d)
-        p[f"{pre}.ffn.w1"] = _uniform(rng, d, (d, ff))
-        p[f"{pre}.ffn.b1"] = np.zeros(ff)
-        p[f"{pre}.ffn.w2"] = _uniform(rng, ff, (ff, d))
-        p[f"{pre}.ffn.b2"] = np.zeros(d)
-    p["alpha.w"] = _uniform(rng, d, (d, config.k))
-    # softplus(b) = 1 at b = ln(e - 1): concentrations start near uniform
-    p["alpha.b"] = np.full(config.k, math.log(math.e - 1.0))
-    out_dim = config.k * config.decoder_out_per_endmember()
-    p["dec1.w1"] = _uniform(rng, d, (d, ff))
-    p["dec1.b1"] = np.zeros(ff)
-    p["dec1.w2"] = _uniform(rng, ff, (ff, out_dim)) * 0.1
-    p["dec1.b2"] = _decoder_bias_init(config)
-    c = config.bands
-    p["dec2.wm"] = _uniform(rng, c, (c, c))
-    p["dec2.wz"] = _uniform(rng, config.k, (config.k, c))
-    p["dec2.b1"] = np.zeros(c)
-    # zero final layer: reconstruction starts as the exact linear mixture
-    p["dec2.w2"] = np.zeros((c, c))
-    p["dec2.b2"] = np.zeros(c)
-    return {name: Tensor(value, requires_grad=True) for name, value in p.items()}
+            yield f"{pre}.attn.{name}", (d,)
+        yield f"{pre}.ln2.g", (d,)
+        yield f"{pre}.ln2.b", (d,)
+        yield f"{pre}.ffn.w1", (d, ff)
+        yield f"{pre}.ffn.b1", (ff,)
+        yield f"{pre}.ffn.w2", (ff, d)
+        yield f"{pre}.ffn.b2", (d,)
+    yield "alpha.w", (d, k)
+    yield "alpha.b", (k,)
+    out_dim = k * config.decoder_out_per_endmember()
+    yield "dec1.w1", (d, ff)
+    yield "dec1.b1", (ff,)
+    yield "dec1.w2", (ff, out_dim)
+    yield "dec1.b2", (out_dim,)
+    yield "dec2.wm", (c, c)
+    yield "dec2.wz", (k, c)
+    yield "dec2.b1", (c,)
+    yield "dec2.w2", (c, c)
+    yield "dec2.b2", (c,)
+
+
+def init_params(config: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
+    """Fresh trainable parameters, flat dict keyed by dotted names. Matrices
+    draw uniformly from +-1/sqrt(rows), layer-norm gains start at one and
+    the remaining vectors at zero, apart from the cases below."""
+    config.validate()
+    params: dict[str, Tensor] = {}
+    for name, shape in param_shapes(config):
+        if name == "pos":
+            value = POS_INIT_SCALE * rng.standard_normal(shape)
+        elif name == "alpha.b":
+            # softplus(b) = 1 at b = ln(e - 1): concentrations start near uniform
+            value = np.full(shape, math.log(math.e - 1.0))
+        elif name == "dec1.b2":
+            value = _decoder_bias_init(config)
+        elif name == "dec2.w2":
+            # zero final layer: reconstruction starts as the exact linear mixture
+            value = np.zeros(shape)
+        elif len(shape) == 2:
+            value = _uniform(rng, shape[0], shape)
+            if name == "dec1.w2":
+                value *= 0.1
+        elif name.endswith(".g"):
+            value = np.ones(shape)
+        else:
+            value = np.zeros(shape)
+        params[name] = Tensor(value, requires_grad=True)
+    return params
 
 
 def _decoder_bias_init(config: ModelConfig) -> np.ndarray:
@@ -263,7 +291,6 @@ class DecodedBundles:
 
     means: Tensor  # (B, K, C)
     chol_diag: Tensor  # (B, K, C) strictly positive
-    chol_off: Tensor  # (B, K, total off-diagonal length)
     chol_blocks: list  # per segment: Tensor (B, K, m, m)
 
 
@@ -287,7 +314,7 @@ def decode_bundles(x_latent: Tensor, params: dict, config: ModelConfig) -> Decod
         blocks.append(ops.tril_compose(diag_seg, off_seg, m))
         c0 += m
         o0 += t
-    return DecodedBundles(means=means, chol_diag=diag, chol_off=off, chol_blocks=blocks)
+    return DecodedBundles(means=means, chol_diag=diag, chol_blocks=blocks)
 
 
 def sample_endmembers(bundles: DecodedBundles, config: ModelConfig, rng=None, eps=None):
@@ -401,8 +428,7 @@ class Prediction:
 
     abundances: np.ndarray  # (N, K) Dirichlet means
     endmember_means: np.ndarray  # (K, C)
-    chol_diag: np.ndarray  # (K, C)
-    chol_off: np.ndarray  # (K, total off-diagonal length), packed row-major
+    chol_blocks: list  # per segment: (K, m, m) lower-triangular factors
 
 
 def predict_cube(
@@ -420,40 +446,16 @@ def predict_cube(
     indices = np.asarray(indices, dtype=np.int64)
     abundances = np.empty((indices.size, config.k))
     mean_sum = np.zeros((config.k, config.bands))
-    diag_sum = np.zeros((config.k, config.bands))
-    off_sum = np.zeros((config.k, sum(config.cov_offdiag_sizes())))
+    block_sums = [np.zeros((config.k, m, m)) for m in config.cov_segment_sizes()]
     for start in range(0, indices.size, batch_size):
         batch_idx = indices[start : start + batch_size]
         out = forward(source.batch(batch_idx), params, config, sample=False)
         abundances[start : start + batch_idx.size] = out.z_mean.data
         mean_sum += out.bundles.means.data.sum(axis=0)
-        diag_sum += out.bundles.chol_diag.data.sum(axis=0)
-        off_sum += out.bundles.chol_off.data.sum(axis=0)
+        for block_sum, block in zip(block_sums, out.bundles.chol_blocks):
+            block_sum += block.data.sum(axis=0)
     return Prediction(
         abundances=abundances,
         endmember_means=mean_sum / indices.size,
-        chol_diag=diag_sum / indices.size,
-        chol_off=off_sum / indices.size,
+        chol_blocks=[block_sum / indices.size for block_sum in block_sums],
     )
-
-
-def packed_chol_to_blocks(diag: np.ndarray, off: np.ndarray, seg_sizes) -> list[np.ndarray]:
-    """Rebuild per-segment lower-triangular factors from the decoder's packed
-    layout: diag (K, C) and row-major strict lower entries (K, OFF) become a
-    list over segments of (K, m, m) arrays."""
-    diag = np.asarray(diag, dtype=np.float64)
-    off = np.asarray(off, dtype=np.float64)
-    k = diag.shape[0]
-    blocks = []
-    c0 = 0
-    o0 = 0
-    for m in seg_sizes:
-        t = m * (m - 1) // 2
-        block = np.zeros((k, m, m))
-        rows, cols = np.tril_indices(m, -1)
-        block[:, rows, cols] = off[:, o0 : o0 + t]
-        block[:, np.arange(m), np.arange(m)] = diag[:, c0 : c0 + m]
-        blocks.append(block)
-        c0 += m
-        o0 += t
-    return blocks

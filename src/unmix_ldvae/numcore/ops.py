@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import special
 
-from . import special
 from .tensor import NumericError, ShapeError, Tensor, active_tape, record
 
 
@@ -368,24 +368,32 @@ def relu(a) -> Tensor:
     return _finish("relu", (a,), out, vjp)
 
 
+def _positive(a: Tensor) -> np.ndarray:
+    """The values of a gamma-family argument, which must lie on the positive
+    axis where lgamma is real and digamma is finite."""
+    if np.any(a.data <= 0.0):
+        raise ValueError("argument must be strictly positive")
+    return a.data
+
+
 def lgamma(a) -> Tensor:
     a = as_tensor(a)
-    out = special.lgamma(a.data)
+    x = _positive(a)
 
     def vjp(g):
-        return (g * special.digamma(a.data),)
+        return (g * special.digamma(x),)
 
-    return _finish("lgamma", (a,), out, vjp)
+    return _finish("lgamma", (a,), special.gammaln(x), vjp)
 
 
 def digamma(a) -> Tensor:
     a = as_tensor(a)
-    out = special.digamma(a.data)
+    x = _positive(a)
 
     def vjp(g):
-        return (g * special.trigamma(a.data),)
+        return (g * special.polygamma(1, x),)
 
-    return _finish("digamma", (a,), out, vjp)
+    return _finish("digamma", (a,), special.digamma(x), vjp)
 
 
 # normalizations and reductions

@@ -118,62 +118,8 @@ class Tensor:
         if self.grad is not None:
             self.grad[...] = 0.0
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # Arithmetic sugar; the implementations live in numcore.ops.
-
-    def __add__(self, other):
-        from . import ops
-
-        return ops.add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        from . import ops
-
-        return ops.subtract(self, other)
-
-    def __rsub__(self, other):
-        from . import ops
-
-        return ops.subtract(other, self)
-
-    def __mul__(self, other):
-        from . import ops
-
-        return ops.multiply(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        from . import ops
-
-        return ops.divide(self, other)
-
-    def __rtruediv__(self, other):
-        from . import ops
-
-        return ops.divide(other, self)
-
-    def __neg__(self):
-        from . import ops
-
-        return ops.negate(self)
-
-    def __matmul__(self, other):
-        from . import ops
-
-        return ops.matmul(self, other)
-
-    def __getitem__(self, index):
-        from . import ops
-
-        return ops.slice_(self, index)
 
 
 def record(op: str, inputs, output: Tensor, vjp) -> None:

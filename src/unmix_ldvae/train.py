@@ -25,7 +25,7 @@ from .losses import (
     compute_losses,
     reference_blocks,
 )
-from .model import ModelConfig, forward, init_params
+from .model import ModelConfig, forward, init_params, param_shapes
 from .numcore import NumericError, Tape, Tensor, backward
 
 CHECKPOINT_MAGIC = b"LDVT"
@@ -250,24 +250,27 @@ def load_checkpoint(path) -> Checkpoint:
             tensors[name] = arr.reshape(dims).astype(np.float64)
     except KeyError as err:
         raise TrainError(f"corrupt checkpoint {path}: header lacks {err}") from err
-    except (struct.error, IndexError, TypeError, UnicodeDecodeError, ValueError) as err:
+    except (struct.error, IndexError, OverflowError, TypeError, ValueError) as err:
         raise TrainError(f"corrupt checkpoint {path}: {err}") from err
-    if not isinstance(rng_state, dict):
-        raise TrainError(f"corrupt checkpoint {path}: rng_state is not an object")
-    params: dict[str, Tensor] = {}
+    try:
+        np.random.default_rng(0).bit_generator.state = rng_state
+    except (KeyError, OverflowError, TypeError, ValueError) as err:
+        raise TrainError(f"corrupt checkpoint {path}: bad rng_state: {err!r}") from err
+    params: dict[str, np.ndarray] = {}
     m: dict[str, np.ndarray] = {}
     v: dict[str, np.ndarray] = {}
-    for name, arr in tensors.items():
-        if name.startswith("opt.m."):
-            m[name[len("opt.m.") :]] = arr
-        elif name.startswith("opt.v."):
-            v[name[len("opt.v.") :]] = arr
-        else:
-            params[name] = Tensor(arr, requires_grad=True)
-    if set(m) != set(params) or set(v) != set(params):
-        raise TrainError(f"checkpoint {path} has mismatched optimizer state")
+    for name, shape in param_shapes(model):
+        for store, key in ((params, name), (m, f"opt.m.{name}"), (v, f"opt.v.{name}")):
+            arr = tensors.pop(key, None)
+            if arr is None or arr.shape != shape:
+                raise TrainError(f"checkpoint {path}: {key} is missing or not of shape {shape}")
+            store[name] = arr
+    if tensors:
+        raise TrainError(
+            f"checkpoint {path} holds tensors its model lacks: {', '.join(sorted(tensors))}"
+        )
     return Checkpoint(
-        params=params,
+        params={name: Tensor(arr, requires_grad=True) for name, arr in params.items()},
         opt=AdamState(m=m, v=v, t=adam_t),
         epoch=epoch,
         rng_state=rng_state,
@@ -341,11 +344,6 @@ def fit(
         raise TrainError(
             f"model expects {config.model.k} endmembers but cube has {len(cube.gt_bundles)}"
         )
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ck_path = out_dir / "checkpoint.ldvt"
-    log_path = out_dir / "train_log.csv"
-
     if resume is not None:
         previous = load_checkpoint(resume)
         if previous.model.to_dict() != config.model.to_dict():
@@ -371,6 +369,10 @@ def fit(
         raise TrainError(str(err)) from err
     if split.train_indices.size == 0:
         raise TrainError("training split is empty; raise train_fraction")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    ck_path = out_dir / "checkpoint.ldvt"
+    log_path = out_dir / "train_log.csv"
 
     rows = []
     last_good = _snapshot(params, opt, rng, start_epoch, config)

@@ -65,19 +65,15 @@ def _report(n: int, ok: bool, detail: str) -> None:
 def bundles_from_factors(means, factors):
     """DecodedBundles with explicit (B, K, m, m) Cholesky factors."""
     diag_parts = []
-    off_parts = []
     blocks = []
     for l in factors:
         m = l.shape[-1]
         idx = np.arange(m)
-        rows, cols = np.tril_indices(m, -1)
         diag_parts.append(l[..., idx, idx])
-        off_parts.append(l[..., rows, cols])
         blocks.append(Tensor(l))
     return DecodedBundles(
         means=Tensor(means),
         chol_diag=Tensor(np.concatenate(diag_parts, axis=-1)),
-        chol_off=Tensor(np.concatenate(off_parts, axis=-1)),
         chol_blocks=blocks,
     )
 
@@ -458,7 +454,7 @@ def test_criterion_04_gradient_suite():
                 c0 += size
                 o0 += n_off
             pred = DecodedBundles(
-                means=means_t, chol_diag=diag_t, chol_off=off_t, chol_blocks=blocks
+                means=means_t, chol_diag=diag_t, chol_blocks=blocks
             )
             return kl_bundle(pred, gt_small, Tensor(alpha0))
 

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface."""
 
 import json
+import shutil
 import struct
 from pathlib import Path
 
@@ -9,7 +10,8 @@ import pytest
 
 from unmix_ldvae.cli import main
 from unmix_ldvae.data import HsiCube, _read_bsq, load_bundles, load_cube, save_cube
-from unmix_ldvae.train import load_checkpoint
+from unmix_ldvae.numcore import Tensor
+from unmix_ldvae.train import load_checkpoint, save_checkpoint
 
 SCENE_CFG = {
     "height": 12,
@@ -30,6 +32,15 @@ TRAIN_CFG = {
     "model": {"patch": 1, "seg_len": 8, "d": 8, "layers": 1, "heads": 2, "ff_dim": 8},
     "split": {"train_fraction": 0.5, "seed": 0},
 }
+
+
+def one_json_error(capsys, rc, code, error):
+    """The failure contract: exit code, one JSON line on stderr naming the error."""
+    captured = capsys.readouterr()
+    assert rc == code
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["error"] == error
+    return captured.out
 
 
 def run_cli(capsys, *argv):
@@ -303,6 +314,8 @@ def _drop(key):
         pytest.param(lambda header: header["model"].update(dropout=0.1), id="unknown-model-key"),
         pytest.param(lambda header: header["model"].update(patch=4), id="invalid-model-value"),
         pytest.param(lambda header: header.update(rng_state=7), id="rng-state-not-object"),
+        pytest.param(lambda header: header.update(rng_state={"bit_generator": "PCG64"}),
+                     id="rng-state-not-a-generator-state"),
     ],
 )
 def test_malformed_checkpoint_header_is_one_json_error(ws, capsys, tmp_path, edit):
@@ -321,6 +334,96 @@ def test_malformed_checkpoint_header_is_one_json_error(ws, capsys, tmp_path, edi
     assert len(captured.err.splitlines()) == 1
     assert json.loads(captured.err)["error"] == "TrainError"
     assert not (tmp_path / "maps").exists()
+
+
+def _drop_alpha_w(ck):
+    for store in (ck.params, ck.opt.m, ck.opt.v):
+        del store["alpha.w"]
+
+
+def _add_extra(ck):
+    ck.params["extra.w"] = Tensor(np.zeros(3))
+    ck.opt.m["extra.w"] = ck.opt.v["extra.w"] = np.zeros(3)
+
+
+def _misshape(ck):
+    ck.params["alpha.w"] = Tensor(np.zeros((3, 3)))
+
+
+def _misshape_moment(ck):
+    ck.opt.m["pos"] = np.zeros(2)
+
+
+@pytest.mark.parametrize("command", ["unmix", "train"])
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(_drop_alpha_w, id="missing"),
+        pytest.param(_add_extra, id="extra"),
+        pytest.param(_misshape, id="misshapen"),
+        pytest.param(_misshape_moment, id="misshapen-moment"),
+    ],
+)
+def test_checkpoint_tensors_must_fit_the_model(ws, capsys, tmp_path, edit, command):
+    ck = load_checkpoint(ws / "run" / "checkpoint.ldvt")
+    edit(ck)
+    bad = tmp_path / "bad.ldvt"
+    save_checkpoint(bad, ck)
+    data = ["--data", str(ws / "data" / "scene"), "--out", str(tmp_path / "out")]
+    if command == "unmix":
+        rc = main(["unmix", "--checkpoint", str(bad), *data])
+    else:
+        # epochs equal to the saved epoch: nothing to train, only the load
+        rc = main(["train", *data, "--config", str(ws / "train.json"), "--resume", str(bad)])
+    one_json_error(capsys, rc, 1, "TrainError")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "unmix"])
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("scene_bundles.json", "5"),
+        ("scene_bundles.json", '{"seg_len": 8, "endmembers": [3]}'),
+        ("scene_bundles.json", '{"seg_len": 8, "endmembers": [{"mean": [0.5]}]}'),
+        ("scene.json", "7"),
+    ],
+    ids=["bundles-number", "bundle-entry-number", "bundle-entry-without-blocks", "sidecar-number"],
+)
+def test_malformed_cube_files_are_one_json_error(ws, capsys, tmp_path, command, name, text):
+    shutil.copytree(ws / "data", tmp_path / "data")
+    (tmp_path / "data" / name).write_text(text)
+    data = ["--data", str(tmp_path / "data" / "scene"), "--out", str(tmp_path / "out")]
+    if command == "train":
+        rc = main(["train", *data, "--config", str(ws / "train.json")])
+    else:
+        rc = main([command, "--checkpoint", str(ws / "run" / "checkpoint.ldvt"), *data])
+    assert one_json_error(capsys, rc, 1, "DataError") == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("train", {"model": 5}),
+        ("train", {"model": [3]}),
+        ("train", {"split": "abc"}),
+        ("train", {"loss_weights": 5}),
+        ("synth", {"bundle_spec": [5, 5, 5]}),
+    ],
+    ids=["model-number", "model-list", "split-string", "loss-weights-number", "bundle-spec-entry"],
+)
+def test_config_section_must_be_an_object(ws, capsys, tmp_path, command, section):
+    config = tmp_path / "config.json"
+    if command == "train":
+        config.write_text(json.dumps({**TRAIN_CFG, **section}))
+        rc = main(["train", "--data", str(ws / "data" / "scene"), "--out", str(tmp_path / "out"),
+                   "--config", str(config)])
+    else:
+        config.write_text(json.dumps({**SCENE_CFG, **section}))
+        rc = main(["synth", "--out", str(tmp_path / "out"), "--config", str(config)])
+    assert one_json_error(capsys, rc, 2, "usage") == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_unmix_matches_eval_and_round_trips(ws, capsys):

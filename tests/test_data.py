@@ -129,6 +129,22 @@ def test_bundle_json_rejects_garbage():
         bundles_from_json("not json at all {")
     with pytest.raises(DataError):
         bundles_from_json(json.dumps({"endmembers": []}))
+    entry = {"mean": [0.5, 0.5], "chol_blocks": [[[0.1, 0.0], [0.0, 0.1]]]}
+    for payload in (
+        5,
+        "seg_len endmembers",
+        {"seg_len": 2, "endmembers": 5},
+        {"seg_len": 2, "endmembers": [5]},
+        {"seg_len": 2, "endmembers": [{"chol_blocks": entry["chol_blocks"]}]},
+        {"seg_len": 2, "endmembers": [{"mean": entry["mean"]}]},
+        {"seg_len": "two", "endmembers": [entry]},
+        {"seg_len": 2, "endmembers": [{**entry, "mean": ["a", "b"]}]},
+        {"seg_len": 2, "endmembers": [{**entry, "chol_blocks": 3}]},
+    ):
+        with pytest.raises(DataError):
+            bundles_from_json(json.dumps(payload))
+    with pytest.raises(DataError):
+        bundles_from_json(b'{"seg_len": 2, "endmembers": ["\xff"]}')
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +199,24 @@ def test_cube_ground_truth_sidecars_round_trip(tmp_path):
     assert np.abs(back.gt_abundances - scene.gt_abundances).max() < 1e-6
     for a, b in zip(scene.gt_bundles, back.gt_bundles):
         assert np.array_equal(a.mean, b.mean)
+
+
+@pytest.mark.parametrize(
+    "sidecar",
+    [
+        b"7",
+        b'{"height": 2, "width": 2, "bands": "\xff3"}',
+        b'{"height": "two", "width": 2, "bands": 3, "dtype": "f32", "interleave": "bsq"}',
+        b'{"height": 1e999, "width": 2, "bands": 3, "dtype": "f32", "interleave": "bsq"}',
+        b'{"height": -2, "width": -2, "bands": 3, "dtype": "f32", "interleave": "bsq"}',
+    ],
+    ids=["number", "not-utf8", "text-dim", "infinite-dim", "negative-dims"],
+)
+def test_sidecar_rejects_garbage(tmp_path, sidecar):
+    save_cube(HsiCube(np.ones((2, 2, 3))), tmp_path / "c")
+    (tmp_path / "c.json").write_bytes(sidecar)
+    with pytest.raises(DataError):
+        load_cube(tmp_path / "c")
 
 
 def test_load_cube_missing_sidecar_raises(tmp_path):

@@ -67,19 +67,15 @@ def closed_form_dirichlet_kl(a, p):
 def bundles_from_factors(means, factors):
     """DecodedBundles with explicit (B, K, m, m) Cholesky factors."""
     diag_parts = []
-    off_parts = []
     blocks = []
     for l in factors:
         m = l.shape[-1]
         idx = np.arange(m)
-        rows, cols = np.tril_indices(m, -1)
         diag_parts.append(l[..., idx, idx])
-        off_parts.append(l[..., rows, cols])
         blocks.append(Tensor(l))
     return DecodedBundles(
         means=Tensor(means),
         chol_diag=Tensor(np.concatenate(diag_parts, axis=-1)),
-        chol_off=Tensor(np.concatenate(off_parts, axis=-1)),
         chol_blocks=blocks,
     )
 
@@ -359,7 +355,7 @@ def test_bundle_kl_gradients_match_finite_differences():
             o_seg = ops.slice_(off_t, (Ellipsis, slice(s, s + 1)))
             blocks.append(ops.tril_compose(d_seg, o_seg, 2))
         return DecodedBundles(
-            means=means_t, chol_diag=diag_t, chol_off=off_t, chol_blocks=blocks
+            means=means_t, chol_diag=diag_t, chol_blocks=blocks
         )
 
     def check(which):

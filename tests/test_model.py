@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from unmix_ldvae.data import BundleSpec, SceneConfig, synth_scene
+from unmix_ldvae.data import BundleSpec, PatchSource, SceneConfig, synth_scene
 from unmix_ldvae.model import (
     DecodedBundles,
     ModelConfig,
@@ -312,7 +312,6 @@ def test_zeroed_bundle_head_emits_floor_bundles():
     np.testing.assert_allclose(
         bundles.chol_diag.data, math.log(2.0) + config.eps_chol, rtol=0, atol=1e-15
     )
-    np.testing.assert_array_equal(bundles.chol_off.data, np.zeros((2, 2, 12)))
     for block in bundles.chol_blocks:
         off_diagonal = block.data.copy()
         idx = np.arange(block.shape[-1])
@@ -340,7 +339,6 @@ def test_endmember_draw_with_zero_factor_is_the_mean():
     bundles = DecodedBundles(
         means=means,
         chol_diag=Tensor(np.full((3, 2, 8), 1e-12)),
-        chol_off=Tensor(np.zeros((3, 2, 12))),
         chol_blocks=blocks,
     )
     drawn, _ = sample_endmembers(bundles, config, np.random.default_rng(1))
@@ -354,7 +352,6 @@ def test_endmember_draw_covariance_matches_cholesky():
     bundles = DecodedBundles(
         means=Tensor(np.zeros((n, 1, 2))),
         chol_diag=Tensor(np.tile(np.diag(l), (n, 1, 1))),
-        chol_off=Tensor(np.full((n, 1, 1), l[1, 0])),
         chol_blocks=[Tensor(np.tile(l, (n, 1, 1, 1)))],
     )
     drawn, _ = sample_endmembers(bundles, config, np.random.default_rng(3))
@@ -370,7 +367,6 @@ def test_endmember_gradient_wrt_mean_is_identity_on_fixed_noise():
     bundles = DecodedBundles(
         means=means,
         chol_diag=Tensor(np.full((1, 2, 8), 0.1)),
-        chol_off=Tensor(np.zeros((1, 2, 12))),
         chol_blocks=blocks,
     )
     weights = rng.random((1, 2, 8))
@@ -468,7 +464,7 @@ def test_full_pipeline_gradients_for_every_parameter_group():
     w_z = rng.random((2, 2))
     w_alpha = rng.random((2, 2))
     w_diag = rng.random((2, 2, 8))
-    w_off = rng.random((2, 2, 12))
+    w_blocks = [rng.random((2, 2, 4, 4)) for _ in range(2)]
 
     def objective_for(name):
         def objective(p):
@@ -481,9 +477,8 @@ def test_full_pipeline_gradients_for_every_parameter_group():
             total = ops.add(
                 total, ops.sum_reduce(ops.multiply(out.bundles.chol_diag, Tensor(w_diag)))
             )
-            total = ops.add(
-                total, ops.sum_reduce(ops.multiply(out.bundles.chol_off, Tensor(w_off)))
-            )
+            for block, w_block in zip(out.bundles.chol_blocks, w_blocks):
+                total = ops.add(total, ops.sum_reduce(ops.multiply(block, Tensor(w_block))))
             return total
 
         return objective
@@ -516,8 +511,29 @@ def test_predict_cube_outputs_are_clean():
     prediction = predict_cube(params, config, scene, batch_size=7)
     assert prediction.abundances.shape == (30, 3)
     assert prediction.endmember_means.shape == (3, 12)
-    assert prediction.chol_diag.shape == (3, 12)
-    assert prediction.chol_off.shape == (3, sum(config.cov_offdiag_sizes()))
+    assert [b.shape for b in prediction.chol_blocks] == [(3, 4, 4)] * 3
     assert np.abs(prediction.abundances.sum(axis=1) - 1.0).max() < 1e-9
     assert np.isfinite(prediction.endmember_means).all()
-    assert np.all(prediction.chol_diag > 0.0) and np.isfinite(prediction.chol_off).all()
+    for block in prediction.chol_blocks:
+        assert np.isfinite(block).all()
+        np.testing.assert_array_equal(np.triu(block, 1), 0.0)
+        assert np.all(np.diagonal(block, axis1=-2, axis2=-1) > 0.0)
+
+
+def test_predict_cube_blocks_are_the_pixel_mean_of_the_decoded_blocks():
+    config = ModelConfig(patch=3, bands=10, k=2, seg_len=4, d=8, layers=1, heads=2, ff_dim=16)
+    params = init_params(config, np.random.default_rng(27))
+    scene = synth_scene(
+        SceneConfig(height=4, width=5, bands=10, k=2, dirichlet_alpha=[1.0, 1.0], seg_len=4),
+        np.random.default_rng(28),
+    )
+    indices = np.array([0, 3, 7, 11, 19])
+    prediction = predict_cube(params, config, scene, indices, batch_size=2)
+    patches = PatchSource(scene, config.patch).batch(indices)
+    out = forward(patches, params, config, sample=False)
+    assert len(prediction.chol_blocks) == len(out.bundles.chol_blocks) == 3
+    for block, decoded in zip(prediction.chol_blocks, out.bundles.chol_blocks):
+        np.testing.assert_allclose(block, decoded.data.mean(axis=0), rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(
+        prediction.endmember_means, out.bundles.means.data.mean(axis=0), rtol=1e-12, atol=1e-15
+    )

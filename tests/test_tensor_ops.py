@@ -85,7 +85,7 @@ def test_concat_and_slice_roundtrip():
     b = np.arange(6.0, 12.0).reshape(2, 3)
     cat = nc.concat([Tensor(a), Tensor(b)], axis=1)
     np.testing.assert_array_equal(cat.data[:, :3], a)
-    np.testing.assert_array_equal(cat[:, 3:].data, b)
+    np.testing.assert_array_equal(nc.slice_(cat, (slice(None), slice(3, None))).data, b)
 
 
 def test_softplus_at_zero_is_log_two():
@@ -174,17 +174,6 @@ def test_lgamma_of_four_is_log_six():
 def test_lgamma_rejects_nonpositive():
     with pytest.raises(ValueError):
         nc.lgamma(Tensor(-1.0))
-
-
-def test_operator_sugar_matches_functions():
-    x = Tensor(np.array([1.0, 2.0]))
-    y = Tensor(np.array([3.0, 4.0]))
-    np.testing.assert_array_equal((x + y).data, [4.0, 6.0])
-    np.testing.assert_array_equal((x - y).data, [-2.0, -2.0])
-    np.testing.assert_array_equal((x * y).data, [3.0, 8.0])
-    np.testing.assert_array_equal((x / y).data, [1.0 / 3.0, 0.5])
-    np.testing.assert_array_equal((-x).data, [-1.0, -2.0])
-    np.testing.assert_array_equal((2.0 + x).data, [3.0, 4.0])
 
 
 def test_attention_rejects_bad_shapes():
