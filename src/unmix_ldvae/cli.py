@@ -68,7 +68,7 @@ def _load_config_file(path) -> dict:
         return {}
     try:
         loaded = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliError(f"config file {path} is not valid JSON: {exc}") from exc
     return _object(loaded, f"config file {path}")
 
@@ -146,7 +146,10 @@ def _train_config(cfg: dict, cube: HsiCube, seed_flag) -> TrainConfig:
     prior = weights_cfg.pop("alpha_prior", None)
     weights = _build_dataclass(LossWeights, weights_cfg, "loss_weights")
     if prior is not None:
-        weights.alpha_prior = np.asarray(prior, dtype=np.float64)
+        try:
+            weights.alpha_prior = np.asarray(prior, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"loss_weights.alpha_prior must be a list of numbers: {exc}") from exc
 
     split = _build_dataclass(SplitSpec, cfg.pop("split", {}), "split")
 

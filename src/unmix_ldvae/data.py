@@ -175,7 +175,7 @@ def _read_bsq(base: Path) -> np.ndarray:
     data_path = Path(str(base) + ".bsq")
     try:
         header = json.loads(header_path.read_bytes())
-    except ValueError as exc:  # bad JSON or bad UTF-8
+    except (RecursionError, ValueError) as exc:  # too deeply nested, bad JSON or bad UTF-8
         raise DataError(f"malformed sidecar {header_path}: {exc}") from exc
     if not isinstance(header, dict):
         raise DataError(f"sidecar {header_path} must hold a JSON object")
@@ -225,7 +225,7 @@ def bundles_from_json(text: str | bytes) -> list[EndmemberBundle]:
     """Parse bundles_to_json output, given as str or UTF-8 bytes."""
     try:
         payload = json.loads(text)
-    except ValueError as exc:  # bad JSON or bad UTF-8
+    except (RecursionError, ValueError) as exc:  # too deeply nested, bad JSON or bad UTF-8
         raise DataError(f"malformed bundle JSON: {exc}") from exc
     if not isinstance(payload, dict) or "seg_len" not in payload or "endmembers" not in payload:
         raise DataError("bundle JSON must be an object with 'seg_len' and 'endmembers'")

@@ -157,6 +157,13 @@ def matmul(a, b) -> Tensor:
     return _finish("matmul", (a, b), out, vjp)
 
 
+# Largest score bound for which attention exponentiates raw scores. exp of a
+# score in [-300, 300] lies in [5e-131, 2e130], so the row sums, the division
+# of the context by them and the vjp's division of g_ctx by them can neither
+# overflow nor underflow (doubles span about e^-708 to e^709).
+ATTENTION_EXP_BOUND = 300.0
+
+
 def attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int) -> Tensor:
     """Multi-head self-attention over (B, S, d) tokens as one primitive.
 
@@ -166,6 +173,17 @@ def attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int) -> Tensor:
     go through wo + bo. The vjp is derived by hand, as in Dao et al.,
     "FlashAttention" (2022) without the tiling, so the tape holds a single
     record in place of the projections, head splits, scores and merge.
+
+    The (B, heads, S, S) scores are written once by their matmul,
+    exponentiated in place to p and then only read by matmuls: 1/sqrt(e)
+    rides on the (S, e) queries, the row sums l come from p times a vector
+    of ones, and the (S, e) context p v is divided by l instead of p. The
+    vjp writes one (S, S) array, the score cotangent, with a single matmul.
+    Softmax is shift-invariant, so the row-max shift only guards the range
+    of exp: every score is bounded by e * max|q| * max|k| (q scaled), and
+    only when that bound exceeds ``ATTENTION_EXP_BOUND`` are the row maxima
+    subtracted first. The vjp keeps p and l, as in Dao, "FlashAttention-2"
+    (2023).
     """
     x, wq, wk, wv, wo, bq, bv, bo = (as_tensor(t) for t in (x, wq, wk, wv, wo, bq, bv, bo))
     if x.ndim != 3:
@@ -185,33 +203,43 @@ def attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int) -> Tensor:
     x2 = x.data.reshape(b * s, d)
     qkv = x2 @ w_qkv
     qkv[:, :d] += bq.data
+    qkv[:, :d] *= scale
     qkv[:, 2 * d :] += bv.data
-    # (3, B, heads, S, e) views of the projections
+    # (3, B, heads, S, e) views of the projections; q carries the scale
     q, k, v = qkv.reshape(b, s, 3, heads, e).transpose(2, 0, 3, 1, 4)
-    attn = q @ k.swapaxes(-1, -2)
-    attn *= scale
-    attn -= attn.max(axis=-1, keepdims=True)
-    np.exp(attn, out=attn)
-    attn /= attn.sum(axis=-1, keepdims=True)
-    ctx = attn @ v
+    bound = e * np.abs(qkv[:, :d]).max() * np.abs(qkv[:, d : 2 * d]).max()
+    p = q @ k.swapaxes(-1, -2)
+    if bound > ATTENTION_EXP_BOUND:
+        p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    # row sums as one matrix-vector product over the (B * heads * S, S) rows
+    l = (p.reshape(-1, s) @ np.ones(s)).reshape(b, heads, s, 1)
+    ctx = p @ v
+    ctx /= l
     merged = ctx.transpose(0, 2, 1, 3).reshape(b * s, d)
     out = (merged @ wo.data + bo.data).reshape(b, s, d)
 
     def vjp(g):
         g2 = g.reshape(b * s, d)
         g_ctx = (g2 @ wo.data.T).reshape(b, s, heads, e).transpose(0, 2, 1, 3)
-        g_qkv = np.empty((b, s, 3, heads, e))
-        gq, gk, gv = g_qkv.transpose(2, 0, 3, 1, 4)
-        gv[...] = attn.swapaxes(-1, -2) @ g_ctx
-        # softmax vjp: the row sums of g_attn * attn equal those of g_ctx * ctx,
-        # which are (S, e) instead of (S, S) per head
-        g_scores = g_ctx @ v.swapaxes(-1, -2)
-        g_scores -= np.sum(g_ctx * ctx, axis=-1, keepdims=True)
-        g_scores *= attn
-        # the scale rides on the (S, e) operands
-        gq[...] = g_scores @ (k * scale)
-        gk[...] = g_scores.swapaxes(-1, -2) @ (q * scale)
-        g_qkv = g_qkv.reshape(b * s, 3 * d)
+        # attn = p / l, so each product with attn is one with p and g_ctx / l.
+        # The softmax vjp (g_ctx v^T - r) * p, where r holds the row sums of
+        # g_ctx * ctx ((S, e) per head), is one matmul [g_ctx, -r] @ [v^T; 1].
+        lhs = np.empty((b, heads, s, e + 1))
+        g_ctx = np.divide(g_ctx, l, out=lhs[..., :e])
+        np.einsum("...i,...i->...", g_ctx, ctx, out=lhs[..., e])
+        np.negative(lhs[..., e], out=lhs[..., e])
+        rhs = np.ones((b, heads, e + 1, s))
+        rhs[:, :, :e] = v.swapaxes(-1, -2)
+        g_heads = np.empty((3, b, heads, s, e))
+        np.matmul(p.swapaxes(-1, -2), g_ctx, out=g_heads[2])
+        g_scores = lhs @ rhs
+        g_scores *= p
+        np.matmul(g_scores, k, out=g_heads[0])
+        g_heads[0] *= scale
+        np.matmul(g_scores.swapaxes(-1, -2), q, out=g_heads[1])
+        # one transposing copy back to the (B * S, 3d) projection layout
+        g_qkv = g_heads.transpose(1, 3, 0, 2, 4).reshape(b * s, 3 * d)
         gw = x2.T @ g_qkv
         gb = g_qkv.sum(axis=0)
         gx = (g_qkv @ w_qkv.T).reshape(b, s, d)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -180,6 +181,24 @@ class Checkpoint:
     seed: int
 
 
+def _write_atomic(path: Path, write) -> None:
+    """Let ``write(fh)`` fill a temporary file beside ``path``, flush it to
+    disk and rename it over ``path``: a write that fails part-way leaves the
+    previous file whole and no temporary file behind."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    # os.open with mode 0o666 leaves the permissions to the umask, as open() would
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(path, ck: Checkpoint) -> None:
     """Single binary file: magic, version, a JSON header (model config, epoch,
     optimizer step count, RNG state, seed), then every tensor in sorted-name
@@ -198,8 +217,8 @@ def save_checkpoint(path, ck: Checkpoint) -> None:
     for name, arr in ck.opt.v.items():
         tensors[f"opt.v.{name}"] = arr
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    path = Path(path)
-    with open(path, "wb") as fh:
+
+    def write(fh):
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(header_bytes)))
@@ -213,6 +232,8 @@ def save_checkpoint(path, ck: Checkpoint) -> None:
             fh.write(struct.pack("<I", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
             fh.write(arr.tobytes())
+
+    _write_atomic(Path(path), write)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -250,7 +271,7 @@ def load_checkpoint(path) -> Checkpoint:
             tensors[name] = arr.reshape(dims).astype(np.float64)
     except KeyError as err:
         raise TrainError(f"corrupt checkpoint {path}: header lacks {err}") from err
-    except (struct.error, IndexError, OverflowError, TypeError, ValueError) as err:
+    except (struct.error, IndexError, OverflowError, RecursionError, TypeError, ValueError) as err:
         raise TrainError(f"corrupt checkpoint {path}: {err}") from err
     try:
         np.random.default_rng(0).bit_generator.state = rng_state
@@ -316,7 +337,8 @@ def _write_log(path, rows) -> None:
                 ]
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    _write_atomic(Path(path), lambda fh: fh.write(text.encode("utf-8")))
 
 
 def fit(

@@ -410,8 +410,13 @@ def test_malformed_cube_files_are_one_json_error(ws, capsys, tmp_path, command, 
         ("train", {"split": "abc"}),
         ("train", {"loss_weights": 5}),
         ("synth", {"bundle_spec": [5, 5, 5]}),
+        ("train", {"loss_weights": {"alpha_prior": "abc"}}),
+        ("train", {"loss_weights": {"alpha_prior": [1, "x"]}}),
     ],
-    ids=["model-number", "model-list", "split-string", "loss-weights-number", "bundle-spec-entry"],
+    ids=[
+        "model-number", "model-list", "split-string", "loss-weights-number", "bundle-spec-entry",
+        "alpha-prior-string", "alpha-prior-non-numeric-entry",
+    ],
 )
 def test_config_section_must_be_an_object(ws, capsys, tmp_path, command, section):
     config = tmp_path / "config.json"
@@ -423,6 +428,43 @@ def test_config_section_must_be_an_object(ws, capsys, tmp_path, command, section
         config.write_text(json.dumps({**SCENE_CFG, **section}))
         rc = main(["synth", "--out", str(tmp_path / "out"), "--config", str(config)])
     assert one_json_error(capsys, rc, 2, "usage") == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "target, code, error",
+    [
+        ("sidecar", 1, "DataError"),
+        ("bundles", 1, "DataError"),
+        ("checkpoint", 1, "TrainError"),
+        ("config", 2, "usage"),
+    ],
+)
+def test_deeply_nested_json_is_one_json_error(ws, capsys, tmp_path, target, code, error):
+    nested = "[" * 100000
+    shutil.copytree(ws / "data", tmp_path / "data")
+    checkpoint = tmp_path / "checkpoint.ldvt"
+    shutil.copy(ws / "run" / "checkpoint.ldvt", checkpoint)
+    config = tmp_path / "config.json"
+    shutil.copy(ws / "train.json", config)
+    if target == "sidecar":
+        (tmp_path / "data" / "scene.json").write_text(nested)
+    elif target == "bundles":
+        (tmp_path / "data" / "scene_bundles.json").write_text(nested)
+    elif target == "checkpoint":
+        buf = checkpoint.read_bytes()
+        (length,) = struct.unpack_from("<I", buf, 8)
+        checkpoint.write_bytes(
+            buf[:8] + struct.pack("<I", len(nested)) + nested.encode() + buf[12 + length :]
+        )
+    else:
+        config.write_text(nested)
+    data = ["--data", str(tmp_path / "data" / "scene"), "--out", str(tmp_path / "out")]
+    if target == "config":
+        rc = main(["train", *data, "--config", str(config)])
+    else:
+        rc = main(["unmix", "--checkpoint", str(checkpoint), *data])
+    one_json_error(capsys, rc, code, error)
     assert not (tmp_path / "out").exists()
 
 

@@ -187,14 +187,32 @@ def test_attention_rows_sum_to_one(monkeypatch):
         assert np.abs(sums - 1.0).max() < 1e-12
 
 
-@pytest.mark.parametrize("b,s,d,heads", [(3, 5, 8, 2), (2, 4, 6, 1)])
-def test_fused_attention_matches_composed_oracle(b, s, d, heads):
+def attention_score_bound(x, wq, wk, bq, heads):
+    """The bound on |score| that ``ops.attention`` compares with
+    ``ATTENTION_EXP_BOUND``: e * max|q| * max|k|, with q scaled by 1/sqrt(e)."""
+    e = x.shape[-1] // heads
+    q = (x @ wq + bq) / math.sqrt(e)
+    return e * np.abs(q).max() * np.abs(x @ wk).max()
+
+
+@pytest.mark.parametrize(
+    "b,s,d,heads,spread",
+    [
+        pytest.param(3, 5, 8, 2, 1.0, id="3-5-8-2"),
+        pytest.param(2, 4, 6, 1, 1.0, id="2-4-6-1"),
+        pytest.param(3, 5, 8, 2, 12.0, id="3-5-8-2-row-max-shift"),
+    ],
+)
+def test_fused_attention_matches_composed_oracle(b, s, d, heads, spread):
     rng = np.random.default_rng(b * 100 + heads)
     arrays = (
-        [rng.standard_normal((b, s, d))]
+        [spread * rng.standard_normal((b, s, d))]
         + [rng.standard_normal((d, d)) / math.sqrt(d) for _ in range(4)]
         + [rng.standard_normal(d) for _ in range(3)]
     )
+    x, wq, wk, _, _, bq, _, _ = arrays
+    shifted = attention_score_bound(x, wq, wk, bq, heads) > ops.ATTENTION_EXP_BOUND
+    assert shifted == (spread > 1.0)
     weights = Tensor(rng.standard_normal((b, s, d)))
     results = []
     for layer in (ops.attention, composed_attention):

@@ -108,6 +108,27 @@ def test_softmax_handles_large_logits():
     assert out.data[:2] == pytest.approx([0.5, 0.5])
 
 
+@pytest.mark.parametrize("logit, shifted", [(1000.0, True), (90.0, False)])
+def test_attention_handles_large_logits(logit, shifted):
+    # tokens, keys and values are the unit vectors and wo is the identity, so
+    # the output is the attention map itself, with scores logit * pattern
+    pattern = np.array([[1.0, 1.0, -1.0], [-1.0, 1.0, 1.0], [1.0, -1.0, 1.0]])
+    x, eye, zero = np.eye(3)[None], np.eye(3), np.zeros(3)
+    wq = np.sqrt(3.0) * logit * pattern
+    q = x[0] @ wq / np.sqrt(3.0)
+    bound = 3 * np.abs(q).max() * np.abs(x[0] @ eye).max()
+    assert (bound > nc.ops.ATTENTION_EXP_BOUND) == shifted
+    with Tape() as tape:
+        inputs = [Tensor(a, requires_grad=True) for a in (x, wq, eye, eye, eye, zero, zero, zero)]
+        out = nc.attention(*inputs, 1)
+        nc.backward(nc.sum_reduce(nc.multiply(out, Tensor(np.arange(9.0).reshape(1, 3, 3)))), tape)
+    attn = out.data[0]
+    assert np.isfinite(attn).all() and attn.min() >= 0.0
+    assert np.abs(attn.sum(axis=-1) - 1.0).max() < 1e-12
+    np.testing.assert_allclose(attn, (pattern > 0) * 0.5, rtol=0, atol=1e-12)
+    assert all(np.isfinite(t.grad).all() for t in inputs)
+
+
 def test_layer_norm_standardizes_before_scale_shift():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((32, 16)) * 4.0 + 2.0

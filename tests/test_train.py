@@ -1,6 +1,7 @@
 """Optimizer arithmetic, checkpoint serialization and training-loop behavior."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from unmix_ldvae.data import (
     SplitSpec,
     synth_scene,
 )
-from unmix_ldvae.losses import LossWeights, compute_losses
+from unmix_ldvae.losses import LossBreakdown, LossWeights, compute_losses
 from unmix_ldvae.model import ModelConfig, NoiseCache, forward, init_params
 from unmix_ldvae.numcore import GammaNoise, Tape, Tensor, backward
 from unmix_ldvae.train import (
@@ -21,6 +22,7 @@ from unmix_ldvae.train import (
     Checkpoint,
     TrainConfig,
     TrainError,
+    _write_log,
     adam_step,
     fit,
     load_checkpoint,
@@ -191,6 +193,52 @@ def test_checkpoint_rejects_foreign_and_truncated_files(tmp_path):
     trunc.write_bytes(good.read_bytes()[: good.stat().st_size // 2])
     with pytest.raises(TrainError):
         load_checkpoint(trunc)
+
+
+class _FailingFile:
+    """A binary file that raises once a quarter of ``size`` bytes went through."""
+
+    def __init__(self, fh, size):
+        self.fh, self.budget = fh, size // 4
+
+    def write(self, data):
+        if len(data) > self.budget:
+            self.fh.write(bytes(data)[: self.budget])
+            raise OSError("no space left on device")
+        self.budget -= len(data)
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("artifact", ["checkpoint", "log"])
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, artifact):
+    scene = tiny_scene()
+    fit(tiny_train_config(epochs=1), scene, tmp_path)
+    later, _ = fit(tiny_train_config(epochs=2), scene, tmp_path / "later")
+    target = tmp_path / ("checkpoint.ldvt" if artifact == "checkpoint" else "train_log.csv")
+    before = target.read_bytes()
+    listing = sorted(p.name for p in tmp_path.iterdir())
+    fdopen = os.fdopen
+    monkeypatch.setattr(
+        os, "fdopen", lambda fd, *args, **kw: _FailingFile(fdopen(fd, *args, **kw), len(before))
+    )
+    with pytest.raises(OSError, match="no space"):
+        if artifact == "checkpoint":
+            save_checkpoint(target, later)
+        else:
+            _write_log(target, [(0, LossBreakdown(1.0, 2.0, 3.0, 4.0, 10.0, 0.5))] * 3)
+    monkeypatch.undo()
+    assert target.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == listing
+    assert load_checkpoint(tmp_path / "checkpoint.ldvt").epoch == 1
 
 
 # ---------------------------------------------------------------------------
