@@ -67,9 +67,11 @@ def _load_config_file(path) -> dict:
     if path is None:
         return {}
     try:
-        loaded = json.loads(Path(path).read_text())
+        loaded = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, RecursionError) as exc:
         raise CliError(f"config file {path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"config file {path} is not UTF-8 text: {exc}") from exc
     return _object(loaded, f"config file {path}")
 
 

@@ -516,6 +516,10 @@ class SceneConfig:
     corr_length: float = 0.75
 
     def validate(self) -> None:
+        for name in ("height", "width", "bands", "k", "seg_len"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DataError(f"{name} must be an integer, got {value!r}")
         if self.height < 1 or self.width < 1:
             raise DataError(f"scene plan {self.height}x{self.width} is empty")
         if self.k < 2:

@@ -228,7 +228,7 @@ def tokenize_batch(patches: np.ndarray, params: dict, config: ModelConfig) -> Te
             f"(B, {config.patch}, {config.patch}, {config.bands})"
         )
     raw = Tensor(segment_patch_values(patches, config))
-    return ops.add(ops.matmul(raw, params["tok.w"]), params["tok.b"])
+    return ops.linear(raw, params["tok.w"], params["tok.b"])
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +252,15 @@ def encode_batch(tokens: Tensor, params: dict, config: ModelConfig):
         normed = ops.layer_norm(x, params[f"{pre}.ln1.g"], params[f"{pre}.ln1.b"])
         x = ops.add(x, _attention(normed, params, f"{pre}.attn", config))
         normed = ops.layer_norm(x, params[f"{pre}.ln2.g"], params[f"{pre}.ln2.b"])
-        hidden = ops.relu(ops.add(ops.matmul(normed, params[f"{pre}.ffn.w1"]), params[f"{pre}.ffn.b1"]))
-        ffn_out = ops.add(ops.matmul(hidden, params[f"{pre}.ffn.w2"]), params[f"{pre}.ffn.b2"])
+        hidden = ops.relu(ops.linear(normed, params[f"{pre}.ffn.w1"], params[f"{pre}.ffn.b1"]))
+        ffn_out = ops.linear(hidden, params[f"{pre}.ffn.w2"], params[f"{pre}.ffn.b2"])
         x = ops.add(x, ffn_out)
     return x, ops.max_reduce(x, axis=1)
 
 
 def alpha_head(x_latent: Tensor, params: dict, config: ModelConfig) -> Tensor:
     """Latent -> strictly positive Dirichlet concentrations."""
-    raw = ops.add(ops.matmul(x_latent, params["alpha.w"]), params["alpha.b"])
+    raw = ops.linear(x_latent, params["alpha.w"], params["alpha.b"])
     return ops.add(ops.softplus(raw), Tensor(config.eps_alpha))
 
 
@@ -296,8 +296,8 @@ class DecodedBundles:
 
 def decode_bundles(x_latent: Tensor, params: dict, config: ModelConfig) -> DecodedBundles:
     b = x_latent.shape[0]
-    hidden = ops.relu(ops.add(ops.matmul(x_latent, params["dec1.w1"]), params["dec1.b1"]))
-    flat = ops.add(ops.matmul(hidden, params["dec1.w2"]), params["dec1.b2"])
+    hidden = ops.relu(ops.linear(x_latent, params["dec1.w1"], params["dec1.b1"]))
+    flat = ops.linear(hidden, params["dec1.w2"], params["dec1.b2"])
     per = config.decoder_out_per_endmember()
     out = ops.reshape(flat, (b, config.k, per))
     c = config.bands
@@ -436,10 +436,12 @@ def predict_cube(
     config: ModelConfig,
     cube: HsiCube,
     indices=None,
-    batch_size: int = 256,
+    batch_size: int = 64,
 ) -> Prediction:
     """Per-pixel abundance means plus the endmember bundles averaged over the
-    pixels, computed batch by batch without sampling."""
+    pixels, computed batch by batch without sampling. On the criterion-7
+    model, batches of 32 to 128 ran within noise of each other and about a
+    fifth faster than 256, whose activations no longer fit in cache."""
     source = PatchSource(cube, config.patch)
     if indices is None:
         indices = np.arange(cube.n_pixels)

@@ -157,11 +157,40 @@ def matmul(a, b) -> Tensor:
     return _finish("matmul", (a, b), out, vjp)
 
 
+def linear(x, w, b) -> Tensor:
+    """x @ w + b for an (n, m) weight and an (m,) bias, over the last axis of
+    x, as one record. Leading axes fold into the rows of one matmul, forward
+    and vjp, so the weight cotangent is a single (n, m) product."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: shapes {x.shape} @ {w.shape} + {b.shape} do not chain")
+    n, m = w.shape
+    x2 = x.data.reshape(-1, n)
+    out = x2 @ w.data
+    out += b.data
+
+    def vjp(g):
+        g2 = g.reshape(-1, m)
+        return (
+            (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None,
+            x2.T @ g2 if w.requires_grad else None,
+            g2.sum(axis=0) if b.requires_grad else None,
+        )
+
+    return _finish("linear", (x, w, b), out.reshape(x.shape[:-1] + (m,)), vjp)
+
+
 # Largest score bound for which attention exponentiates raw scores. exp of a
 # score in [-300, 300] lies in [5e-131, 2e130], so the row sums, the division
 # of the context by them and the vjp's division of g_ctx by them can neither
 # overflow nor underflow (doubles span about e^-708 to e^709).
 ATTENTION_EXP_BOUND = 300.0
+
+# Bytes of (heads, S, S) probability maps that attention holds at once: one
+# core's L2 on the 2-core Xeon it was measured on, so a block's p stays in
+# cache from the matmul that writes it through the exp to the matmuls that
+# read it.
+ATTENTION_BLOCK_BYTES = 2 << 20
 
 
 def attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int) -> Tensor:
@@ -171,19 +200,31 @@ def attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int) -> Tensor:
     and are cut into ``heads`` slices of width e = d / heads. Each head mixes
     its values by the rows of softmax(q k^T / sqrt(e)), and the merged heads
     go through wo + bo. The vjp is derived by hand, as in Dao et al.,
-    "FlashAttention" (2022) without the tiling, so the tape holds a single
-    record in place of the projections, head splits, scores and merge.
+    "FlashAttention" (2022), so the tape holds a single record in place of
+    the projections, head splits, scores and merge.
 
-    The (B, heads, S, S) scores are written once by their matmul,
-    exponentiated in place to p and then only read by matmuls: 1/sqrt(e)
-    rides on the (S, e) queries, the row sums l come from p times a vector
-    of ones, and the (S, e) context p v is divided by l instead of p. The
-    vjp writes one (S, S) array, the score cotangent, with a single matmul.
-    Softmax is shift-invariant, so the row-max shift only guards the range
-    of exp: every score is bounded by e * max|q| * max|k| (q scaled), and
-    only when that bound exceeds ``ATTENTION_EXP_BOUND`` are the row maxima
-    subtracted first. The vjp keeps p and l, as in Dao, "FlashAttention-2"
-    (2023).
+    The projections and the output matmul run over the whole batch. The
+    (heads, S, S) part runs in blocks of as many batch rows as fit in
+    ``ATTENTION_BLOCK_BYTES`` (2 MiB: 22 rows at 16 heads and S = 27). A
+    block's scores are written by one matmul, exponentiated in place to p
+    and then only read: the row sums l are einsum row reductions, 1/sqrt(e)
+    rides on the (S, e) queries and the (S, e) context p v is divided by l
+    instead of p. Softmax is shift-invariant, so the row-max shift only
+    guards the range of exp: every score is bounded by e * max|q| * max|k|
+    (q scaled), and only when that bound exceeds ``ATTENTION_EXP_BOUND`` are
+    the row maxima subtracted first.
+
+    The vjp keeps l, the context and q, k, v, and recomputes p block by
+    block, as FlashAttention does. Keeping p would hold (B, heads, S, S)
+    doubles, 12 MB per layer at B = 128, from the forward to the backward;
+    recomputing bounds that to one block's buffer while the vjp runs, for
+    one small matmul and an exp per block on operands that stay in cache.
+    On a 2-core Xeon (2 MiB L2 per core, 300 MiB L3) a criterion-7 fit at
+    batch 128 then peaks at 181 instead of 224 MiB, and its epochs run
+    about a tenth longer than with p kept. A batch that fits in one block keeps
+    its p, which costs at most the budget per layer and saves the
+    recompute. Each sample's matmuls are independent, so every result is
+    the same bit for bit whatever the block size.
     """
     x, wq, wk, wv, wo, bq, bv, bo = (as_tensor(t) for t in (x, wq, wk, wv, wo, bq, bv, bo))
     if x.ndim != 3:
@@ -207,14 +248,26 @@ def attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int) -> Tensor:
     qkv[:, 2 * d :] += bv.data
     # (3, B, heads, S, e) views of the projections; q carries the scale
     q, k, v = qkv.reshape(b, s, 3, heads, e).transpose(2, 0, 3, 1, 4)
-    bound = e * np.abs(qkv[:, :d]).max() * np.abs(qkv[:, d : 2 * d]).max()
-    p = q @ k.swapaxes(-1, -2)
-    if bound > ATTENTION_EXP_BOUND:
-        p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    # row sums as one matrix-vector product over the (B * heads * S, S) rows
-    l = (p.reshape(-1, s) @ np.ones(s)).reshape(b, heads, s, 1)
-    ctx = p @ v
+    shift = e * np.abs(qkv[:, :d]).max() * np.abs(qkv[:, d : 2 * d]).max() > ATTENTION_EXP_BOUND
+    rows = max(1, min(b, ATTENTION_BLOCK_BYTES // (heads * s * s * 8)))
+    blocks = [slice(i, min(i + rows, b)) for i in range(0, b, rows)]
+
+    def probs(blk, out):
+        p = np.matmul(q[blk], k[blk].swapaxes(-1, -2), out=out[: blk.stop - blk.start])
+        if shift:
+            p -= p.max(axis=-1, keepdims=True)
+        return np.exp(p, out=p)
+
+    l = np.empty((b, heads, s, 1))
+    ctx = np.empty((b, heads, s, e))
+    p_buf = np.empty((rows, heads, s, s))
+    for blk in blocks:
+        p = probs(blk, p_buf)
+        np.einsum("...ij->...i", p, out=l[blk, ..., 0])
+        np.matmul(p, v[blk], out=ctx[blk])
+    # a batch that fits in one block keeps its p: at most one block per layer
+    kept = p if len(blocks) == 1 else None
+    del p_buf, p
     ctx /= l
     merged = ctx.transpose(0, 2, 1, 3).reshape(b * s, d)
     out = (merged @ wo.data + bo.data).reshape(b, s, d)
@@ -232,12 +285,16 @@ def attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int) -> Tensor:
         rhs = np.ones((b, heads, e + 1, s))
         rhs[:, :, :e] = v.swapaxes(-1, -2)
         g_heads = np.empty((3, b, heads, s, e))
-        np.matmul(p.swapaxes(-1, -2), g_ctx, out=g_heads[2])
-        g_scores = lhs @ rhs
-        g_scores *= p
-        np.matmul(g_scores, k, out=g_heads[0])
+        p_buf = np.empty((rows, heads, s, s)) if kept is None else None
+        g_buf = np.empty((rows, heads, s, s))
+        for blk in blocks:
+            p = probs(blk, p_buf) if kept is None else kept
+            np.matmul(p.swapaxes(-1, -2), g_ctx[blk], out=g_heads[2, blk])
+            g_scores = np.matmul(lhs[blk], rhs[blk], out=g_buf[: blk.stop - blk.start])
+            g_scores *= p
+            np.matmul(g_scores, k[blk], out=g_heads[0, blk])
+            np.matmul(g_scores.swapaxes(-1, -2), q[blk], out=g_heads[1, blk])
         g_heads[0] *= scale
-        np.matmul(g_scores.swapaxes(-1, -2), q, out=g_heads[1])
         # one transposing copy back to the (B * S, 3d) projection layout
         g_qkv = g_heads.transpose(1, 3, 0, 2, 4).reshape(b * s, 3 * d)
         gw = x2.T @ g_qkv
@@ -442,7 +499,11 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 def layer_norm(a, gain, bias, eps: float = 1e-12) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then apply the
-    learned elementwise scale and shift."""
+    learned elementwise scale and shift.
+
+    The row statistics, forward and vjp, are einsum reductions over an
+    (n, width) view: numpy's ``mean`` over a short last axis runs a strided
+    loop per row and takes about twice as long."""
     a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
     if a.ndim < 1:
         raise ShapeError("layer_norm needs at least one axis")
@@ -451,23 +512,25 @@ def layer_norm(a, gain, bias, eps: float = 1e-12) -> Tensor:
         raise ShapeError(
             f"layer_norm: scale/shift must have shape ({width},), got {gain.shape} and {bias.shape}"
         )
-    mu = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mu
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    normalized = centered * inv
-    out = normalized * gain.data + bias.data
+    a2 = a.data.reshape(-1, width)
+    mu = np.einsum("ij->i", a2) / width
+    normalized = a2 - mu[:, None]
+    var = np.einsum("ij,ij->i", normalized, normalized) / width
+    inv = (1.0 / np.sqrt(var + eps))[:, None]
+    normalized *= inv
+    out = normalized * gain.data
+    out += bias.data
 
     def vjp(g):
-        gn = g * gain.data
-        m1 = gn.mean(axis=-1, keepdims=True)
-        m2 = (gn * normalized).mean(axis=-1, keepdims=True)
-        ga = inv * (gn - m1 - normalized * m2)
-        ggain = (g * normalized).reshape(-1, width).sum(axis=0)
-        gbias = g.reshape(-1, width).sum(axis=0)
-        return ga, ggain, gbias
+        g2 = g.reshape(-1, width)
+        gn = g2 * gain.data
+        m1 = np.einsum("ij->i", gn) / width
+        m2 = np.einsum("ij,ij->i", gn, normalized) / width
+        ga = (gn - m1[:, None] - normalized * m2[:, None]) * inv
+        ggain = np.einsum("ij,ij->j", g2, normalized)
+        return ga.reshape(a.shape), ggain, g2.sum(axis=0)
 
-    return _finish("layer_norm", (a, gain, bias), out, vjp)
+    return _finish("layer_norm", (a, gain, bias), out.reshape(a.shape), vjp)
 
 
 def max_reduce(a, axis: int, keepdims: bool = False) -> Tensor:

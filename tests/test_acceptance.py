@@ -470,15 +470,23 @@ def test_criterion_04_gradient_suite():
     attn_args += [rng.standard_normal(4) for _ in range(3)]
     attn_w = rng.random((2, 3, 4))
 
-    def attention_objective(slot):
+    def slot_objective(op, args, w, slot, *fixed_after):
         def objective(p):
-            args = [p if i == slot else Tensor(a) for i, a in enumerate(attn_args)]
-            return ops.sum_reduce(ops.multiply(ops.attention(*args, 2), Tensor(attn_w)))
+            inputs = [p if i == slot else Tensor(a) for i, a in enumerate(args)]
+            return ops.sum_reduce(ops.multiply(op(*inputs, *fixed_after), Tensor(w)))
 
         return objective
 
     for slot, name in enumerate(attn_names):
-        entries.append((f"attention-{name}", attn_args[slot], attention_objective(slot)))
+        entries.append(
+            (f"attention-{name}", attn_args[slot], slot_objective(ops.attention, attn_args, attn_w, slot, 2))
+        )
+    lin_args = [rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 5)), rng.standard_normal(5)]
+    lin_w = rng.random((2, 3, 5))
+    for slot, name in enumerate(("x", "w", "b")):
+        entries.append(
+            (f"linear-{name}", lin_args[slot], slot_objective(ops.linear, lin_args, lin_w, slot))
+        )
 
     worst_name, worst_err = "", 0.0
     for name, base, objective in entries:

@@ -154,6 +154,16 @@ def test_invalid_scene_value_fails_cleanly(ws, capsys):
     assert "noise" in err["message"]
 
 
+@pytest.mark.parametrize("raw", ["2.5", "1e999", '"8"', "true"], ids=["float", "overflow", "string", "bool"])
+def test_non_integer_scene_size_fails_cleanly(capsys, tmp_path, raw):
+    config = tmp_path / "scene.json"
+    others = {key: value for key, value in SCENE_CFG.items() if key != "height"}
+    config.write_text(json.dumps(others)[:-1] + f', "height": {raw}}}')
+    rc = main(["synth", "--out", str(tmp_path / "out"), "--config", str(config)])
+    assert one_json_error(capsys, rc, 1, "DataError") == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_usage_errors_exit_two(capsys):
     rc, _, err = run_cli(capsys, "fly")
     assert rc == 2 and err["error"] == "usage"
@@ -427,6 +437,14 @@ def test_config_section_must_be_an_object(ws, capsys, tmp_path, command, section
     else:
         config.write_text(json.dumps({**SCENE_CFG, **section}))
         rc = main(["synth", "--out", str(tmp_path / "out"), "--config", str(config)])
+    assert one_json_error(capsys, rc, 2, "usage") == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_bytes(b"\xff\xfe" + json.dumps(SCENE_CFG).encode("utf-16-le"))
+    rc = main(["synth", "--out", str(tmp_path / "out"), "--config", str(config)])
     assert one_json_error(capsys, rc, 2, "usage") == ""
     assert not (tmp_path / "out").exists()
 

@@ -195,36 +195,81 @@ def attention_score_bound(x, wq, wk, bq, heads):
     return e * np.abs(q).max() * np.abs(x @ wk).max()
 
 
-@pytest.mark.parametrize(
-    "b,s,d,heads,spread",
-    [
-        pytest.param(3, 5, 8, 2, 1.0, id="3-5-8-2"),
-        pytest.param(2, 4, 6, 1, 1.0, id="2-4-6-1"),
-        pytest.param(3, 5, 8, 2, 12.0, id="3-5-8-2-row-max-shift"),
-    ],
-)
-def test_fused_attention_matches_composed_oracle(b, s, d, heads, spread):
-    rng = np.random.default_rng(b * 100 + heads)
-    arrays = (
+def attention_arrays(rng, b, s, d, spread):
+    """Tokens at ``spread`` times unit scale and the seven projection weights."""
+    return (
         [spread * rng.standard_normal((b, s, d))]
         + [rng.standard_normal((d, d)) / math.sqrt(d) for _ in range(4)]
         + [rng.standard_normal(d) for _ in range(3)]
     )
+
+
+def attention_and_grads(layer, arrays, weights, heads):
+    """Output and the 8 input gradients of sum(layer(...) * weights)."""
+    with Tape() as tape:
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        out = layer(*inputs, heads)
+        backward(ops.sum_reduce(ops.multiply(out, weights)), tape)
+    return out.data, [t.grad for t in inputs]
+
+
+@pytest.mark.parametrize(
+    "b,s,d,heads,spread,block_rows",
+    [
+        pytest.param(3, 5, 8, 2, 1.0, None, id="3-5-8-2"),
+        pytest.param(2, 4, 6, 1, 1.0, None, id="2-4-6-1"),
+        pytest.param(3, 5, 8, 2, 12.0, None, id="3-5-8-2-row-max-shift"),
+        pytest.param(5, 5, 8, 2, 1.0, 2, id="5-5-8-2-blocks-of-2"),
+    ],
+)
+def test_fused_attention_matches_composed_oracle(monkeypatch, b, s, d, heads, spread, block_rows):
+    if block_rows is not None:
+        monkeypatch.setattr(ops, "ATTENTION_BLOCK_BYTES", block_rows * heads * s * s * 8)
+    rng = np.random.default_rng(b * 100 + heads)
+    arrays = attention_arrays(rng, b, s, d, spread)
     x, wq, wk, _, _, bq, _, _ = arrays
     shifted = attention_score_bound(x, wq, wk, bq, heads) > ops.ATTENTION_EXP_BOUND
     assert shifted == (spread > 1.0)
     weights = Tensor(rng.standard_normal((b, s, d)))
-    results = []
-    for layer in (ops.attention, composed_attention):
-        with Tape() as tape:
-            inputs = [Tensor(a, requires_grad=True) for a in arrays]
-            out = layer(*inputs, heads)
-            backward(ops.sum_reduce(ops.multiply(out, weights)), tape)
-        results.append((out.data, [t.grad for t in inputs]))
-    (fused_out, fused_grads), (ref_out, ref_grads) = results
+    fused_out, fused_grads = attention_and_grads(ops.attention, arrays, weights, heads)
+    ref_out, ref_grads = attention_and_grads(composed_attention, arrays, weights, heads)
     np.testing.assert_allclose(fused_out, ref_out, rtol=1e-12, atol=1e-12)
     for name, got, want in zip(("x", "wq", "wk", "wv", "wo", "bq", "bv", "bo"), fused_grads, ref_grads):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("spread", [1.0, 12.0], ids=["raw-exp", "row-max-shift"])
+def test_attention_blocks_are_bit_identical(monkeypatch, spread):
+    """Splitting the batch into blocks, the last one ragged, changes no bit of
+    the output or of any gradient. A single block keeps its p for the vjp;
+    with more, each block runs one exp in the forward and one in the vjp's
+    recompute, which counts the blocks."""
+    b, s, d, heads = 5, 5, 8, 2
+    rng = np.random.default_rng(55)
+    arrays = attention_arrays(rng, b, s, d, spread)
+    x, wq, wk, _, _, bq, _, _ = arrays
+    shifted = attention_score_bound(x, wq, wk, bq, heads) > ops.ATTENTION_EXP_BOUND
+    assert shifted == (spread > 1.0)
+    weights = Tensor(rng.standard_normal((b, s, d)))
+    exp = np.exp
+    results = []
+    # two rows per block: blocks of 2, 2 and 1
+    for budget, n_exp in ((ops.ATTENTION_BLOCK_BYTES, 1), (2 * heads * s * s * 8, 2 * 3)):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return exp(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ops, "ATTENTION_BLOCK_BYTES", budget)
+            patch.setattr(np, "exp", counted)
+            results.append(attention_and_grads(ops.attention, arrays, weights, heads))
+        assert len(calls) == n_exp
+    (one_out, one_grads), (split_out, split_grads) = results
+    assert (split_out == one_out).all()
+    for name, got, want in zip(("x", "wq", "wk", "wv", "wo", "bq", "bv", "bo"), split_grads, one_grads):
+        assert (got == want).all(), name
 
 
 def test_fused_attention_is_one_tape_record():

@@ -197,6 +197,23 @@ def test_lgamma_rejects_nonpositive():
         nc.lgamma(Tensor(-1.0))
 
 
+def test_linear_rejects_bad_shapes():
+    x = Tensor(np.ones((2, 3, 4)))
+    w = Tensor(np.ones((4, 5)))
+    bias = Tensor(np.zeros(5))
+    assert nc.linear(x, w, bias).shape == (2, 3, 5)
+    for args in (
+        (Tensor(np.ones((2, 3, 3))), w, bias),
+        (x, Tensor(np.ones((2, 4, 5))), bias),
+        (x, Tensor(np.ones(4)), bias),
+        (x, w, Tensor(np.zeros(4))),
+        (x, w, Tensor(np.zeros((1, 5)))),
+        (Tensor(1.0), w, bias),
+    ):
+        with pytest.raises(ShapeError, match="linear"):
+            nc.linear(*args)
+
+
 def test_attention_rejects_bad_shapes():
     x = Tensor(np.ones((2, 3, 4)))
     w = Tensor(np.eye(4))
