@@ -186,10 +186,10 @@ def linear(x, w, b) -> Tensor:
 # overflow nor underflow (doubles span about e^-708 to e^709).
 ATTENTION_EXP_BOUND = 300.0
 
-# Bytes of (heads, S, S) probability maps that attention holds at once: one
-# core's L2 on the 2-core Xeon it was measured on, so a block's p stays in
-# cache from the matmul that writes it through the exp to the matmuls that
-# read it.
+# Bytes of (heads, S, S) probability maps in one block of attention's batch
+# rows. The forward holds one block's p at a time, the vjp one block's p and
+# its cotangent, so this bounds what attention allocates beyond its (B, S, d)
+# operands, whatever the batch size.
 ATTENTION_BLOCK_BYTES = 2 << 20
 
 
@@ -215,16 +215,15 @@ def attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int) -> Tensor:
     the row maxima subtracted first.
 
     The vjp keeps l, the context and q, k, v, and recomputes p block by
-    block, as FlashAttention does. Keeping p would hold (B, heads, S, S)
-    doubles, 12 MB per layer at B = 128, from the forward to the backward;
-    recomputing bounds that to one block's buffer while the vjp runs, for
-    one small matmul and an exp per block on operands that stay in cache.
-    On a 2-core Xeon (2 MiB L2 per core, 300 MiB L3) a criterion-7 fit at
-    batch 128 then peaks at 181 instead of 224 MiB, and its epochs run
-    about a tenth longer than with p kept. A batch that fits in one block keeps
-    its p, which costs at most the budget per layer and saves the
-    recompute. Each sample's matmuls are independent, so every result is
-    the same bit for bit whatever the block size.
+    block, as FlashAttention does, for one small matmul and an exp per
+    block. Keeping p would hold (B, heads, S, S) doubles, 12 MB per layer at
+    B = 128, from the forward to the backward. The vjp's working set is one
+    block's p and its cotangent, twice the budget. On a 2-core Xeon, a
+    criterion-7 fit at batch 128 peaks at 180 MiB, against 224 MiB with p
+    kept and 199 MiB with the whole batch as one block. Its epochs run about
+    a tenth longer than with p kept, and within noise of one block. Each
+    sample's matmuls are independent, so every result is the same bit for
+    bit whatever the block size.
     """
     x, wq, wk, wv, wo, bq, bv, bo = (as_tensor(t) for t in (x, wq, wk, wv, wo, bq, bv, bo))
     if x.ndim != 3:
@@ -265,8 +264,6 @@ def attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int) -> Tensor:
         p = probs(blk, p_buf)
         np.einsum("...ij->...i", p, out=l[blk, ..., 0])
         np.matmul(p, v[blk], out=ctx[blk])
-    # a batch that fits in one block keeps its p: at most one block per layer
-    kept = p if len(blocks) == 1 else None
     del p_buf, p
     ctx /= l
     merged = ctx.transpose(0, 2, 1, 3).reshape(b * s, d)
@@ -285,10 +282,10 @@ def attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int) -> Tensor:
         rhs = np.ones((b, heads, e + 1, s))
         rhs[:, :, :e] = v.swapaxes(-1, -2)
         g_heads = np.empty((3, b, heads, s, e))
-        p_buf = np.empty((rows, heads, s, s)) if kept is None else None
+        p_buf = np.empty((rows, heads, s, s))
         g_buf = np.empty((rows, heads, s, s))
         for blk in blocks:
-            p = probs(blk, p_buf) if kept is None else kept
+            p = probs(blk, p_buf)
             np.matmul(p.swapaxes(-1, -2), g_ctx[blk], out=g_heads[2, blk])
             g_scores = np.matmul(lhs[blk], rhs[blk], out=g_buf[: blk.stop - blk.start])
             g_scores *= p
