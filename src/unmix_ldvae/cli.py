@@ -111,6 +111,8 @@ def _scene_config(cfg: dict, seed_flag) -> tuple[SceneConfig, int]:
     seed = cfg.pop("seed", 0)
     if seed_flag is not None:
         seed = seed_flag
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise CliError(f"seed must be a nonnegative integer, got {seed!r}")
     bundle_cfg = cfg.pop("bundle_spec", None)
     if bundle_cfg is not None:
         if not isinstance(bundle_cfg, list):
@@ -122,7 +124,7 @@ def _scene_config(cfg: dict, seed_flag) -> tuple[SceneConfig, int]:
     scene = _build_dataclass(SceneConfig, cfg, "scene")
     scene.bundle_spec = bundle_cfg
     scene.validate()
-    return scene, int(seed)
+    return scene, seed
 
 
 def _infer_k(cube: HsiCube) -> int | None:

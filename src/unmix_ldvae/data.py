@@ -11,6 +11,7 @@ same layout under ``<name>_abundances``; ground-truth bundles are JSON under
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -493,6 +494,16 @@ class BundleSpec:
         return np.maximum(mean, 1e-3)
 
 
+def _finite_real(value) -> bool:
+    """A finite int or float; JSON's true, false, strings and null are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 @dataclass
 class SceneConfig:
     """Generative description of a synthetic scene.
@@ -526,6 +537,16 @@ class SceneConfig:
             raise DataError(f"need at least two endmembers, got {self.k}")
         if self.bands < 1:
             raise DataError(f"need at least one band, got {self.bands}")
+        for name in ("noise_sigma", "pure_pixel_fraction", "pure_boost", "corr_length"):
+            value = getattr(self, name)
+            if not _finite_real(value):
+                raise DataError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.dirichlet_alpha, (list, tuple, np.ndarray)) or not all(
+            _finite_real(a) for a in self.dirichlet_alpha
+        ):
+            raise DataError(
+                f"dirichlet_alpha must be a list of finite numbers, got {self.dirichlet_alpha!r}"
+            )
         if len(self.dirichlet_alpha) != self.k:
             raise DataError(
                 f"dirichlet_alpha has {len(self.dirichlet_alpha)} entries for k={self.k}"
@@ -538,6 +559,9 @@ class SceneConfig:
             raise DataError(
                 f"pure pixel fraction must lie in [0, 1], got {self.pure_pixel_fraction}"
             )
+        for name in ("pure_boost", "corr_length"):
+            if getattr(self, name) <= 0:
+                raise DataError(f"{name} must be positive, got {getattr(self, name)}")
         if self.bundle_spec is not None and len(self.bundle_spec) != self.k:
             raise DataError(
                 f"bundle_spec has {len(self.bundle_spec)} entries for k={self.k}"

@@ -18,7 +18,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .tensor import NumericError, ShapeError, Tensor, active_tape, record
+from .tensor import NumericError, ShapeError, Tensor, active_tape
 
 
 def as_tensor(value) -> Tensor:
@@ -29,9 +29,10 @@ def _finish(op: str, inputs, out_data, vjp) -> Tensor:
     """Wrap a primitive's result; on a recording tape with a tracked input,
     mark it tracked (without a gradient buffer) and record it."""
     out = Tensor(out_data)
-    if active_tape() is not None and any(t.requires_grad for t in inputs):
+    tape = active_tape()
+    if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        record(op, inputs, out, vjp)
+        tape.record(op, inputs, out, vjp)
     return out
 
 

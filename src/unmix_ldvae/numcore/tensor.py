@@ -79,6 +79,10 @@ class Tape:
     def __len__(self) -> int:
         return len(self.records)
 
+    def record(self, op: str, inputs, output: Tensor, vjp) -> None:
+        """Append one primitive application."""
+        self.records.append(TapeRecord(op, tuple(inputs), output, vjp))
+
 
 class Tensor:
     """A float64 n-dimensional value, optionally tracked for gradients.
@@ -120,15 +124,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def record(op: str, inputs, output: Tensor, vjp) -> None:
-    """Append one application to the active tape. Callers only record when the
-    output requires gradients, which implies a tape is open."""
-    tape = active_tape()
-    if tape is None:
-        raise RuntimeError(f"primitive '{op}' produced a tracked output with no open tape")
-    tape.records.append(TapeRecord(op, tuple(inputs), output, vjp))
 
 
 def backward(root: Tensor, tape: Tape | None = None) -> None:

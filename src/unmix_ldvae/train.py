@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -32,6 +33,10 @@ from .numcore import NumericError, Tape, Tensor, backward
 CHECKPOINT_MAGIC = b"LDVT"
 CHECKPOINT_VERSION = 1
 LOG_HEADER = "epoch,recon,kl_dirichlet,abundance,endmember,lambda_em,total"
+# adam_step updates this many elements per pass, so that the chunk's slices
+# of the six vectors it touches (parameters, gradients, both moments and two
+# scratch vectors) take 1.5 MiB and stay in a 2 MiB L2 cache between passes
+ADAM_CHUNK = 32768
 
 
 class TrainError(RuntimeError):
@@ -67,47 +72,94 @@ class TrainConfig:
         self.loss_weights.validate()
 
 
-@dataclass
-class AdamState:
-    """First and second gradient moments per parameter plus the step count."""
+def _views(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """Consecutive reshaped views into ``flat``, one per name, in dict order."""
+    views: dict[str, np.ndarray] = {}
+    offset = 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    return views
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    t: int = 0
+
+class AdamState:
+    """Adam's moments and step count (Kingma & Ba, "Adam", 2015), kept with
+    the parameters in four contiguous float64 vectors.
+
+    Building a state copies every parameter into ``param_vec`` in sorted-name
+    order and makes it a leaf with a zeroed gradient in ``grad_vec``:
+    afterwards ``params[name].data`` and ``.grad`` are reshaped views into
+    those vectors, as are ``m[name]`` and ``v[name]`` into ``m_vec`` and
+    ``v_vec``. An Adam step is then a few in-place ufunc calls over the
+    vectors, whatever the number of parameters, and one ``fill`` zeroes every
+    gradient. ``m`` and ``v`` default to zeros; given, they are copied.
+    """
+
+    def __init__(self, params: dict[str, Tensor], m=None, v=None, t: int = 0):
+        shapes = {name: params[name].shape for name in sorted(params)}
+
+        def pack(arrays):
+            flat = np.concatenate([np.ravel(arrays[name]) for name in shapes], dtype=np.float64)
+            return flat, _views(flat, shapes)
+
+        self.params = params
+        self.param_vec, data = pack({name: p.data for name, p in params.items()})
+        self.grad_vec = np.zeros_like(self.param_vec)
+        for name, grad in _views(self.grad_vec, shapes).items():
+            params[name].data, params[name].grad = data[name], grad
+            params[name].requires_grad = True
+        if m is None:
+            self.m_vec, self.v_vec = np.zeros_like(self.param_vec), np.zeros_like(self.param_vec)
+            self.m, self.v = _views(self.m_vec, shapes), _views(self.v_vec, shapes)
+        else:
+            (self.m_vec, self.m), (self.v_vec, self.v) = pack(m), pack(v)
+        self.t = t
+        # the two scratch vectors of adam_step, one chunk long
+        chunk = min(ADAM_CHUNK, self.param_vec.size)
+        self.work = (np.empty(chunk), np.empty(chunk))
 
     @classmethod
     def zeros(cls, params: dict[str, Tensor]) -> "AdamState":
-        return cls(
-            m={name: np.zeros_like(p.data) for name, p in params.items()},
-            v={name: np.zeros_like(p.data) for name, p in params.items()},
-        )
+        return cls(params)
 
 
-def adam_step(
-    params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    config: TrainConfig,
-):
-    """One bias-corrected Adam update, in place on params and state."""
+def adam_step(state: AdamState, config: TrainConfig) -> None:
+    """One bias-corrected Adam update of every parameter from its ``grad``,
+    in place on the flat vectors, ``ADAM_CHUNK`` elements at a time, without
+    allocating a vector. A non-finite gradient raises, naming the first such
+    parameter in sorted order, before any parameter, moment or the step
+    count changes."""
+    if not np.isfinite(state.grad_vec).all():
+        name = next(n for n in sorted(state.params) if not np.isfinite(state.params[n].grad).all())
+        raise TrainError(f"non-finite gradient for parameter '{name}'")
     state.t += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
     corr1 = 1.0 - b1**state.t
     corr2 = 1.0 - b2**state.t
-    for name in sorted(params):
-        g = np.asarray(grads[name])
-        if not np.all(np.isfinite(g)):
-            raise TrainError(f"non-finite gradient for parameter '{name}'")
-        m = state.m[name]
-        v = state.v[name]
+    for lo in range(0, state.param_vec.size, ADAM_CHUNK):
+        g, m, v, p = (
+            vec[lo : lo + ADAM_CHUNK]
+            for vec in (state.grad_vec, state.m_vec, state.v_vec, state.param_vec)
+        )
+        step, denom = (work[: g.size] for work in state.work)
+        # the IEEE operations of the per-parameter form, in its order, so the
+        # result is the same bit for bit: m = b1*m + (1-b1)*g;
+        # v = b2*v + ((1-b2)*g)*g; p -= (lr * (m/corr1)) / (sqrt(v/corr2) + eps)
         m *= b1
-        m += (1.0 - b1) * g
+        np.multiply(g, 1.0 - b1, out=step)
+        m += step
         v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / corr1
-        v_hat = v / corr2
-        params[name].data -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
-    return params, state
+        np.multiply(g, 1.0 - b2, out=step)
+        step *= g
+        v += step
+        np.divide(m, corr1, out=step)
+        step *= config.learning_rate
+        np.divide(v, corr2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += config.adam_eps
+        step /= denom
+        p -= step
 
 
 def train_epoch(
@@ -121,9 +173,11 @@ def train_epoch(
 ):
     """One pass over the training pixels in shuffled batches.
 
-    Each batch runs a sampled forward pass on the pixels' patches, backprops
-    the total loss and applies one Adam step. Returns the pixel-weighted mean
-    breakdown over the epoch together with the per-batch breakdowns.
+    ``opt`` must have been built from ``params``. Each batch runs a sampled
+    forward pass on the pixels' patches, backprops the total loss into the
+    zeroed gradient vector and applies one Adam step. Returns the
+    pixel-weighted mean breakdown over the epoch together with the per-batch
+    breakdowns.
     """
     if cube.gt_abundances is None or cube.gt_bundles is None:
         raise TrainError("supervised training needs ground-truth abundances and bundles")
@@ -145,10 +199,9 @@ def train_epoch(
                 out, x_pixels[idx], z_pixels[idx], reference,
                 config.loss_weights, epoch,
             )
-            for p in params.values():
-                p.zero_grad()
+            opt.grad_vec.fill(0.0)
             backward(total, tape)
-        adam_step(params, {name: p.grad for name, p in params.items()}, opt, config)
+        adam_step(opt, config)
         batch_logs.append(bd)
         sums += idx.size * np.array(
             [bd.recon, bd.kl_dirichlet, bd.abundance, bd.endmember, bd.total]
@@ -268,7 +321,7 @@ def load_checkpoint(path) -> Checkpoint:
             count = int(np.prod(dims)) if rank else 1
             arr = np.frombuffer(buf, dtype="<f8", count=count, offset=pos)
             pos += 8 * count
-            tensors[name] = arr.reshape(dims).astype(np.float64)
+            tensors[name] = arr.reshape(dims)
     except KeyError as err:
         raise TrainError(f"corrupt checkpoint {path}: header lacks {err}") from err
     except (struct.error, IndexError, OverflowError, RecursionError, TypeError, ValueError) as err:
@@ -277,11 +330,11 @@ def load_checkpoint(path) -> Checkpoint:
         np.random.default_rng(0).bit_generator.state = rng_state
     except (KeyError, OverflowError, TypeError, ValueError) as err:
         raise TrainError(f"corrupt checkpoint {path}: bad rng_state: {err!r}") from err
-    params: dict[str, np.ndarray] = {}
+    data: dict[str, np.ndarray] = {}
     m: dict[str, np.ndarray] = {}
     v: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(model):
-        for store, key in ((params, name), (m, f"opt.m.{name}"), (v, f"opt.v.{name}")):
+        for store, key in ((data, name), (m, f"opt.m.{name}"), (v, f"opt.v.{name}")):
             arr = tensors.pop(key, None)
             if arr is None or arr.shape != shape:
                 raise TrainError(f"checkpoint {path}: {key} is missing or not of shape {shape}")
@@ -290,9 +343,10 @@ def load_checkpoint(path) -> Checkpoint:
         raise TrainError(
             f"checkpoint {path} holds tensors its model lacks: {', '.join(sorted(tensors))}"
         )
+    params = {name: Tensor(arr) for name, arr in data.items()}
     return Checkpoint(
-        params={name: Tensor(arr, requires_grad=True) for name, arr in params.items()},
-        opt=AdamState(m=m, v=v, t=adam_t),
+        params=params,
+        opt=AdamState(params, m, v, adam_t),
         epoch=epoch,
         rng_state=rng_state,
         model=model,
@@ -305,21 +359,31 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def _snapshot(params, opt, rng, epoch: int, config: TrainConfig) -> Checkpoint:
-    """A copy of the training state that later steps cannot modify. Its
-    parameters carry no gradient buffers, so a snapshot per epoch costs one
-    copy of the weights and moments."""
+    """A copy of the training state that later steps cannot modify: building
+    its AdamState copies the weights and moments into new flat vectors."""
+    copies = {name: Tensor(p.data) for name, p in params.items()}
     return Checkpoint(
-        params={name: Tensor(p.data.copy()) for name, p in params.items()},
-        opt=AdamState(
-            m={name: a.copy() for name, a in opt.m.items()},
-            v={name: a.copy() for name, a in opt.v.items()},
-            t=opt.t,
-        ),
+        params=copies,
+        opt=AdamState(copies, opt.m, opt.v, opt.t),
         epoch=epoch,
         rng_state=copy.deepcopy(rng.bit_generator.state),
         model=config.model,
         seed=config.seed,
     )
+
+
+def _refresh(snapshot: Checkpoint, opt: AdamState, rng, epoch: int) -> None:
+    """Overwrite ``snapshot`` with the current training state, in place, so
+    a fit keeps one snapshot and allocates none per epoch."""
+    for dst, src in (
+        (snapshot.opt.param_vec, opt.param_vec),
+        (snapshot.opt.m_vec, opt.m_vec),
+        (snapshot.opt.v_vec, opt.v_vec),
+    ):
+        np.copyto(dst, src)
+    snapshot.opt.t = opt.t
+    snapshot.epoch = epoch
+    snapshot.rng_state = copy.deepcopy(rng.bit_generator.state)
 
 
 def _write_log(path, rows) -> None:
@@ -411,7 +475,7 @@ def fit(
                 f"last good checkpoint (epoch {last_good.epoch}) kept at {ck_path}"
             ) from err
         rows.append((epoch, epoch_mean))
-        last_good = _snapshot(params, opt, rng, epoch + 1, config)
+        _refresh(last_good, opt, rng, epoch + 1)
 
     save_checkpoint(ck_path, last_good)
     _write_log(log_path, rows)

@@ -164,6 +164,43 @@ def test_non_integer_scene_size_fails_cleanly(capsys, tmp_path, raw):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "key,raw",
+    [
+        ("noise_sigma", '"abc"'),
+        ("noise_sigma", "NaN"),
+        ("pure_pixel_fraction", "null"),
+        ("pure_boost", "-5"),
+        ("corr_length", "-1"),
+        ("corr_length", "true"),
+        ("dirichlet_alpha", '["x", 2.0, 2.0]'),
+    ],
+    ids=["sigma-string", "sigma-nan", "fraction-null", "boost-negative", "corr-negative",
+         "corr-bool", "alpha-string"],
+)
+def test_bad_scene_number_fails_cleanly(capsys, tmp_path, key, raw):
+    config = tmp_path / "scene.json"
+    others = {name: value for name, value in SCENE_CFG.items() if name != key}
+    config.write_text(json.dumps(others)[:-1] + f', "{key}": {raw}}}')
+    rc = main(["synth", "--out", str(tmp_path / "out"), "--config", str(config)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    error = json.loads(captured.err)
+    assert error["error"] == "DataError" and key in error["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("raw", ['"abc"', "2.5", "true", "-1"], ids=["string", "float", "bool", "negative"])
+def test_non_integer_seed_is_a_usage_error(capsys, tmp_path, raw):
+    config = tmp_path / "scene.json"
+    others = {key: value for key, value in SCENE_CFG.items() if key != "seed"}
+    config.write_text(json.dumps(others)[:-1] + f', "seed": {raw}}}')
+    rc = main(["synth", "--out", str(tmp_path / "out"), "--config", str(config)])
+    assert one_json_error(capsys, rc, 2, "usage") == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_usage_errors_exit_two(capsys):
     rc, _, err = run_cli(capsys, "fly")
     assert rc == 2 and err["error"] == "usage"

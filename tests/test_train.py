@@ -2,10 +2,12 @@
 
 import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from unmix_ldvae import train as train_module
 from unmix_ldvae.data import (
     BundleSpec,
     EndmemberBundle,
@@ -18,6 +20,7 @@ from unmix_ldvae.losses import LossBreakdown, LossWeights, compute_losses
 from unmix_ldvae.model import ModelConfig, NoiseCache, forward, init_params
 from unmix_ldvae.numcore import GammaNoise, Tape, Tensor, backward
 from unmix_ldvae.train import (
+    ADAM_CHUNK,
     AdamState,
     Checkpoint,
     TrainConfig,
@@ -75,32 +78,54 @@ def toy_bundles():
 # adam
 
 
+def leaf(value):
+    return Tensor(np.asarray(value, dtype=np.float64), requires_grad=True)
+
+
+def reference_adam_step(params, grads, m, v, t, config):
+    """The per-parameter Adam recurrence, one parameter at a time in sorted
+    order: the oracle the flat step must match bit for bit."""
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    corr1 = 1.0 - b1**t
+    corr2 = 1.0 - b2**t
+    for name in sorted(params):
+        g = grads[name]
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * g * g
+        m_hat = m[name] / corr1
+        v_hat = v[name] / corr2
+        params[name] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+
+
 def test_adam_first_step_matches_hand_recurrence():
     # t=1: m_hat = g, v_hat = g^2, so theta = -lr * 1 / (1 + eps)
-    params = {"w": Tensor(np.array([0.0]), requires_grad=True)}
+    params = {"w": leaf([0.0])}
     state = AdamState.zeros(params)
-    adam_step(params, {"w": np.array([1.0])}, state, TrainConfig())
+    params["w"].grad[...] = 1.0
+    adam_step(state, TrainConfig())
     expected = -2e-4 / (1.0 + 1e-8)
     assert params["w"].data[0] == pytest.approx(expected, rel=1e-12)
     assert state.t == 1
 
 
 def test_adam_zero_gradient_leaves_params_untouched():
-    params = {"w": Tensor(np.array([0.7, -1.3]), requires_grad=True)}
+    params = {"w": leaf([0.7, -1.3])}
     before = params["w"].data.copy()
     state = AdamState.zeros(params)
-    adam_step(params, {"w": np.zeros(2)}, state, TrainConfig())
+    adam_step(state, TrainConfig())
     assert np.array_equal(params["w"].data, before)
 
 
 def test_adam_descends_a_quadratic():
-    params = {"w": Tensor(np.array([1.0]), requires_grad=True)}
+    params = {"w": leaf([1.0])}
     state = AdamState.zeros(params)
     config = TrainConfig()
     trajectory = [params["w"].data[0]]
     for _ in range(200):
-        grad = 2.0 * params["w"].data
-        adam_step(params, {"w": grad}, state, config)
+        params["w"].grad[...] = 2.0 * params["w"].data
+        adam_step(state, config)
         trajectory.append(params["w"].data[0])
     assert trajectory[1] < trajectory[0]
     assert abs(trajectory[-1]) < abs(trajectory[0])
@@ -108,28 +133,107 @@ def test_adam_descends_a_quadratic():
 
 
 def test_adam_rejects_nonfinite_gradient_by_name():
-    params = {"bad.w": Tensor(np.array([0.0]), requires_grad=True)}
+    params = {"bad.w": leaf([0.0])}
     state = AdamState.zeros(params)
+    params["bad.w"].grad[...] = np.nan
     with pytest.raises(TrainError, match="bad.w"):
-        adam_step(params, {"bad.w": np.array([np.nan])}, state, TrainConfig())
+        adam_step(state, TrainConfig())
 
 
 def test_adam_ten_steps_are_bit_deterministic():
     results = []
     for _ in range(2):
         rng = np.random.default_rng(11)
-        params = {
-            "a": Tensor(np.ones(4), requires_grad=True),
-            "b": Tensor(np.full((2, 2), -0.5), requires_grad=True),
-        }
+        params = {"a": leaf(np.ones(4)), "b": leaf(np.full((2, 2), -0.5))}
         state = AdamState.zeros(params)
         config = TrainConfig()
         for _ in range(10):
-            grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
-            adam_step(params, grads, state, config)
+            for p in params.values():
+                p.grad[...] = rng.normal(size=p.shape)
+            adam_step(state, config)
         results.append({name: p.data.copy() for name, p in params.items()})
     for name in results[0]:
         assert np.array_equal(results[0][name], results[1][name])
+
+
+def test_adam_state_views_the_flat_vectors():
+    params = {"b": leaf(np.full((2, 3), 2.0)), "a": leaf([1.0, -1.0])}
+    state = AdamState.zeros(params)
+    assert np.array_equal(state.param_vec, [1.0, -1.0] + [2.0] * 6)
+    for name, p in params.items():
+        for view, flat in ((p.data, state.param_vec), (p.grad, state.grad_vec),
+                           (state.m[name], state.m_vec), (state.v[name], state.v_vec)):
+            assert np.shares_memory(view, flat) and view.shape == p.shape
+
+
+def test_flat_adam_matches_per_parameter_recurrence_exactly():
+    # the criterion-7 model, ten steps of gradients over several magnitudes
+    # with exact zeros mixed in; every weight and moment must agree with ==
+    model = ModelConfig(patch=3, bands=48, k=3, seg_len=16, d=32, layers=4, heads=16, ff_dim=64)
+    params = init_params(model, np.random.default_rng(31))
+    expected = {name: p.data.copy() for name, p in params.items()}
+    m = {name: np.zeros(p.shape) for name, p in params.items()}
+    v = {name: np.zeros(p.shape) for name, p in params.items()}
+    state = AdamState.zeros(params)
+    assert state.param_vec.size > 3 * ADAM_CHUNK  # chunks cross parameter boundaries
+    config = TrainConfig(learning_rate=3e-3)
+    rng = np.random.default_rng(32)
+    for t in range(1, 11):
+        grads = {
+            name: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=p.shape)
+            * (rng.random(p.shape) < 0.9)
+            for name, p in params.items()
+        }
+        for name, p in params.items():
+            p.grad[...] = grads[name]
+        adam_step(state, config)
+        reference_adam_step(expected, grads, m, v, t, config)
+    assert state.t == 10
+    for name, p in params.items():
+        assert np.array_equal(p.data, expected[name]), name
+        assert np.array_equal(state.m[name], m[name]), name
+        assert np.array_equal(state.v[name], v[name]), name
+
+
+def test_adam_step_allocates_no_parameter_sized_array():
+    # the peak of what one step allocates, so several smaller temporaries
+    # alive at once count together
+    model = ModelConfig(patch=3, bands=48, k=3, seg_len=16, d=32, layers=4, heads=16, ff_dim=64)
+    params = init_params(model, np.random.default_rng(33))
+    state = AdamState.zeros(params)
+    state.grad_vec[...] = np.random.default_rng(34).normal(size=state.grad_vec.size)
+    config = TrainConfig()
+    adam_step(state, config)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        adam_step(state, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < state.param_vec.nbytes
+    assert state.t == 2
+
+
+def test_nonfinite_gradient_leaves_every_parameter_untouched():
+    # "a.w" fills the first chunk, so a check made chunk by chunk, like one
+    # made parameter by parameter, would already have moved it; the error
+    # names the first bad parameter in sorted order
+    sizes = {"a.w": ADAM_CHUNK, "b.w": 3, "c.w": 3, "d.w": 3}
+    params = {name: leaf(np.full(n, 0.5)) for name, n in sizes.items()}
+    state = AdamState.zeros(params)
+    config = TrainConfig()
+    state.grad_vec[...] = 1.0
+    adam_step(state, config)
+    before = [a.copy() for a in (state.param_vec, state.m_vec, state.v_vec)]
+    state.grad_vec[...] = 1.0
+    params["d.w"].grad[0] = np.nan
+    params["c.w"].grad[2] = np.inf
+    with pytest.raises(TrainError, match="'c.w'"):
+        adam_step(state, config)
+    for now, then in zip((state.param_vec, state.m_vec, state.v_vec), before):
+        assert np.array_equal(now, then)
+    assert state.t == 1
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +552,29 @@ def test_fit_divergence_keeps_last_good_checkpoint(tmp_path):
         assert np.isfinite(p.data).all(), f"retained checkpoint has bad values in {name}"
     log_lines = (tmp_path / "train_log.csv").read_text().strip().splitlines()
     assert len(log_lines) == 1 + kept.epoch
+
+
+def test_abort_keeps_the_state_of_the_last_completed_epoch(tmp_path, monkeypatch):
+    # three batches an epoch; the second step of epoch 2 moves the parameters
+    # and then fails, so the kept checkpoint and log must be those of a
+    # two-epoch run, untouched by the steps epoch 2 took
+    scene = tiny_scene()
+    config = tiny_train_config(epochs=4, batch_size=6)
+    fit(dataclasses.replace(config, epochs=2), scene, tmp_path / "two")
+    real_step = train_module.adam_step
+
+    def failing_step(state, cfg):
+        real_step(state, cfg)
+        if state.t == 8:
+            raise TrainError("injected failure")
+
+    monkeypatch.setattr(train_module, "adam_step", failing_step)
+    with pytest.raises(TrainError, match="aborted at epoch 2"):
+        fit(config, scene, tmp_path / "run")
+    for artifact in ("checkpoint.ldvt", "train_log.csv"):
+        assert (tmp_path / "run" / artifact).read_bytes() == (
+            tmp_path / "two" / artifact
+        ).read_bytes()
 
 
 def test_epoch_totals_regression_on_standard_scene(tmp_path):
