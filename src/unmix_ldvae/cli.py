@@ -23,6 +23,7 @@ from .data import (
     HsiCube,
     SceneConfig,
     SplitSpec,
+    _integer,
     _strip_known_suffix,
     _write_bsq,
     load_cube,
@@ -111,7 +112,7 @@ def _scene_config(cfg: dict, seed_flag) -> tuple[SceneConfig, int]:
     seed = cfg.pop("seed", 0)
     if seed_flag is not None:
         seed = seed_flag
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+    if not _integer(seed) or seed < 0:
         raise CliError(f"seed must be a nonnegative integer, got {seed!r}")
     bundle_cfg = cfg.pop("bundle_spec", None)
     if bundle_cfg is not None:

@@ -332,8 +332,10 @@ def split_pixels(n_pixels: int, spec: SplitSpec) -> SplitSpec:
     """Disjoint, exhaustive split with |train| = round(train_fraction * N)."""
     if n_pixels < 1:
         raise DataError(f"cannot split {n_pixels} pixels")
-    if not 0.0 <= spec.train_fraction <= 1.0:
-        raise DataError(f"train fraction must lie in [0, 1], got {spec.train_fraction}")
+    if not _finite_real(spec.train_fraction) or not 0.0 <= spec.train_fraction <= 1.0:
+        raise DataError(f"train fraction must lie in [0, 1], got {spec.train_fraction!r}")
+    if not _integer(spec.seed) or spec.seed < 0:
+        raise DataError(f"split seed must be a nonnegative integer, got {spec.seed!r}")
     rng = np.random.default_rng(spec.seed)
     perm = rng.permutation(n_pixels)
     n_train = int(round(spec.train_fraction * n_pixels))
@@ -494,6 +496,11 @@ class BundleSpec:
         return np.maximum(mean, 1e-3)
 
 
+def _integer(value) -> bool:
+    """An int or numpy integer; JSON's true and false are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _finite_real(value) -> bool:
     """A finite int or float; JSON's true, false, strings and null are not."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
@@ -528,9 +535,8 @@ class SceneConfig:
 
     def validate(self) -> None:
         for name in ("height", "width", "bands", "k", "seg_len"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise DataError(f"{name} must be an integer, got {value!r}")
+            if not _integer(getattr(self, name)):
+                raise DataError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.height < 1 or self.width < 1:
             raise DataError(f"scene plan {self.height}x{self.width} is empty")
         if self.k < 2:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .data import EndmemberBundle
-from .model import DecodedBundles
+from .data import EndmemberBundle, _finite_real
+from .model import DecodedBundles, Heads, SampledReconstruction
 from .numcore import NumericError, ShapeError, Tensor, ops
 
 
@@ -32,6 +32,10 @@ class LossWeights:
     alpha_prior: np.ndarray | None = None
 
     def validate(self) -> None:
+        for name in ("lambda_abundances", "lambda_endmembers_start", "lambda_endmembers_end",
+                     "anneal_epochs"):
+            if not _finite_real(getattr(self, name)):
+                raise LossError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if not self.lambda_endmembers_start < self.lambda_endmembers_end:
             raise LossError(
                 f"anneal must increase: start {self.lambda_endmembers_start} "
@@ -62,16 +66,6 @@ class LossBreakdown:
     endmember: float
     total: float
     lambda_endmembers_now: float
-
-    def as_dict(self) -> dict:
-        return {
-            "recon": self.recon,
-            "kl_dirichlet": self.kl_dirichlet,
-            "abundance": self.abundance,
-            "endmember": self.endmember,
-            "total": self.total,
-            "lambda_endmembers_now": self.lambda_endmembers_now,
-        }
 
 
 def _as_batch(value, name: str) -> Tensor:
@@ -178,18 +172,15 @@ def reference_blocks(gt_bundles: list[EndmemberBundle]) -> ReferenceBlocks:
     )
 
 
-def kl_bundle(
-    pred: DecodedBundles, gt_bundles: list[EndmemberBundle] | ReferenceBlocks, alpha_hat
-) -> Tensor:
+def kl_bundle(pred: DecodedBundles, ref: ReferenceBlocks, alpha_hat) -> Tensor:
     """Abundance-weighted Gaussian KL from predicted to reference bundles.
 
     Per pixel: sum_k w_k KL(N(mu_hat_k, L_hat_k L_hat_k^T) || N(mu_k, Sigma_k))
     with w = alpha_hat / sum(alpha_hat), evaluated block by block over the
-    spectral segments; the batch reduces to its mean. ``gt_bundles`` is the
-    list of reference bundles or their ``reference_blocks``.
+    spectral segments; the batch reduces to its mean. ``ref`` holds the
+    ``reference_blocks`` of the reference bundles.
     """
     alpha = _as_batch(alpha_hat, "alpha_hat")
-    ref = gt_bundles if isinstance(gt_bundles, ReferenceBlocks) else reference_blocks(gt_bundles)
     k = ref.k
     if alpha.shape[1] != k or pred.means.shape[1] != k:
         raise ShapeError(
@@ -290,11 +281,20 @@ def total_loss(
     return total, breakdown
 
 
-def compute_losses(out, x, z_gt, gt_bundles, weights: LossWeights, epoch: int):
-    """All loss terms for one forward batch against its references;
-    ``gt_bundles`` is passed on to ``kl_bundle`` as it is."""
-    recon = loss_recon(out.x_recon, x)
-    kld = kl_dirichlet(out.alpha_hat, weights.prior_for(out.alpha_hat.shape[-1]))
-    abundance = loss_abundance(out.z_hat, z_gt)
-    endmember = kl_bundle(out.bundles, gt_bundles, out.alpha_hat)
+def compute_losses(
+    heads: Heads,
+    sampled: SampledReconstruction,
+    x,
+    z_gt,
+    reference: ReferenceBlocks,
+    weights: LossWeights,
+    epoch: int,
+):
+    """All loss terms for one batch: its ``forward`` heads and the
+    ``sample_reconstruction`` drawn from them, against the batch's spectra,
+    abundances and the ``reference_blocks`` of the reference bundles."""
+    recon = loss_recon(sampled.x_recon, x)
+    kld = kl_dirichlet(heads.alpha_hat, weights.prior_for(heads.alpha_hat.shape[-1]))
+    abundance = loss_abundance(sampled.z_hat, z_gt)
+    endmember = kl_bundle(heads.bundles, reference, heads.alpha_hat)
     return total_loss(recon, kld, abundance, endmember, weights, epoch)

@@ -2,10 +2,13 @@
 
 A hyperspectral patch is cut into per-pixel spectral segments, each segment
 becomes one token, and a small pre-norm transformer encodes the sequence.
-An element-wise max over tokens gives the latent vector, from which three
-heads read out: Dirichlet concentrations over abundances, per-endmember
-Gaussian bundles (mean plus block-diagonal Cholesky factors), and finally a
-reconstruction MLP that starts out as the plain linear mixing model.
+An element-wise max over tokens gives the latent vector, from which two
+heads read out: Dirichlet concentrations over abundances and per-endmember
+Gaussian bundles (mean plus block-diagonal Cholesky factors). ``forward``
+stops at the heads and is all inference runs. Training also draws
+abundances and endmembers from them and mixes the draws through a
+reconstruction MLP that starts out as the plain linear mixing model
+(``sample_reconstruction``).
 
 All internal math runs batched, shapes (B, ...), on the tape-based Tensor
 type so gradients reach every parameter.
@@ -14,11 +17,11 @@ type so gradients reach every parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import HsiCube, PatchSource, segment_sizes
+from .data import HsiCube, PatchSource, _finite_real, _integer, segment_sizes
 from .numcore import (
     GammaNoise,
     ShapeError,
@@ -53,7 +56,7 @@ class ModelConfig:
 
     def validate(self) -> None:
         for name in ("patch", "bands", "k", "seg_len", "d", "layers", "heads", "ff_dim"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
+            if not _integer(getattr(self, name)):
                 raise ModelError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.patch < 1 or self.patch % 2 == 0:
             raise ModelError(f"patch must be odd and positive, got {self.patch}")
@@ -69,12 +72,9 @@ class ModelConfig:
             raise ModelError(f"embedding dim {self.d} does not split into {self.heads} heads")
         if self.ff_dim < 1:
             raise ModelError(f"ff_dim must be positive, got {self.ff_dim}")
-        if self.eps_alpha <= 0 or self.eps_chol <= 0:
-            raise ModelError("eps_alpha and eps_chol must be strictly positive")
-
-    @property
-    def latent_dim(self) -> int:
-        return self.d
+        for name in ("eps_alpha", "eps_chol"):
+            if not _finite_real(getattr(self, name)) or getattr(self, name) <= 0:
+                raise ModelError(f"{name} must be a positive number, got {getattr(self, name)!r}")
 
     @property
     def n_segments(self) -> int:
@@ -83,10 +83,6 @@ class ModelConfig:
     @property
     def n_tokens(self) -> int:
         return self.patch * self.patch * self.n_segments
-
-    @property
-    def head_dim(self) -> int:
-        return self.d // self.heads
 
     def cov_segment_sizes(self) -> list[int]:
         return segment_sizes(self.bands, self.seg_len)
@@ -98,18 +94,7 @@ class ModelConfig:
         return 2 * self.bands + sum(self.cov_offdiag_sizes())
 
     def to_dict(self) -> dict:
-        return {
-            "patch": self.patch,
-            "bands": self.bands,
-            "k": self.k,
-            "seg_len": self.seg_len,
-            "d": self.d,
-            "layers": self.layers,
-            "heads": self.heads,
-            "ff_dim": self.ff_dim,
-            "eps_alpha": self.eps_alpha,
-            "eps_chol": self.eps_chol,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelConfig":
@@ -352,72 +337,67 @@ def reconstruct(z: Tensor, endmembers: Tensor, params: dict) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# full forward pass
+# forward pass and training-time sampling
+
+
+@dataclass
+class Heads:
+    """What the network computes for a batch of patches; every field is
+    differentiable."""
+
+    alpha_hat: Tensor  # (B, K) Dirichlet concentrations
+    z_mean: Tensor  # (B, K) Dirichlet mean
+    bundles: DecodedBundles
+
+
+def forward(patches: np.ndarray, params: dict, config: ModelConfig) -> Heads:
+    """The deterministic pass over a batch of patches: tokenizer, encoder,
+    the concentration head with its Dirichlet mean, and the bundle head."""
+    tokens = tokenize_batch(patches, params, config)
+    _, x_latent = encode_batch(tokens, params, config)
+    alpha = alpha_head(x_latent, params, config)
+    return Heads(
+        alpha_hat=alpha,
+        z_mean=dirichlet_mean(alpha),
+        bundles=decode_bundles(x_latent, params, config),
+    )
 
 
 @dataclass
 class NoiseCache:
-    """Every random draw of one forward pass, for exact replay."""
+    """Every random draw of one sampled reconstruction, for exact replay."""
 
     gamma: GammaNoise
     endmember_eps: np.ndarray
 
 
 @dataclass
-class LatentOutput:
-    """Batched forward-pass results; every field is differentiable."""
+class SampledReconstruction:
+    """Training-time draws from the heads and the spectra they mix to."""
 
-    x_latent: Tensor  # (B, d)
-    alpha_hat: Tensor  # (B, K)
-    z_hat: Tensor  # (B, K) sampled when training, Dirichlet mean otherwise
-    z_mean: Tensor  # (B, K)
-    bundles: DecodedBundles
-    sampled_endmembers: Tensor  # (B, K, C)
+    z_hat: Tensor  # (B, K) sampled abundances
+    endmembers: Tensor  # (B, K, C) sampled spectra
     x_recon: Tensor  # (B, C)
-    noise: NoiseCache | None = None
+    noise: NoiseCache
 
 
-def forward(
-    patches: np.ndarray,
-    params: dict,
-    config: ModelConfig,
-    rng=None,
-    noise: NoiseCache | None = None,
-    sample: bool = True,
-) -> LatentOutput:
-    """Run the network over a batch of patches.
-
-    With sample=True abundances and endmembers are reparameterized draws
-    (rng or a replayable NoiseCache required); otherwise the deterministic
-    Dirichlet mean and bundle means are used.
-    """
-    tokens = tokenize_batch(patches, params, config)
-    _, x_latent = encode_batch(tokens, params, config)
-    alpha = alpha_head(x_latent, params, config)
-    z_mean = dirichlet_mean(alpha)
-    bundles = decode_bundles(x_latent, params, config)
-    if sample:
-        z_hat, gamma_noise = sample_abundances(
-            alpha, rng, None if noise is None else noise.gamma
-        )
-        endmembers, eps = sample_endmembers(
-            bundles, config, rng, None if noise is None else noise.endmember_eps
-        )
-        cache = NoiseCache(gamma=gamma_noise, endmember_eps=eps)
-    else:
-        z_hat = z_mean
-        endmembers = bundles.means
-        cache = None
-    x_recon = reconstruct(z_hat, endmembers, params)
-    return LatentOutput(
-        x_latent=x_latent,
-        alpha_hat=alpha,
+def sample_reconstruction(
+    heads: Heads, params: dict, config: ModelConfig, rng=None, noise: NoiseCache | None = None
+) -> SampledReconstruction:
+    """Draw abundances, then endmembers, from ``heads`` and mix them through
+    the refinement MLP. The draws come from ``rng`` unless ``noise`` replays
+    an earlier call."""
+    z_hat, gamma_noise = sample_abundances(
+        heads.alpha_hat, rng, None if noise is None else noise.gamma
+    )
+    endmembers, eps = sample_endmembers(
+        heads.bundles, config, rng, None if noise is None else noise.endmember_eps
+    )
+    return SampledReconstruction(
         z_hat=z_hat,
-        z_mean=z_mean,
-        bundles=bundles,
-        sampled_endmembers=endmembers,
-        x_recon=x_recon,
-        noise=cache,
+        endmembers=endmembers,
+        x_recon=reconstruct(z_hat, endmembers, params),
+        noise=NoiseCache(gamma=gamma_noise, endmember_eps=eps),
     )
 
 
@@ -439,7 +419,7 @@ def predict_cube(
     batch_size: int = 64,
 ) -> Prediction:
     """Per-pixel abundance means plus the endmember bundles averaged over the
-    pixels, computed batch by batch without sampling. On the criterion-7
+    pixels, computed batch by batch by ``forward`` alone. On the criterion-7
     model, batches of 32 to 128 ran within noise of each other and about a
     fifth faster than 256, whose activations no longer fit in cache."""
     source = PatchSource(cube, config.patch)
@@ -451,10 +431,10 @@ def predict_cube(
     block_sums = [np.zeros((config.k, m, m)) for m in config.cov_segment_sizes()]
     for start in range(0, indices.size, batch_size):
         batch_idx = indices[start : start + batch_size]
-        out = forward(source.batch(batch_idx), params, config, sample=False)
-        abundances[start : start + batch_idx.size] = out.z_mean.data
-        mean_sum += out.bundles.means.data.sum(axis=0)
-        for block_sum, block in zip(block_sums, out.bundles.chol_blocks):
+        heads = forward(source.batch(batch_idx), params, config)
+        abundances[start : start + batch_idx.size] = heads.z_mean.data
+        mean_sum += heads.bundles.means.data.sum(axis=0)
+        for block_sum, block in zip(block_sums, heads.bundles.chol_blocks):
             block_sum += block.data.sum(axis=0)
     return Prediction(
         abundances=abundances,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import _finish, as_tensor
+from .ops import _as_tensor, _finish
 from .tensor import NumericError, ShapeError, Tensor
 
 _FLOOR = 1e-300  # keeps downstream normalizations defined when u**(1/shape) underflows
@@ -74,7 +74,7 @@ def draw_gamma_noise(shape_param, rng: np.random.Generator) -> GammaNoise:
 
 def gamma_from_noise(shape_param, noise: GammaNoise) -> Tensor:
     """Differentiable Marsaglia-Tsang transformation of fixed accepted noise."""
-    t = as_tensor(shape_param)
+    t = _as_tensor(shape_param)
     a = t.data
     if a.size and np.any(a <= 0.0):
         raise ValueError("gamma shape parameters must be strictly positive")

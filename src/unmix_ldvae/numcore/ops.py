@@ -21,7 +21,7 @@ from scipy import special
 from .tensor import NumericError, ShapeError, Tensor, active_tape
 
 
-def as_tensor(value) -> Tensor:
+def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
@@ -64,7 +64,7 @@ def _norm_axes(axis, ndim: int) -> tuple:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _as_tensor(a), _as_tensor(b)
     try:
         out = a.data + b.data
     except ValueError as exc:
@@ -80,7 +80,7 @@ def add(a, b) -> Tensor:
 
 
 def subtract(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _as_tensor(a), _as_tensor(b)
     try:
         out = a.data - b.data
     except ValueError as exc:
@@ -96,7 +96,7 @@ def subtract(a, b) -> Tensor:
 
 
 def multiply(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _as_tensor(a), _as_tensor(b)
     try:
         out = a.data * b.data
     except ValueError as exc:
@@ -112,7 +112,7 @@ def multiply(a, b) -> Tensor:
 
 
 def divide(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _as_tensor(a), _as_tensor(b)
     try:
         out = a.data / b.data
     except ValueError as exc:
@@ -127,20 +127,11 @@ def divide(a, b) -> Tensor:
     return _finish("divide", (a, b), out, vjp)
 
 
-def negate(a) -> Tensor:
-    a = as_tensor(a)
-
-    def vjp(g):
-        return (-g,)
-
-    return _finish("negate", (a,), -a.data, vjp)
-
-
 # linear algebra and structure
 
 
 def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands need ndim >= 2, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -162,7 +153,7 @@ def linear(x, w, b) -> Tensor:
     """x @ w + b for an (n, m) weight and an (m,) bias, over the last axis of
     x, as one record. Leading axes fold into the rows of one matmul, forward
     and vjp, so the weight cotangent is a single (n, m) product."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear: shapes {x.shape} @ {w.shape} + {b.shape} do not chain")
     n, m = w.shape
@@ -226,7 +217,7 @@ def attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int) -> Tensor:
     sample's matmuls are independent, so every result is the same bit for
     bit whatever the block size.
     """
-    x, wq, wk, wv, wo, bq, bv, bo = (as_tensor(t) for t in (x, wq, wk, wv, wo, bq, bv, bo))
+    x, wq, wk, wv, wo, bq, bv, bo = (_as_tensor(t) for t in (x, wq, wk, wv, wo, bq, bv, bo))
     if x.ndim != 3:
         raise ShapeError(f"attention: tokens need shape (B, S, d), got {x.shape}")
     b, s, d = x.shape
@@ -307,23 +298,8 @@ def attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int) -> Tensor:
     return _finish("attention", (x, wq, wk, wv, wo, bq, bv, bo), out, vjp)
 
 
-def transpose(a, axes=None) -> Tensor:
-    a = as_tensor(a)
-    if axes is not None:
-        axes = tuple(int(ax) % a.ndim for ax in axes)
-        if len(axes) != a.ndim or sorted(axes) != list(range(a.ndim)):
-            raise ShapeError(f"transpose: {axes} is not a permutation of {a.ndim} axes")
-    out = np.transpose(a.data, axes)
-    inverse = None if axes is None else tuple(np.argsort(axes))
-
-    def vjp(g):
-        return (np.transpose(g, inverse),)
-
-    return _finish("transpose", (a,), out, vjp)
-
-
 def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
+    a = _as_tensor(a)
     try:
         out = np.reshape(a.data, shape)
     except ValueError as exc:
@@ -336,7 +312,7 @@ def reshape(a, shape) -> Tensor:
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
-    ts = tuple(as_tensor(t) for t in tensors)
+    ts = tuple(_as_tensor(t) for t in tensors)
     if not ts:
         raise ShapeError("concat needs at least one input")
     try:
@@ -354,7 +330,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def slice_(a, index) -> Tensor:
     """Basic indexing (ints, slices, Ellipsis); the vjp scatters into zeros."""
-    a = as_tensor(a)
+    a = _as_tensor(a)
     out = a.data[index]
 
     def vjp(g):
@@ -369,7 +345,7 @@ def tril_compose(diag, off, size: int) -> Tensor:
     """Lower-triangular (..., size, size) matrices from a diagonal part
     (..., size) and strictly-lower entries (..., size*(size-1)//2) packed in
     row-major order."""
-    diag, off = as_tensor(diag), as_tensor(off)
+    diag, off = _as_tensor(diag), _as_tensor(off)
     n_off = size * (size - 1) // 2
     if diag.shape[-1:] != (size,):
         raise ShapeError(f"tril_compose: diagonal shape {diag.shape} does not end in {size}")
@@ -397,18 +373,8 @@ def tril_compose(diag, off, size: int) -> Tensor:
 # pointwise nonlinearities
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-
-    def vjp(g):
-        return (g * out,)
-
-    return _finish("exp", (a,), out, vjp)
-
-
 def log(a) -> Tensor:
-    a = as_tensor(a)
+    a = _as_tensor(a)
     out = np.log(a.data)
 
     def vjp(g):
@@ -417,22 +383,12 @@ def log(a) -> Tensor:
     return _finish("log", (a,), out, vjp)
 
 
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.sqrt(a.data)
-
-    def vjp(g):
-        return (g / (2.0 * out),)
-
-    return _finish("sqrt", (a,), out, vjp)
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def softplus(a) -> Tensor:
-    a = as_tensor(a)
+    a = _as_tensor(a)
     out = np.logaddexp(0.0, a.data)
 
     def vjp(g):
@@ -442,7 +398,7 @@ def softplus(a) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    a = as_tensor(a)
+    a = _as_tensor(a)
     out = np.maximum(a.data, 0.0)
 
     def vjp(g):
@@ -460,7 +416,7 @@ def _positive(a: Tensor) -> np.ndarray:
 
 
 def lgamma(a) -> Tensor:
-    a = as_tensor(a)
+    a = _as_tensor(a)
     x = _positive(a)
 
     def vjp(g):
@@ -470,7 +426,7 @@ def lgamma(a) -> Tensor:
 
 
 def digamma(a) -> Tensor:
-    a = as_tensor(a)
+    a = _as_tensor(a)
     x = _positive(a)
 
     def vjp(g):
@@ -482,19 +438,6 @@ def digamma(a) -> Tensor:
 # normalizations and reductions
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        dot = np.sum(g * out, axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return _finish("softmax", (a,), out, vjp)
-
-
 def layer_norm(a, gain, bias, eps: float = 1e-12) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then apply the
     learned elementwise scale and shift.
@@ -502,7 +445,7 @@ def layer_norm(a, gain, bias, eps: float = 1e-12) -> Tensor:
     The row statistics, forward and vjp, are einsum reductions over an
     (n, width) view: numpy's ``mean`` over a short last axis runs a strided
     loop per row and takes about twice as long."""
-    a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
+    a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
     if a.ndim < 1:
         raise ShapeError("layer_norm needs at least one axis")
     width = a.shape[-1]
@@ -534,7 +477,7 @@ def layer_norm(a, gain, bias, eps: float = 1e-12) -> Tensor:
 def max_reduce(a, axis: int, keepdims: bool = False) -> Tensor:
     """Elementwise maximum over one axis; ties route their gradient to the
     lowest index along that axis."""
-    a = as_tensor(a)
+    a = _as_tensor(a)
     if axis is None or not isinstance(axis, (int, np.integer)):
         raise ShapeError("max_reduce needs a single integer axis")
     ax = int(axis) % a.ndim
@@ -551,7 +494,7 @@ def max_reduce(a, axis: int, keepdims: bool = False) -> Tensor:
 
 
 def sum_reduce(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
+    a = _as_tensor(a)
     axes = _norm_axes(axis, a.ndim)
     out = a.data.sum(axis=axes, keepdims=keepdims)
 
@@ -563,7 +506,7 @@ def sum_reduce(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def mean_reduce(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
+    a = _as_tensor(a)
     axes = _norm_axes(axis, a.ndim)
     count = int(np.prod([a.shape[i] for i in axes])) if axes else 1
     out = a.data.mean(axis=axes, keepdims=keepdims) if axes else a.data.copy()

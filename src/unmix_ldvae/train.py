@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, HsiCube, PatchSource, SplitSpec, split_pixels
+from .data import DataError, HsiCube, PatchSource, SplitSpec, _finite_real, _integer, split_pixels
 from .losses import (
     LossBreakdown,
     LossWeights,
@@ -27,7 +27,7 @@ from .losses import (
     compute_losses,
     reference_blocks,
 )
-from .model import ModelConfig, forward, init_params, param_shapes
+from .model import ModelConfig, forward, init_params, param_shapes, sample_reconstruction
 from .numcore import NumericError, Tape, Tensor, backward
 
 CHECKPOINT_MAGIC = b"LDVT"
@@ -57,8 +57,14 @@ class TrainConfig:
     split: SplitSpec = field(default_factory=SplitSpec)
 
     def validate(self) -> None:
-        if self.epochs < 0:
-            raise TrainError(f"epochs must be nonnegative, got {self.epochs}")
+        for name in ("epochs", "batch_size", "seed"):
+            if not _integer(getattr(self, name)):
+                raise TrainError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("learning_rate", "adam_beta1", "adam_beta2", "adam_eps"):
+            if not _finite_real(getattr(self, name)):
+                raise TrainError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        if self.epochs < 0 or self.seed < 0:
+            raise TrainError(f"epochs and seed must be nonnegative: {self.epochs}, {self.seed}")
         if self.batch_size < 1:
             raise TrainError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.learning_rate <= 0:
@@ -173,11 +179,11 @@ def train_epoch(
 ):
     """One pass over the training pixels in shuffled batches.
 
-    ``opt`` must have been built from ``params``. Each batch runs a sampled
-    forward pass on the pixels' patches, backprops the total loss into the
-    zeroed gradient vector and applies one Adam step. Returns the
-    pixel-weighted mean breakdown over the epoch together with the per-batch
-    breakdowns.
+    ``opt`` must have been built from ``params``. Each batch runs the forward
+    pass on the pixels' patches, samples a reconstruction from its heads,
+    backprops the total loss into the zeroed gradient vector and applies one
+    Adam step. Returns the pixel-weighted mean breakdown over the epoch
+    together with the per-batch breakdowns.
     """
     if cube.gt_abundances is None or cube.gt_bundles is None:
         raise TrainError("supervised training needs ground-truth abundances and bundles")
@@ -194,9 +200,10 @@ def train_epoch(
     for start in range(0, order.size, config.batch_size):
         idx = order[start : start + config.batch_size]
         with Tape() as tape:
-            out = forward(source.batch(idx), params, config.model, rng=rng)
+            heads = forward(source.batch(idx), params, config.model)
+            sampled = sample_reconstruction(heads, params, config.model, rng=rng)
             total, bd = compute_losses(
-                out, x_pixels[idx], z_pixels[idx], reference,
+                heads, sampled, x_pixels[idx], z_pixels[idx], reference,
                 config.loss_weights, epoch,
             )
             opt.grad_vec.fill(0.0)

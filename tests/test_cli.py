@@ -478,6 +478,34 @@ def test_config_section_must_be_an_object(ws, capsys, tmp_path, command, section
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "section, error",
+    [
+        ({"seed": "abc"}, "TrainError"),
+        ({"seed": 2.5}, "TrainError"),
+        ({"seed": -3}, "TrainError"),
+        ({"epochs": 1.5}, "TrainError"),
+        ({"batch_size": None}, "TrainError"),
+        ({"learning_rate": "abc"}, "TrainError"),
+        ({"split": {"train_fraction": "x"}}, "TrainError"),
+        ({"loss_weights": {"anneal_epochs": "x"}}, "LossError"),
+        ({"model": {**TRAIN_CFG["model"], "eps_alpha": "x"}}, "ModelError"),
+    ],
+    ids=[
+        "seed-string", "seed-float", "seed-negative", "epochs-float", "batch-size-null",
+        "learning-rate-string", "train-fraction-string", "anneal-epochs-string",
+        "eps-alpha-string",
+    ],
+)
+def test_train_config_of_the_wrong_type_is_one_json_error(ws, capsys, tmp_path, section, error):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TRAIN_CFG, **section}))
+    rc = main(["train", "--data", str(ws / "data" / "scene"), "--out", str(tmp_path / "out"),
+               "--config", str(config)])
+    one_json_error(capsys, rc, 1, error)
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
     config = tmp_path / "config.json"
     config.write_bytes(b"\xff\xfe" + json.dumps(SCENE_CFG).encode("utf-16-le"))

@@ -8,13 +8,13 @@ variance a, checked within three standard errors.
 import numpy as np
 import pytest
 
+from reference_ops import finite_diff_check
 from unmix_ldvae import numcore as nc
 from unmix_ldvae.numcore import (
     Tape,
     Tensor,
     backward,
     draw_gamma_noise,
-    finite_diff_check,
     gamma_from_noise,
 )
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from reference_ops import finite_diff_check
 from unmix_ldvae.data import EndmemberBundle
 from unmix_ldvae.losses import (
     LossError,
@@ -32,6 +33,7 @@ from unmix_ldvae.model import (
     ModelConfig,
     forward,
     init_params,
+    sample_reconstruction,
 )
 from unmix_ldvae.numcore import (
     NumericError,
@@ -39,7 +41,6 @@ from unmix_ldvae.numcore import (
     Tape,
     Tensor,
     backward,
-    finite_diff_check,
     ops,
 )
 
@@ -225,14 +226,14 @@ def test_bundle_kl_zero_when_prediction_equals_reference():
         np.stack([b.chol_blocks[s] for b in gt])[None] for s in range(2)
     ]
     pred = bundles_from_factors(means, factors)
-    value = kl_bundle(pred, gt, Tensor(np.array([[2.0, 5.0]])))
+    value = kl_bundle(pred, reference_blocks(gt), Tensor(np.array([[2.0, 5.0]])))
     assert abs(value.item()) < 1e-12
 
 
 def test_bundle_kl_scalar_mean_shift():
     gt = [gt_bundle_from_factor(np.array([0.0]), [np.eye(1)], 1)]
     pred = bundles_from_factors(np.array([[[1.0]]]), [np.ones((1, 1, 1, 1))])
-    value = kl_bundle(pred, gt, Tensor(np.array([[3.0]])))
+    value = kl_bundle(pred, reference_blocks(gt), Tensor(np.array([[3.0]])))
     assert value.item() == pytest.approx(0.5, abs=1e-12)
 
 
@@ -241,7 +242,7 @@ def test_bundle_kl_scalar_variance_gap():
     pred = bundles_from_factors(
         np.array([[[0.0]]]), [np.full((1, 1, 1, 1), math.sqrt(2.0))]
     )
-    value = kl_bundle(pred, gt, Tensor(np.array([[1.0]])))
+    value = kl_bundle(pred, reference_blocks(gt), Tensor(np.array([[1.0]])))
     assert value.item() == pytest.approx(0.5 * (2.0 - 1.0 - math.log(2.0)), abs=1e-12)
 
 
@@ -263,7 +264,7 @@ def test_bundle_kl_matches_dense_oracle():
     ]
     alpha = rng.uniform(0.5, 4.0, size=(b, k))
     pred = bundles_from_factors(means, factors)
-    ours = kl_bundle(pred, gt, Tensor(alpha)).item()
+    ours = kl_bundle(pred, reference_blocks(gt), Tensor(alpha)).item()
 
     expected = 0.0
     w = alpha / alpha.sum(axis=1, keepdims=True)
@@ -303,11 +304,12 @@ def test_bundle_kl_invariant_under_joint_permutation():
         np.tril(rng.random((b, k, 2, 2)) * 0.2) + np.eye(2) * 0.4 for _ in range(2)
     ]
     alpha = rng.uniform(0.5, 3.0, size=(b, k))
-    base = kl_bundle(bundles_from_factors(means, factors), gt, Tensor(alpha)).item()
+    pred = bundles_from_factors(means, factors)
+    base = kl_bundle(pred, reference_blocks(gt), Tensor(alpha)).item()
     perm = np.array([2, 0, 1])
     permuted = kl_bundle(
         bundles_from_factors(means[:, perm], [f[:, perm] for f in factors]),
-        [gt[j] for j in perm],
+        reference_blocks([gt[j] for j in perm]),
         Tensor(alpha[:, perm]),
     ).item()
     assert permuted == pytest.approx(base, rel=1e-12)
@@ -322,8 +324,9 @@ def test_bundle_kl_weights_are_scale_invariant():
     factors = [np.tile(np.eye(2) * 0.3, (1, 2, 1, 1))]
     alpha = np.array([[0.4, 1.9]])
     pred = bundles_from_factors(means, factors)
-    a = kl_bundle(pred, gt, Tensor(alpha)).item()
-    b = kl_bundle(pred, gt, Tensor(alpha * 37.0)).item()
+    ref = reference_blocks(gt)
+    a = kl_bundle(pred, ref, Tensor(alpha)).item()
+    b = kl_bundle(pred, ref, Tensor(alpha * 37.0)).item()
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -333,7 +336,7 @@ def test_bundle_kl_rejects_segment_mismatch():
     means = rng.random((1, 1, 4))
     factors = [np.tile(np.eye(4) * 0.3, (1, 1, 1, 1))]
     with pytest.raises(ShapeError):
-        kl_bundle(bundles_from_factors(means, factors), gt, Tensor(np.ones((1, 1))))
+        kl_bundle(bundles_from_factors(means, factors), reference_blocks(gt), Tensor([[1.0]]))
 
 
 def test_bundle_kl_gradients_match_finite_differences():
@@ -347,6 +350,7 @@ def test_bundle_kl_gradients_match_finite_differences():
     base_means = rng.random((2, k, c))
     base_diag = rng.uniform(0.2, 0.8, size=(2, k, c))
     base_off = rng.standard_normal((2, k, 2)) * 0.2
+    ref = reference_blocks(gt)
 
     def rebuild(means_t, diag_t, off_t):
         blocks = []
@@ -368,7 +372,7 @@ def test_bundle_kl_gradients_match_finite_differences():
             }
             parts[which] = p
             pred = rebuild(parts["means"], parts["diag"], parts["off"])
-            return kl_bundle(pred, gt, parts["alpha"])
+            return kl_bundle(pred, ref, parts["alpha"])
 
         base = {"means": base_means, "diag": base_diag, "off": base_off, "alpha": alpha}[which]
         return finite_diff_check(objective, Tensor(base.copy(), requires_grad=True))
@@ -480,13 +484,18 @@ def test_backward_reaches_every_parameter_group():
     patches = rng.random((4, 1, 1, 8))
     x = rng.random((4, 8))
     z_gt = rng.dirichlet([1.0, 1.0], size=4)
-    gt = [
+    reference = reference_blocks([
         gt_bundle_from_factor(rng.random(8), [np.eye(4) * 0.3, np.eye(4) * 0.3], 4)
         for _ in range(2)
-    ]
+    ])
+
+    def losses(epoch):
+        heads = forward(patches, params, config)
+        sampled = sample_reconstruction(heads, params, config, rng=np.random.default_rng(16))
+        return compute_losses(heads, sampled, x, z_gt, reference, LossWeights(), epoch=epoch)
+
     with Tape() as tape:
-        out = forward(patches, params, config, rng=np.random.default_rng(16))
-        total, breakdown = compute_losses(out, x, z_gt, gt, LossWeights(), epoch=0)
+        total, breakdown = losses(0)
         backward(total, tape)
     assert np.isfinite(breakdown.total)
     # The refinement MLP starts with a zero final layer (exact linear-mixing
@@ -496,8 +505,7 @@ def test_backward_reaches_every_parameter_group():
         param.data -= 1e-3 * param.grad
         param.zero_grad()
     with Tape() as tape:
-        out = forward(patches, params, config, rng=np.random.default_rng(16))
-        total, _ = compute_losses(out, x, z_gt, gt, LossWeights(), epoch=1)
+        total, _ = losses(1)
         backward(total, tape)
     for name, param in params.items():
         assert np.any(param.grad != 0.0), f"zero gradient for parameter {name}"
@@ -518,8 +526,11 @@ def test_bundle_kl_reuses_reference_blocks_exactly():
     factors = [0.3 * np.tile(np.eye(seg_len), (3, k, 1, 1)) for _ in range(c // seg_len)]
     alpha = Tensor(0.5 + rng.random((3, k)))
     pred = bundles_from_factors(means, factors)
-    direct = kl_bundle(pred, gt, alpha).item()
-    assert kl_bundle(pred, reference_blocks(gt), alpha).item() == direct
+    reference = reference_blocks(gt)
+    first = kl_bundle(pred, reference, alpha).item()
+    # a training loop builds the blocks once and reuses them for every batch
+    assert kl_bundle(pred, reference, alpha).item() == first
+    assert kl_bundle(pred, reference_blocks(gt), alpha).item() == first
 
 
 def test_reference_blocks_reject_empty_list():

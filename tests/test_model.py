@@ -11,7 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from unmix_ldvae.data import BundleSpec, PatchSource, SceneConfig, synth_scene
+import reference_ops as ref
+from reference_ops import finite_diff_check
+from unmix_ldvae import model as model_module
+from unmix_ldvae.cli import main
+from unmix_ldvae.data import BundleSpec, PatchSource, SceneConfig, save_cube, synth_scene
 from unmix_ldvae.model import (
     DecodedBundles,
     ModelConfig,
@@ -27,10 +31,12 @@ from unmix_ldvae.model import (
     reconstruct,
     sample_abundances,
     sample_endmembers,
+    sample_reconstruction,
     segment_patch_values,
     tokenize_batch,
 )
-from unmix_ldvae.numcore import ShapeError, Tape, Tensor, backward, finite_diff_check, ops
+from unmix_ldvae.numcore import ShapeError, Tape, Tensor, backward, ops
+from unmix_ldvae.train import AdamState, Checkpoint, save_checkpoint
 
 GRAD_TOL = 1e-4
 
@@ -144,14 +150,14 @@ def composed_attention(x, wq, wk, wv, wo, bq, bv, bo, heads):
     e = d // heads
 
     def split(t):
-        return ops.transpose(ops.reshape(t, (b, s, heads, e)), (0, 2, 1, 3))
+        return ref.transpose(ops.reshape(t, (b, s, heads, e)), (0, 2, 1, 3))
 
     q = split(ops.add(ops.matmul(x, wq), bq))
     k = split(ops.matmul(x, wk))
     v = split(ops.add(ops.matmul(x, wv), bv))
-    scores = ops.multiply(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), Tensor(1.0 / math.sqrt(e)))
-    attn = ops.softmax(scores, axis=-1)
-    merged = ops.reshape(ops.transpose(ops.matmul(attn, v), (0, 2, 1, 3)), (b, s, d))
+    scores = ops.multiply(ops.matmul(q, ref.transpose(k, (0, 1, 3, 2))), Tensor(1.0 / math.sqrt(e)))
+    attn = ref.softmax(scores, axis=-1)
+    merged = ops.reshape(ref.transpose(ops.matmul(attn, v), (0, 2, 1, 3)), (b, s, d))
     return ops.add(ops.matmul(merged, wo), bo)
 
 
@@ -162,7 +168,7 @@ def test_attention_rows_sum_to_one(monkeypatch):
     params = init_params(config, np.random.default_rng(5))
     tokens = Tensor(np.random.default_rng(6).random((2, config.n_tokens, config.d)))
     attn_maps = []
-    fused, softmax = ops.attention, ops.softmax
+    fused, softmax = ops.attention, ref.softmax
 
     def capture(*args, **kwargs):
         out = softmax(*args, **kwargs)
@@ -172,7 +178,7 @@ def test_attention_rows_sum_to_one(monkeypatch):
     def checked(*args):
         out = fused(*args)
         with monkeypatch.context() as patch:
-            patch.setattr(ops, "softmax", capture)
+            patch.setattr(ref, "softmax", capture)
             reference = composed_attention(*args)
         np.testing.assert_allclose(out.data, reference.data, rtol=1e-12, atol=1e-12)
         return out
@@ -468,40 +474,44 @@ def test_forward_shapes_and_invariants():
     config = small_config()
     params = init_params(config, np.random.default_rng(13))
     patches = np.random.default_rng(14).random((5, 3, 3, 20))
-    out = forward(patches, params, config, rng=np.random.default_rng(15))
-    assert out.x_latent.shape == (5, config.d)
-    assert out.alpha_hat.shape == (5, 3)
-    assert out.z_hat.shape == (5, 3)
-    assert out.sampled_endmembers.shape == (5, 3, 20)
-    assert out.x_recon.shape == (5, 20)
-    assert np.all(out.alpha_hat.data >= config.eps_alpha)
-    assert np.abs(out.z_hat.data.sum(axis=1) - 1.0).max() < 1e-9
-    assert np.abs(out.z_mean.data.sum(axis=1) - 1.0).max() < 1e-9
-    for value in (out.x_latent, out.alpha_hat, out.z_hat, out.x_recon):
+    heads = forward(patches, params, config)
+    sampled = sample_reconstruction(heads, params, config, rng=np.random.default_rng(15))
+    assert heads.alpha_hat.shape == (5, 3)
+    assert heads.z_mean.shape == (5, 3)
+    assert heads.bundles.means.shape == (5, 3, 20)
+    assert sampled.z_hat.shape == (5, 3)
+    assert sampled.endmembers.shape == (5, 3, 20)
+    assert sampled.x_recon.shape == (5, 20)
+    assert np.all(heads.alpha_hat.data >= config.eps_alpha)
+    assert np.abs(sampled.z_hat.data.sum(axis=1) - 1.0).max() < 1e-9
+    assert np.abs(heads.z_mean.data.sum(axis=1) - 1.0).max() < 1e-9
+    for value in (heads.alpha_hat, heads.z_mean, sampled.z_hat, sampled.x_recon):
         assert np.isfinite(value.data).all()
 
 
 def test_forward_eval_mode_is_deterministic_and_uses_means():
+    """forward draws nothing: two calls agree bit for bit, and its abundances
+    are the Dirichlet mean of its concentrations."""
     config = small_config()
     params = init_params(config, np.random.default_rng(16))
     patches = np.random.default_rng(17).random((3, 3, 3, 20))
-    a = forward(patches, params, config, sample=False)
-    b = forward(patches, params, config, sample=False)
-    np.testing.assert_array_equal(a.x_recon.data, b.x_recon.data)
-    np.testing.assert_array_equal(a.z_hat.data, a.z_mean.data)
-    np.testing.assert_array_equal(a.sampled_endmembers.data, a.bundles.means.data)
-    assert a.noise is None
+    a = forward(patches, params, config)
+    b = forward(patches, params, config)
+    np.testing.assert_array_equal(a.z_mean.data, b.z_mean.data)
+    np.testing.assert_array_equal(a.bundles.means.data, b.bundles.means.data)
+    np.testing.assert_array_equal(a.z_mean.data, dirichlet_mean(a.alpha_hat).data)
 
 
 def test_forward_with_seed_is_bit_reproducible():
     config = small_config()
     params = init_params(config, np.random.default_rng(18))
     patches = np.random.default_rng(19).random((3, 3, 3, 20))
-    a = forward(patches, params, config, rng=np.random.default_rng(42))
-    b = forward(patches, params, config, rng=np.random.default_rng(42))
+    heads = forward(patches, params, config)
+    a = sample_reconstruction(heads, params, config, rng=np.random.default_rng(42))
+    b = sample_reconstruction(heads, params, config, rng=np.random.default_rng(42))
     np.testing.assert_array_equal(a.z_hat.data, b.z_hat.data)
     np.testing.assert_array_equal(a.x_recon.data, b.x_recon.data)
-    c = forward(patches, params, config, rng=np.random.default_rng(43))
+    c = sample_reconstruction(heads, params, config, rng=np.random.default_rng(43))
     assert not np.array_equal(c.z_hat.data, a.z_hat.data)
 
 
@@ -509,8 +519,9 @@ def test_forward_replays_exactly_from_noise_cache():
     config = small_config()
     params = init_params(config, np.random.default_rng(20))
     patches = np.random.default_rng(21).random((3, 3, 3, 20))
-    first = forward(patches, params, config, rng=np.random.default_rng(0))
-    replay = forward(patches, params, config, noise=first.noise)
+    heads = forward(patches, params, config)
+    first = sample_reconstruction(heads, params, config, rng=np.random.default_rng(0))
+    replay = sample_reconstruction(heads, params, config, noise=first.noise)
     np.testing.assert_array_equal(first.z_hat.data, replay.z_hat.data)
     np.testing.assert_array_equal(first.x_recon.data, replay.x_recon.data)
 
@@ -520,8 +531,9 @@ def test_full_pipeline_gradients_for_every_parameter_group():
     params = init_params(config, np.random.default_rng(22))
     rng = np.random.default_rng(23)
     patches = rng.random((2, 1, 1, 8))
-    probe = forward(patches, params, config, rng=np.random.default_rng(24))
-    noise = probe.noise
+    noise = sample_reconstruction(
+        forward(patches, params, config), params, config, rng=np.random.default_rng(24)
+    ).noise
     w_recon = rng.random((2, 8))
     w_z = rng.random((2, 2))
     w_alpha = rng.random((2, 2))
@@ -532,14 +544,15 @@ def test_full_pipeline_gradients_for_every_parameter_group():
         def objective(p):
             trial = dict(params)
             trial[name] = p
-            out = forward(patches, trial, config, noise=noise)
-            total = ops.sum_reduce(ops.multiply(out.x_recon, Tensor(w_recon)))
-            total = ops.add(total, ops.sum_reduce(ops.multiply(out.z_hat, Tensor(w_z))))
-            total = ops.add(total, ops.sum_reduce(ops.multiply(out.alpha_hat, Tensor(w_alpha))))
+            heads = forward(patches, trial, config)
+            sampled = sample_reconstruction(heads, trial, config, noise=noise)
+            total = ops.sum_reduce(ops.multiply(sampled.x_recon, Tensor(w_recon)))
+            total = ops.add(total, ops.sum_reduce(ops.multiply(sampled.z_hat, Tensor(w_z))))
+            total = ops.add(total, ops.sum_reduce(ops.multiply(heads.alpha_hat, Tensor(w_alpha))))
             total = ops.add(
-                total, ops.sum_reduce(ops.multiply(out.bundles.chol_diag, Tensor(w_diag)))
+                total, ops.sum_reduce(ops.multiply(heads.bundles.chol_diag, Tensor(w_diag)))
             )
-            for block, w_block in zip(out.bundles.chol_blocks, w_blocks):
+            for block, w_block in zip(heads.bundles.chol_blocks, w_blocks):
                 total = ops.add(total, ops.sum_reduce(ops.multiply(block, Tensor(w_block))))
             return total
 
@@ -592,10 +605,42 @@ def test_predict_cube_blocks_are_the_pixel_mean_of_the_decoded_blocks():
     indices = np.array([0, 3, 7, 11, 19])
     prediction = predict_cube(params, config, scene, indices, batch_size=2)
     patches = PatchSource(scene, config.patch).batch(indices)
-    out = forward(patches, params, config, sample=False)
-    assert len(prediction.chol_blocks) == len(out.bundles.chol_blocks) == 3
-    for block, decoded in zip(prediction.chol_blocks, out.bundles.chol_blocks):
+    bundles = forward(patches, params, config).bundles
+    assert len(prediction.chol_blocks) == len(bundles.chol_blocks) == 3
+    for block, decoded in zip(prediction.chol_blocks, bundles.chol_blocks):
         np.testing.assert_allclose(block, decoded.data.mean(axis=0), rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(
-        prediction.endmember_means, out.bundles.means.data.mean(axis=0), rtol=1e-12, atol=1e-15
+        prediction.endmember_means, bundles.means.data.mean(axis=0), rtol=1e-12, atol=1e-15
     )
+
+
+def test_predict_cube_stops_at_the_heads(monkeypatch, tmp_path, capsys):
+    """Inference reads only the heads: with the samplers and the refinement
+    MLP made to raise, predict_cube and the unmix command still succeed."""
+    config = ModelConfig(patch=3, bands=12, k=3, seg_len=4, d=8, layers=1, heads=2, ff_dim=16)
+    params = init_params(config, np.random.default_rng(29))
+    scene = synth_scene(
+        SceneConfig(height=4, width=5, bands=12, k=3, seg_len=4), np.random.default_rng(30)
+    )
+    save_cube(scene, tmp_path / "scene")
+    checkpoint = Checkpoint(
+        params=params,
+        opt=AdamState.zeros(params),
+        epoch=0,
+        rng_state=np.random.default_rng(0).bit_generator.state,
+        model=config,
+        seed=0,
+    )
+    save_checkpoint(tmp_path / "model.ldvt", checkpoint)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("inference reached a training-time sampler")
+
+    for name in ("reconstruct", "sample_abundances", "sample_endmembers"):
+        monkeypatch.setattr(model_module, name, forbidden)
+    prediction = predict_cube(params, config, scene)
+    assert np.abs(prediction.abundances.sum(axis=1) - 1.0).max() < 1e-9
+    rc = main(["unmix", "--checkpoint", str(tmp_path / "model.ldvt"),
+               "--data", str(tmp_path / "scene"), "--out", str(tmp_path / "out")])
+    assert rc == 0, capsys.readouterr().err
+    assert (tmp_path / "out" / "bundles.json").exists()

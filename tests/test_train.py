@@ -16,8 +16,14 @@ from unmix_ldvae.data import (
     SplitSpec,
     synth_scene,
 )
-from unmix_ldvae.losses import LossBreakdown, LossWeights, compute_losses
-from unmix_ldvae.model import ModelConfig, NoiseCache, forward, init_params
+from unmix_ldvae.losses import LossBreakdown, LossWeights, compute_losses, reference_blocks
+from unmix_ldvae.model import (
+    ModelConfig,
+    NoiseCache,
+    forward,
+    init_params,
+    sample_reconstruction,
+)
 from unmix_ldvae.numcore import GammaNoise, Tape, Tensor, backward
 from unmix_ldvae.train import (
     ADAM_CHUNK,
@@ -411,16 +417,17 @@ def test_batch_gradient_is_mean_of_single_sample_gradients():
     x = patches[:, 0, 0, :]
     z_gt = rng.dirichlet([1.0, 1.0], size=3)
     weights = LossWeights()
-    bundles = toy_bundles()
+    reference = reference_blocks(toy_bundles())
 
     with Tape() as tape:
-        out = forward(patches, params, config, rng=np.random.default_rng(14))
-        total, _ = compute_losses(out, x, z_gt, bundles, weights, epoch=0)
+        heads = forward(patches, params, config)
+        sampled = sample_reconstruction(heads, params, config, rng=np.random.default_rng(14))
+        total, _ = compute_losses(heads, sampled, x, z_gt, reference, weights, epoch=0)
         for p in params.values():
             p.zero_grad()
         backward(total, tape)
     batch_grads = {name: p.grad.copy() for name, p in params.items()}
-    noise = out.noise
+    noise = sampled.noise
 
     summed = {name: np.zeros_like(p.data) for name, p in params.items()}
     for i in range(3):
@@ -433,9 +440,10 @@ def test_batch_gradient_is_mean_of_single_sample_gradients():
             endmember_eps=noise.endmember_eps[i : i + 1],
         )
         with Tape() as tape:
-            out_i = forward(patches[i : i + 1], params, config, noise=row)
+            heads_i = forward(patches[i : i + 1], params, config)
+            sampled_i = sample_reconstruction(heads_i, params, config, noise=row)
             total_i, _ = compute_losses(
-                out_i, x[i : i + 1], z_gt[i : i + 1], bundles, weights, epoch=0
+                heads_i, sampled_i, x[i : i + 1], z_gt[i : i + 1], reference, weights, epoch=0
             )
             for p in params.values():
                 p.zero_grad()
