@@ -77,9 +77,9 @@ class EndmemberBundle:
     def cov_blocks(self) -> list[np.ndarray]:
         return [b @ b.T for b in self.chol_blocks]
 
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        """Draw spectra, segment by segment: mean + L @ eps."""
-        n = 1 if size is None else int(size)
+    def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
+        """Draw (size, C) spectra, segment by segment: mean + L @ eps."""
+        n = int(size)
         out = np.empty((n, self.bands))
         start = 0
         for block in self.chol_blocks:
@@ -87,7 +87,7 @@ class EndmemberBundle:
             eps = rng.standard_normal((n, m))
             out[:, start : start + m] = self.mean[start : start + m] + eps @ block.T
             start += m
-        return out[0] if size is None else out
+        return out
 
 
 @dataclass
@@ -324,11 +324,17 @@ class SplitSpec:
 
     train_fraction: float = 0.2
     seed: int = 0
-    train_indices: np.ndarray | None = None
-    test_indices: np.ndarray | None = None
 
 
-def split_pixels(n_pixels: int, spec: SplitSpec) -> SplitSpec:
+@dataclass
+class PixelSplit:
+    """The sorted pixel indices ``split_pixels`` assigns to each side."""
+
+    train_indices: np.ndarray
+    test_indices: np.ndarray
+
+
+def split_pixels(n_pixels: int, spec: SplitSpec) -> PixelSplit:
     """Disjoint, exhaustive split with |train| = round(train_fraction * N)."""
     if n_pixels < 1:
         raise DataError(f"cannot split {n_pixels} pixels")
@@ -339,9 +345,7 @@ def split_pixels(n_pixels: int, spec: SplitSpec) -> SplitSpec:
     rng = np.random.default_rng(spec.seed)
     perm = rng.permutation(n_pixels)
     n_train = int(round(spec.train_fraction * n_pixels))
-    return SplitSpec(
-        train_fraction=spec.train_fraction,
-        seed=spec.seed,
+    return PixelSplit(
         train_indices=np.sort(perm[:n_train]),
         test_indices=np.sort(perm[n_train:]),
     )

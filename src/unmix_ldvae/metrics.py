@@ -39,12 +39,11 @@ def sad(e_hat: np.ndarray, e: np.ndarray) -> float:
     return float(2.0 * np.arctan2(np.linalg.norm(u - v), np.linalg.norm(u + v)))
 
 
-def rmse_abundance(z_hat: np.ndarray, z_gt: np.ndarray, per_endmember: bool = False):
-    """Root mean square abundance error.
-
-    Overall: sqrt(mean over pixels of squared vector error). Per endmember:
-    sqrt(mean over pixels of that coordinate's squared error); the overall
-    value satisfies overall^2 = sum of per-endmember values squared.
+def rmse_abundance(z_hat: np.ndarray, z_gt: np.ndarray) -> np.ndarray:
+    """Root mean square abundance error per endmember: sqrt(mean over pixels
+    of that coordinate's squared error). The overall RMSE, sqrt(mean over
+    pixels of the squared vector error), is the root of the sum of their
+    squares.
     """
     z_hat = np.atleast_2d(np.asarray(z_hat, dtype=np.float64))
     z_gt = np.atleast_2d(np.asarray(z_gt, dtype=np.float64))
@@ -52,10 +51,7 @@ def rmse_abundance(z_hat: np.ndarray, z_gt: np.ndarray, per_endmember: bool = Fa
         raise MetricsError(f"abundance shapes differ: {z_hat.shape} vs {z_gt.shape}")
     if z_hat.shape[0] < 1:
         raise MetricsError("need at least one pixel")
-    sq = (z_hat - z_gt) ** 2
-    if per_endmember:
-        return np.sqrt(sq.mean(axis=0))
-    return float(np.sqrt(sq.sum(axis=1).mean()))
+    return np.sqrt(((z_hat - z_gt) ** 2).mean(axis=0))
 
 
 def match_endmembers(pred_means: np.ndarray, gt_means: np.ndarray) -> np.ndarray:
@@ -118,7 +114,7 @@ def evaluate(
         [sad(pred_endmember_means[pred_for_gt[j]], gt_means[j]) for j in range(k)]
     )
     matched_z = pred_abundances[:, pred_for_gt]
-    rmse_scores = rmse_abundance(matched_z, z_gt, per_endmember=True)
+    rmse_scores = rmse_abundance(matched_z, z_gt)
     return EvalReport(
         per_endmember_sad=sad_scores,
         per_endmember_rmse=rmse_scores,
@@ -126,7 +122,7 @@ def evaluate(
         avg_rmse=float(rmse_scores.mean()),
         assignment=assignment,
         names=[b.name for b in cube.gt_bundles],
-        overall_rmse=rmse_abundance(matched_z, z_gt),
+        overall_rmse=float(np.sqrt((rmse_scores**2).sum())),
     )
 
 

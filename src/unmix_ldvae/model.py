@@ -87,11 +87,8 @@ class ModelConfig:
     def cov_segment_sizes(self) -> list[int]:
         return segment_sizes(self.bands, self.seg_len)
 
-    def cov_offdiag_sizes(self) -> list[int]:
-        return [m * (m - 1) // 2 for m in self.cov_segment_sizes()]
-
     def decoder_out_per_endmember(self) -> int:
-        return 2 * self.bands + sum(self.cov_offdiag_sizes())
+        return 2 * self.bands + sum(m * (m - 1) // 2 for m in self.cov_segment_sizes())
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -272,11 +269,14 @@ def sample_abundances(alpha: Tensor, rng=None, noise: GammaNoise | None = None):
 
 @dataclass
 class DecodedBundles:
-    """Per-patch endmember Gaussians, batched over pixels."""
+    """Per-patch endmember Gaussians, batched over pixels. The covariance of
+    each endmember is block-diagonal over the spectral segments; its
+    Cholesky blocks are stacked, a short last segment padded with the
+    identity (see ``ops.tril_blocks``)."""
 
     means: Tensor  # (B, K, C)
     chol_diag: Tensor  # (B, K, C) strictly positive
-    chol_blocks: list  # per segment: Tensor (B, K, m, m)
+    chol_blocks: Tensor  # (B, K, n_seg, seg_len, seg_len) lower-triangular
 
 
 def decode_bundles(x_latent: Tensor, params: dict, config: ModelConfig) -> DecodedBundles:
@@ -290,20 +290,13 @@ def decode_bundles(x_latent: Tensor, params: dict, config: ModelConfig) -> Decod
     diag_raw = ops.slice_(out, (Ellipsis, slice(c, 2 * c)))
     diag = ops.add(ops.softplus(diag_raw), Tensor(config.eps_chol))
     off = ops.slice_(out, (Ellipsis, slice(2 * c, per)))
-    blocks = []
-    c0 = 0
-    o0 = 0
-    for m, t in zip(config.cov_segment_sizes(), config.cov_offdiag_sizes()):
-        diag_seg = ops.slice_(diag, (Ellipsis, slice(c0, c0 + m)))
-        off_seg = ops.slice_(off, (Ellipsis, slice(o0, o0 + t)))
-        blocks.append(ops.tril_compose(diag_seg, off_seg, m))
-        c0 += m
-        o0 += t
+    blocks = ops.tril_blocks(diag, off, config.cov_segment_sizes())
     return DecodedBundles(means=means, chol_diag=diag, chol_blocks=blocks)
 
 
 def sample_endmembers(bundles: DecodedBundles, config: ModelConfig, rng=None, eps=None):
-    """Reparameterized spectra draws: mean + L @ eps per segment.
+    """Reparameterized spectra draws: mean + L @ eps, all segments in one
+    batched matmul over the zero-padded noise.
     Returns (endmembers (B, K, C), eps) for replay."""
     b, k, c = bundles.means.shape
     if eps is None:
@@ -312,14 +305,14 @@ def sample_endmembers(bundles: DecodedBundles, config: ModelConfig, rng=None, ep
         eps = rng.standard_normal((b, k, c))
     if eps.shape != (b, k, c):
         raise ShapeError(f"endmember noise shape {eps.shape} does not match {(b, k, c)}")
-    pieces = []
-    c0 = 0
-    for m, block in zip(config.cov_segment_sizes(), bundles.chol_blocks):
-        seg_eps = Tensor(eps[:, :, c0 : c0 + m].reshape(b, k, m, 1))
-        drawn = ops.matmul(block, seg_eps)
-        pieces.append(ops.reshape(drawn, (b, k, m)))
-        c0 += m
-    return ops.add(bundles.means, ops.concat(pieces, axis=-1)), eps
+    n_seg, width = config.n_segments, config.seg_len
+    padded = np.zeros((b, k, n_seg * width))
+    padded[..., :c] = eps
+    drawn = ops.matmul(bundles.chol_blocks, Tensor(padded.reshape(b, k, n_seg, width, 1)))
+    drawn = ops.reshape(drawn, (b, k, n_seg * width))
+    if n_seg * width != c:
+        drawn = ops.slice_(drawn, (Ellipsis, slice(0, c)))
+    return ops.add(bundles.means, drawn), eps
 
 
 def reconstruct(z: Tensor, endmembers: Tensor, params: dict) -> Tensor:
@@ -329,11 +322,11 @@ def reconstruct(z: Tensor, endmembers: Tensor, params: dict) -> Tensor:
     c = endmembers.shape[-1]
     mixed = ops.reshape(ops.matmul(ops.reshape(z, (b, 1, k)), endmembers), (b, c))
     pre = ops.add(
-        ops.add(ops.matmul(mixed, params["dec2.wm"]), ops.matmul(z, params["dec2.wz"])),
-        params["dec2.b1"],
+        ops.linear(mixed, params["dec2.wm"], params["dec2.b1"]),
+        ops.matmul(z, params["dec2.wz"]),
     )
     hidden = ops.relu(pre)
-    return ops.add(ops.add(mixed, ops.matmul(hidden, params["dec2.w2"])), params["dec2.b2"])
+    return ops.add(mixed, ops.linear(hidden, params["dec2.w2"], params["dec2.b2"]))
 
 
 # ---------------------------------------------------------------------------
@@ -428,16 +421,18 @@ def predict_cube(
     indices = np.asarray(indices, dtype=np.int64)
     abundances = np.empty((indices.size, config.k))
     mean_sum = np.zeros((config.k, config.bands))
-    block_sums = [np.zeros((config.k, m, m)) for m in config.cov_segment_sizes()]
+    block_sum = np.zeros((config.k, config.n_segments, config.seg_len, config.seg_len))
     for start in range(0, indices.size, batch_size):
         batch_idx = indices[start : start + batch_size]
         heads = forward(source.batch(batch_idx), params, config)
         abundances[start : start + batch_idx.size] = heads.z_mean.data
         mean_sum += heads.bundles.means.data.sum(axis=0)
-        for block_sum, block in zip(block_sums, heads.bundles.chol_blocks):
-            block_sum += block.data.sum(axis=0)
+        block_sum += heads.bundles.chol_blocks.data.sum(axis=0)
     return Prediction(
         abundances=abundances,
         endmember_means=mean_sum / indices.size,
-        chol_blocks=[block_sum / indices.size for block_sum in block_sums],
+        chol_blocks=[
+            block_sum[:, s, :m, :m] / indices.size
+            for s, m in enumerate(config.cov_segment_sizes())
+        ],
     )

@@ -24,7 +24,7 @@ from .ops import (
     softplus,
     subtract,
     sum_reduce,
-    tril_compose,
+    tril_blocks,
 )
 from .tensor import NumericError, ShapeError, Tape, Tensor, backward
 
@@ -56,5 +56,5 @@ __all__ = [
     "softplus",
     "subtract",
     "sum_reduce",
-    "tril_compose",
+    "tril_blocks",
 ]

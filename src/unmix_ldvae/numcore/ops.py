@@ -341,33 +341,45 @@ def slice_(a, index) -> Tensor:
     return _finish("slice", (a,), out, vjp)
 
 
-def tril_compose(diag, off, size: int) -> Tensor:
-    """Lower-triangular (..., size, size) matrices from a diagonal part
-    (..., size) and strictly-lower entries (..., size*(size-1)//2) packed in
-    row-major order."""
+def tril_blocks(diag, off, sizes) -> Tensor:
+    """Stacked lower-triangular blocks (..., n_seg, L, L), L = max(sizes),
+    from a diagonal part (..., sum(sizes)) and strictly-lower entries
+    (..., sum(m*(m-1)//2)) packed block by block in row-major order. A block
+    of size m < L is padded with the identity, so its Cholesky factor and
+    covariance are those of the m x m block next to L - m unit variances.
+
+    One flat index places the concatenated inputs in the flattened stack:
+    the forward is one scatter and the vjp one gather, which never reads the
+    padding."""
     diag, off = _as_tensor(diag), _as_tensor(off)
-    n_off = size * (size - 1) // 2
-    if diag.shape[-1:] != (size,):
-        raise ShapeError(f"tril_compose: diagonal shape {diag.shape} does not end in {size}")
+    n_diag = sum(sizes)
+    n_off = sum(m * (m - 1) // 2 for m in sizes)
+    if diag.shape[-1:] != (n_diag,):
+        raise ShapeError(f"tril_blocks: diagonal shape {diag.shape} does not end in {n_diag}")
     if off.shape[-1:] != (n_off,):
-        raise ShapeError(f"tril_compose: off-diagonal shape {off.shape} does not end in {n_off}")
+        raise ShapeError(f"tril_blocks: off-diagonal shape {off.shape} does not end in {n_off}")
     if diag.shape[:-1] != off.shape[:-1]:
         raise ShapeError(
-            f"tril_compose: leading shapes differ, {diag.shape[:-1]} vs {off.shape[:-1]}"
+            f"tril_blocks: leading shapes differ, {diag.shape[:-1]} vs {off.shape[:-1]}"
         )
-    rows, cols = np.tril_indices(size, -1)
-    idx = np.arange(size)
-    out = np.zeros(diag.shape[:-1] + (size, size))
-    out[..., idx, idx] = diag.data
-    if n_off:
-        out[..., rows, cols] = off.data
+    width = max(sizes)
+    diag_idx, off_idx = [], []
+    for s, m in enumerate(sizes):
+        rows, cols = np.tril_indices(m, -1)
+        diag_idx.append(s * width * width + (width + 1) * np.arange(m))
+        off_idx.append(s * width * width + width * rows + cols)
+    index = np.concatenate(diag_idx + off_idx)
+    lead = diag.shape[:-1]
+    out = np.zeros(lead + (len(sizes), width, width))
+    # every diagonal starts at one; the scatter overwrites all but the padding
+    out[..., np.arange(width), np.arange(width)] = 1.0
+    out.reshape(lead + (-1,))[..., index] = np.concatenate([diag.data, off.data], axis=-1)
 
     def vjp(g):
-        gd = g[..., idx, idx]
-        go = g[..., rows, cols] if n_off else np.zeros_like(off.data)
-        return gd, go
+        packed = g.reshape(lead + (-1,))[..., index]
+        return packed[..., :n_diag], packed[..., n_diag:]
 
-    return _finish("tril_compose", (diag, off), out, vjp)
+    return _finish("tril_blocks", (diag, off), out, vjp)
 
 
 # pointwise nonlinearities

@@ -1,4 +1,5 @@
-"""Test-only primitives and the finite-difference gradient checker.
+"""Test-only primitives, the finite-difference gradient checker and a
+builder of stacked Cholesky blocks from per-segment factors.
 
 The package does not call these. Tests build oracles from them, such as
 attention composed from single-purpose primitives, and check every vjp
@@ -12,6 +13,19 @@ import numpy as np
 
 from unmix_ldvae.numcore import NumericError, ShapeError, Tape, Tensor, backward
 from unmix_ldvae.numcore.ops import _as_tensor, _finish
+
+
+def stack_factors(factors) -> np.ndarray:
+    """Per-segment (..., m, m) Cholesky factors stacked as (..., n_seg, L, L),
+    L the largest m, each shorter block padded with the identity: the layout
+    of ``DecodedBundles.chol_blocks``."""
+    width = max(f.shape[-1] for f in factors)
+    lead = factors[0].shape[:-2]
+    out = np.broadcast_to(np.eye(width), lead + (len(factors), width, width)).copy()
+    for s, f in enumerate(factors):
+        m = f.shape[-1]
+        out[..., s, :m, :m] = f
+    return out
 
 
 def negate(a) -> Tensor:

@@ -26,7 +26,7 @@ import pytest
 from scipy.special import gammaln
 
 import reference_ops as ref
-from reference_ops import finite_diff_check
+from reference_ops import finite_diff_check, stack_factors
 from unmix_ldvae.data import (
     EndmemberBundle,
     SceneConfig,
@@ -67,18 +67,10 @@ def _report(n: int, ok: bool, detail: str) -> None:
 
 
 def bundles_from_factors(means, factors):
-    """DecodedBundles with explicit (B, K, m, m) Cholesky factors."""
-    diag_parts = []
-    blocks = []
-    for l in factors:
-        m = l.shape[-1]
-        idx = np.arange(m)
-        diag_parts.append(l[..., idx, idx])
-        blocks.append(Tensor(l))
+    """DecodedBundles with explicit per-segment (B, K, m, m) Cholesky factors."""
+    diag = np.concatenate([np.diagonal(l, axis1=-2, axis2=-1) for l in factors], axis=-1)
     return DecodedBundles(
-        means=Tensor(means),
-        chol_diag=Tensor(np.concatenate(diag_parts, axis=-1)),
-        chol_blocks=blocks,
+        means=Tensor(means), chol_diag=Tensor(diag), chol_blocks=Tensor(stack_factors(factors))
     )
 
 
@@ -321,16 +313,16 @@ def test_criterion_04_gradient_suite():
     tri_off = rng.random((2, 3)) - 0.5
     entries.append(
         (
-            "tril_compose-diag",
+            "tril_blocks-diag",
             tri_diag,
-            weighted(lambda p: ops.tril_compose(p, Tensor(tri_off), 3), w_shape=(2, 3, 3)),
+            weighted(lambda p: ops.tril_blocks(p, Tensor(tri_off), [3]), w_shape=(2, 1, 3, 3)),
         )
     )
     entries.append(
         (
-            "tril_compose-off",
+            "tril_blocks-off",
             tri_off,
-            weighted(lambda p: ops.tril_compose(Tensor(tri_diag), p, 3), w_shape=(2, 3, 3)),
+            weighted(lambda p: ops.tril_blocks(Tensor(tri_diag), p, [3]), w_shape=(2, 1, 3, 3)),
         )
     )
     entries.append(("exp", rng.random((2, 3)) - 0.5, weighted(ref.exp, w_shape=(2, 3))))
@@ -446,21 +438,10 @@ def test_criterion_04_gradient_suite():
             diag_t = p if which == "diag" else Tensor(diag0)
             off_t = p if which == "off" else Tensor(off0)
             means_t = p if which == "means" else Tensor(means0)
-            blocks = []
-            c0 = o0 = 0
-            for size in kb_sizes:
-                n_off = size * (size - 1) // 2
-                blocks.append(
-                    ops.tril_compose(
-                        ops.slice_(diag_t, (Ellipsis, slice(c0, c0 + size))),
-                        ops.slice_(off_t, (Ellipsis, slice(o0, o0 + n_off))),
-                        size,
-                    )
-                )
-                c0 += size
-                o0 += n_off
             pred = DecodedBundles(
-                means=means_t, chol_diag=diag_t, chol_blocks=blocks
+                means=means_t,
+                chol_diag=diag_t,
+                chol_blocks=ops.tril_blocks(diag_t, off_t, kb_sizes),
             )
             return kl_bundle(pred, ref_small, Tensor(alpha0))
 
@@ -620,14 +601,13 @@ def test_criterion_06_metric_exactness():
         (sad(np.array([1.0, 0.0]), np.array([0.0, 1.0])), np.pi / 2),
         (sad(np.array([1.0, 1.0]), np.array([1.0, 0.0])), np.pi / 4),
         (
-            rmse_abundance(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])),
+            np.sqrt((rmse_abundance(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])) ** 2).sum()),
             np.sqrt(2.0),
         ),
     ]
     per = rmse_abundance(
         np.array([[0.6, 0.4], [0.5, 0.5]]),
         np.array([[0.5, 0.5], [0.2, 0.8]]),
-        per_endmember=True,
     )
     checks.append((per[0], np.sqrt(0.05)))
     checks.append((per[1], np.sqrt(0.05)))

@@ -119,16 +119,16 @@ def gradient_cases():
     tri_off = _x((2, 3), 43)
     cases.append(
         (
-            "tril_compose_diag",
-            lambda t: weighted(nc.tril_compose(t, Tensor(tri_off), 3), _w((2, 3, 3))),
+            "tril_blocks_diag",
+            lambda t: weighted(nc.tril_blocks(t, Tensor(tri_off), [3]), _w((2, 1, 3, 3))),
             _pos((2, 3), 44),
         )
     )
     tri_diag = _pos((2, 3), 45)
     cases.append(
         (
-            "tril_compose_off",
-            lambda t: weighted(nc.tril_compose(Tensor(tri_diag), t, 3), _w((2, 3, 3))),
+            "tril_blocks_off",
+            lambda t: weighted(nc.tril_blocks(Tensor(tri_diag), t, [3]), _w((2, 1, 3, 3))),
             _x((2, 3), 46),
         )
     )

@@ -506,6 +506,18 @@ def test_train_config_of_the_wrong_type_is_one_json_error(ws, capsys, tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
+def test_split_indices_are_not_config_keys(ws, capsys, tmp_path):
+    """A split is computed from its fraction and seed; index lists in the
+    config would be ignored, so they are unknown keys."""
+    config = tmp_path / "config.json"
+    split = {"train_indices": [0, 1, 2], "test_indices": "nonsense"}
+    config.write_text(json.dumps({**TRAIN_CFG, "split": split}))
+    rc = main(["train", "--data", str(ws / "data" / "scene"), "--out", str(tmp_path / "out"),
+               "--config", str(config)])
+    assert one_json_error(capsys, rc, 2, "usage") == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
     config = tmp_path / "config.json"
     config.write_bytes(b"\xff\xfe" + json.dumps(SCENE_CFG).encode("utf-16-le"))

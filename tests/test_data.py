@@ -108,9 +108,9 @@ def test_bundle_sample_moments_match_requested_gaussian():
     assert abs(np.var(draws[:, 2]) - 0.04) < 1e-3
 
 
-def test_bundle_sample_without_size_returns_vector():
+def test_bundle_sample_without_size_returns_one_row():
     bundle = EndmemberBundle("b", np.zeros(3), [np.eye(2), np.eye(1)], seg_len=2)
-    assert bundle.sample(np.random.default_rng(0)).shape == (3,)
+    assert bundle.sample(np.random.default_rng(0)).shape == (1, 3)
 
 
 def test_bundle_json_round_trip_is_exact():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from reference_ops import finite_diff_check
+from reference_ops import finite_diff_check, stack_factors
 from unmix_ldvae.data import EndmemberBundle
 from unmix_ldvae.losses import (
     LossError,
@@ -66,18 +66,10 @@ def closed_form_dirichlet_kl(a, p):
 
 
 def bundles_from_factors(means, factors):
-    """DecodedBundles with explicit (B, K, m, m) Cholesky factors."""
-    diag_parts = []
-    blocks = []
-    for l in factors:
-        m = l.shape[-1]
-        idx = np.arange(m)
-        diag_parts.append(l[..., idx, idx])
-        blocks.append(Tensor(l))
+    """DecodedBundles with explicit per-segment (B, K, m, m) Cholesky factors."""
+    diag = np.concatenate([np.diagonal(l, axis1=-2, axis2=-1) for l in factors], axis=-1)
     return DecodedBundles(
-        means=Tensor(means),
-        chol_diag=Tensor(np.concatenate(diag_parts, axis=-1)),
-        chol_blocks=blocks,
+        means=Tensor(means), chol_diag=Tensor(diag), chol_blocks=Tensor(stack_factors(factors))
     )
 
 
@@ -247,48 +239,46 @@ def test_bundle_kl_scalar_variance_gap():
 
 
 def test_bundle_kl_matches_dense_oracle():
+    """Two full segments, then a truncated last segment that the stacked
+    blocks pad with the identity, against a dense inverse and slogdet."""
     rng = np.random.default_rng(8)
-    b, k, seg_len, n_seg = 3, 2, 3, 2
-    c = seg_len * n_seg
-    gt = []
-    for _ in range(k):
-        factors = [
-            np.tril(rng.random((seg_len, seg_len)) * 0.3) + np.eye(seg_len) * 0.6
-            for _ in range(n_seg)
-        ]
-        gt.append(gt_bundle_from_factor(rng.random(c), factors, seg_len))
-    means = rng.random((b, k, c))
-    factors = [
-        np.tril(rng.random((b, k, seg_len, seg_len)) * 0.3) + np.eye(seg_len) * 0.4
-        for _ in range(n_seg)
-    ]
-    alpha = rng.uniform(0.5, 4.0, size=(b, k))
-    pred = bundles_from_factors(means, factors)
-    ours = kl_bundle(pred, reference_blocks(gt), Tensor(alpha)).item()
+    b, k = 3, 2
+    for sizes in ([3, 3], [3, 3, 2]):
+        c = sum(sizes)
+        gt = []
+        for _ in range(k):
+            factors = [np.tril(rng.random((m, m)) * 0.3) + np.eye(m) * 0.6 for m in sizes]
+            gt.append(gt_bundle_from_factor(rng.random(c), factors, sizes[0]))
+        means = rng.random((b, k, c))
+        factors = [np.tril(rng.random((b, k, m, m)) * 0.3) + np.eye(m) * 0.4 for m in sizes]
+        alpha = rng.uniform(0.5, 4.0, size=(b, k))
+        pred = bundles_from_factors(means, factors)
+        ours = kl_bundle(pred, reference_blocks(gt), Tensor(alpha)).item()
 
-    expected = 0.0
-    w = alpha / alpha.sum(axis=1, keepdims=True)
-    for i in range(b):
-        for j in range(k):
-            kl_jk = 0.0
-            for s in range(n_seg):
-                lo = s * seg_len
-                hi = lo + seg_len
-                sig_gt = gt[j].chol_blocks[s] @ gt[j].chol_blocks[s].T
-                l_hat = factors[s][i, j]
-                sig_hat = l_hat @ l_hat.T
-                inv_gt = np.linalg.inv(sig_gt)
-                diff = gt[j].mean[lo:hi] - means[i, j, lo:hi]
-                kl_jk += 0.5 * (
-                    np.trace(inv_gt @ sig_hat)
-                    + diff @ inv_gt @ diff
-                    - seg_len
-                    + np.linalg.slogdet(sig_gt)[1]
-                    - np.linalg.slogdet(sig_hat)[1]
-                )
-            expected += w[i, j] * kl_jk
-    expected /= b
-    assert ours == pytest.approx(expected, rel=1e-10)
+        expected = 0.0
+        w = alpha / alpha.sum(axis=1, keepdims=True)
+        for i in range(b):
+            for j in range(k):
+                kl_jk = 0.0
+                lo = 0
+                for s, m in enumerate(sizes):
+                    hi = lo + m
+                    sig_gt = gt[j].chol_blocks[s] @ gt[j].chol_blocks[s].T
+                    l_hat = factors[s][i, j]
+                    sig_hat = l_hat @ l_hat.T
+                    inv_gt = np.linalg.inv(sig_gt)
+                    diff = gt[j].mean[lo:hi] - means[i, j, lo:hi]
+                    kl_jk += 0.5 * (
+                        np.trace(inv_gt @ sig_hat)
+                        + diff @ inv_gt @ diff
+                        - m
+                        + np.linalg.slogdet(sig_gt)[1]
+                        - np.linalg.slogdet(sig_hat)[1]
+                    )
+                    lo = hi
+                expected += w[i, j] * kl_jk
+        expected /= b
+        assert ours == pytest.approx(expected, rel=1e-10), sizes
 
 
 def test_bundle_kl_invariant_under_joint_permutation():
@@ -353,13 +343,8 @@ def test_bundle_kl_gradients_match_finite_differences():
     ref = reference_blocks(gt)
 
     def rebuild(means_t, diag_t, off_t):
-        blocks = []
-        for s in range(2):
-            d_seg = ops.slice_(diag_t, (Ellipsis, slice(2 * s, 2 * s + 2)))
-            o_seg = ops.slice_(off_t, (Ellipsis, slice(s, s + 1)))
-            blocks.append(ops.tril_compose(d_seg, o_seg, 2))
         return DecodedBundles(
-            means=means_t, chol_diag=diag_t, chol_blocks=blocks
+            means=means_t, chol_diag=diag_t, chol_blocks=ops.tril_blocks(diag_t, off_t, [2, 2])
         )
 
     def check(which):
@@ -531,6 +516,30 @@ def test_bundle_kl_reuses_reference_blocks_exactly():
     # a training loop builds the blocks once and reuses them for every batch
     assert kl_bundle(pred, reference, alpha).item() == first
     assert kl_bundle(pred, reference_blocks(gt), alpha).item() == first
+
+
+def test_reference_blocks_invert_each_cholesky_block():
+    """Every inverse Cholesky block inverts its factor to 1e-13; a short last
+    segment is padded with the exact identity."""
+    rng = np.random.default_rng(22)
+    sizes = [4, 4, 3]
+    gt = []
+    for _ in range(2):
+        factors = []
+        for m in sizes:
+            f = 0.3 * np.tril(rng.random((m, m)), -1)
+            f[np.arange(m), np.arange(m)] = 0.05 + rng.random(m)
+            factors.append(f)
+        gt.append(gt_bundle_from_factor(rng.random(11), factors, 4))
+    inv_chols = reference_blocks(gt).inv_chols
+    assert inv_chols.shape == (2, 3, 4, 4)
+    for j, bundle in enumerate(gt):
+        for s, (m, block) in enumerate(zip(sizes, bundle.chol_blocks)):
+            residual = inv_chols[j, s, :m, :m] @ block - np.eye(m)
+            assert np.abs(residual).max() <= 1e-13
+    np.testing.assert_array_equal(inv_chols[:, 2, 3:, 3:], np.ones((2, 1, 1)))
+    np.testing.assert_array_equal(inv_chols[:, 2, 3:, :3], 0.0)
+    np.testing.assert_array_equal(inv_chols[:, 2, :3, 3:], 0.0)
 
 
 def test_reference_blocks_reject_empty_list():

@@ -15,7 +15,15 @@ import reference_ops as ref
 from reference_ops import finite_diff_check
 from unmix_ldvae import model as model_module
 from unmix_ldvae.cli import main
-from unmix_ldvae.data import BundleSpec, PatchSource, SceneConfig, save_cube, synth_scene
+from unmix_ldvae.data import (
+    BundleSpec,
+    PatchSource,
+    SceneConfig,
+    make_scene_bundles,
+    save_cube,
+    synth_scene,
+)
+from unmix_ldvae.losses import kl_bundle, reference_blocks
 from unmix_ldvae.model import (
     DecodedBundles,
     ModelConfig,
@@ -380,11 +388,10 @@ def test_zeroed_bundle_head_emits_floor_bundles():
     np.testing.assert_allclose(
         bundles.chol_diag.data, math.log(2.0) + config.eps_chol, rtol=0, atol=1e-15
     )
-    for block in bundles.chol_blocks:
-        off_diagonal = block.data.copy()
-        idx = np.arange(block.shape[-1])
-        off_diagonal[..., idx, idx] = 0.0
-        assert np.all(off_diagonal == 0.0)
+    off_diagonal = bundles.chol_blocks.data.copy()
+    idx = np.arange(config.seg_len)
+    off_diagonal[..., idx, idx] = 0.0
+    assert np.all(off_diagonal == 0.0)
 
 
 def test_decoded_covariances_are_positive_definite():
@@ -393,21 +400,49 @@ def test_decoded_covariances_are_positive_definite():
     x = Tensor(np.random.default_rng(12).standard_normal((4, config.d)))
     bundles = decode_bundles(x, params, config)
     assert np.all(bundles.chol_diag.data > 0)
-    for block in bundles.chol_blocks:
-        l = block.data
-        cov = l @ np.swapaxes(l, -1, -2)
-        eigs = np.linalg.eigvalsh(cov)
-        assert eigs.min() > 0
+    l = bundles.chol_blocks.data
+    cov = l @ np.swapaxes(l, -1, -2)
+    eigs = np.linalg.eigvalsh(cov)
+    assert eigs.min() > 0
+
+
+def test_bundle_records_do_not_grow_with_the_segment_count():
+    """decode_bundles, sample_endmembers and kl_bundle add the same tape
+    records for 2 segments as for 6, with and without a short last one."""
+
+    def bundle_ops(bands, seg_len):
+        config = ModelConfig(patch=1, bands=bands, k=2, seg_len=seg_len, d=8, layers=1,
+                             heads=2, ff_dim=8)
+        params = init_params(config, np.random.default_rng(0))
+        reference = reference_blocks(
+            make_scene_bundles(SceneConfig(bands=bands, k=2, dirichlet_alpha=[1.0, 1.0],
+                                           seg_len=seg_len))
+        )
+        rng = np.random.default_rng(1)
+        latent = Tensor(rng.standard_normal((3, 8)), requires_grad=True)
+        alpha = Tensor(0.5 + rng.random((3, 2)), requires_grad=True)
+        with Tape() as tape:
+            bundles = decode_bundles(latent, params, config)
+            decoded = len(tape)
+            sample_endmembers(bundles, config, rng)
+            sampled = len(tape)
+            kl_bundle(bundles, reference, alpha)
+        ops_ = [rec.op for rec in tape.records]
+        return ops_[:decoded], ops_[decoded:sampled], ops_[sampled:]
+
+    for bands, long_seg, short_seg in ((24, 12, 4), (22, 12, 4)):
+        assert len(ModelConfig(bands=bands, seg_len=long_seg).cov_segment_sizes()) == 2
+        assert len(ModelConfig(bands=bands, seg_len=short_seg).cov_segment_sizes()) == 6
+        assert bundle_ops(bands, long_seg) == bundle_ops(bands, short_seg)
 
 
 def test_endmember_draw_with_zero_factor_is_the_mean():
     means = Tensor(np.random.default_rng(0).random((3, 2, 8)))
     config = toy_config()
-    blocks = [Tensor(np.zeros((3, 2, 4, 4))) for _ in range(2)]
     bundles = DecodedBundles(
         means=means,
         chol_diag=Tensor(np.full((3, 2, 8), 1e-12)),
-        chol_blocks=blocks,
+        chol_blocks=Tensor(np.zeros((3, 2, 2, 4, 4))),
     )
     drawn, _ = sample_endmembers(bundles, config, np.random.default_rng(1))
     np.testing.assert_array_equal(drawn.data, means.data)
@@ -420,7 +455,7 @@ def test_endmember_draw_covariance_matches_cholesky():
     bundles = DecodedBundles(
         means=Tensor(np.zeros((n, 1, 2))),
         chol_diag=Tensor(np.tile(np.diag(l), (n, 1, 1))),
-        chol_blocks=[Tensor(np.tile(l, (n, 1, 1, 1)))],
+        chol_blocks=Tensor(np.tile(l, (n, 1, 1, 1, 1))),
     )
     drawn, _ = sample_endmembers(bundles, config, np.random.default_rng(3))
     sample_cov = np.cov(drawn.data[:, 0, :], rowvar=False)
@@ -431,11 +466,10 @@ def test_endmember_gradient_wrt_mean_is_identity_on_fixed_noise():
     config = toy_config()
     rng = np.random.default_rng(4)
     means = Tensor(rng.random((1, 2, 8)), requires_grad=True)
-    blocks = [Tensor(0.1 * np.tile(np.eye(4), (1, 2, 1, 1))) for _ in range(2)]
     bundles = DecodedBundles(
         means=means,
         chol_diag=Tensor(np.full((1, 2, 8), 0.1)),
-        chol_blocks=blocks,
+        chol_blocks=Tensor(0.1 * np.tile(np.eye(4), (1, 2, 2, 1, 1))),
     )
     weights = rng.random((1, 2, 8))
     with Tape() as tape:
@@ -538,7 +572,7 @@ def test_full_pipeline_gradients_for_every_parameter_group():
     w_z = rng.random((2, 2))
     w_alpha = rng.random((2, 2))
     w_diag = rng.random((2, 2, 8))
-    w_blocks = [rng.random((2, 2, 4, 4)) for _ in range(2)]
+    w_blocks = rng.random((2, 2, 2, 4, 4))
 
     def objective_for(name):
         def objective(p):
@@ -552,9 +586,8 @@ def test_full_pipeline_gradients_for_every_parameter_group():
             total = ops.add(
                 total, ops.sum_reduce(ops.multiply(heads.bundles.chol_diag, Tensor(w_diag)))
             )
-            for block, w_block in zip(heads.bundles.chol_blocks, w_blocks):
-                total = ops.add(total, ops.sum_reduce(ops.multiply(block, Tensor(w_block))))
-            return total
+            blocks = heads.bundles.chol_blocks
+            return ops.add(total, ops.sum_reduce(ops.multiply(blocks, Tensor(w_blocks))))
 
         return objective
 
@@ -606,9 +639,11 @@ def test_predict_cube_blocks_are_the_pixel_mean_of_the_decoded_blocks():
     prediction = predict_cube(params, config, scene, indices, batch_size=2)
     patches = PatchSource(scene, config.patch).batch(indices)
     bundles = forward(patches, params, config).bundles
-    assert len(prediction.chol_blocks) == len(bundles.chol_blocks) == 3
-    for block, decoded in zip(prediction.chol_blocks, bundles.chol_blocks):
-        np.testing.assert_allclose(block, decoded.data.mean(axis=0), rtol=1e-12, atol=1e-15)
+    assert [block.shape for block in prediction.chol_blocks] == [(2, 4, 4), (2, 4, 4), (2, 2, 2)]
+    for s, block in enumerate(prediction.chol_blocks):
+        m = block.shape[-1]
+        decoded = bundles.chol_blocks.data[:, :, s, :m, :m]
+        np.testing.assert_allclose(block, decoded.mean(axis=0), rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(
         prediction.endmember_means, bundles.means.data.mean(axis=0), rtol=1e-12, atol=1e-15
     )

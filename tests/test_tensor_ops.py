@@ -195,17 +195,59 @@ def test_mean_and_sum_reduce_match_numpy():
     )
 
 
-def test_tril_compose_builds_lower_triangular():
+def test_tril_blocks_builds_lower_triangular():
     diag = Tensor(np.array([1.0, 2.0, 3.0]))
     off = Tensor(np.array([4.0, 5.0, 6.0]))
-    out = nc.tril_compose(diag, off, 3).data
+    out = nc.tril_blocks(diag, off, [3]).data
     expected = np.array([[1.0, 0.0, 0.0], [4.0, 2.0, 0.0], [5.0, 6.0, 3.0]])
-    np.testing.assert_array_equal(out, expected)
+    np.testing.assert_array_equal(out, expected[None])
 
 
-def test_tril_compose_validates_packed_sizes():
-    with pytest.raises(ShapeError, match="tril_compose"):
-        nc.tril_compose(Tensor(np.ones(3)), Tensor(np.ones(2)), 3)
+def test_tril_blocks_validates_packed_sizes():
+    with pytest.raises(ShapeError, match="tril_blocks"):
+        nc.tril_blocks(Tensor(np.ones(3)), Tensor(np.ones(2)), [3])
+
+
+def test_tril_blocks_pads_a_short_block_with_the_identity():
+    """Sizes [8, 8, 4]: each block is the packed lower triangle, the last one
+    sits next to an identity pad, and the vjp reads none of the padding, so a
+    cotangent that differs only there gives the same gradients."""
+    sizes = [8, 8, 4]
+    rng = np.random.default_rng(5)
+    diag = Tensor(0.5 + rng.random((2, 20)), requires_grad=True)
+    off = Tensor(rng.standard_normal((2, 28 + 28 + 6)), requires_grad=True)
+    out = nc.tril_blocks(diag, off, sizes).data
+    assert out.shape == (2, 3, 8, 8)
+    lo = o0 = 0
+    for s, m in enumerate(sizes):
+        block = np.zeros((2, m, m))
+        rows, cols = np.tril_indices(m, -1)
+        block[:, np.arange(m), np.arange(m)] = diag.data[:, lo : lo + m]
+        block[:, rows, cols] = off.data[:, o0 : o0 + rows.size]
+        np.testing.assert_array_equal(out[:, s, :m, :m], block)
+        lo, o0 = lo + m, o0 + rows.size
+    np.testing.assert_array_equal(out[:, 2, 4:, 4:], np.broadcast_to(np.eye(4), (2, 4, 4)))
+    np.testing.assert_array_equal(out[:, 2, :4, 4:], 0.0)
+    np.testing.assert_array_equal(out[:, 2, 4:, :4], 0.0)
+
+    def grads(weights):
+        diag.zero_grad()
+        off.zero_grad()
+        with Tape() as tape:
+            blocks = nc.tril_blocks(diag, off, sizes)
+            nc.backward(nc.sum_reduce(nc.multiply(blocks, Tensor(weights))), tape)
+        return diag.grad.copy(), off.grad.copy()
+
+    weights = rng.standard_normal((2, 3, 8, 8))
+    loud = weights.copy()
+    loud[:, 2, 4:, :] = 1e6
+    loud[:, 2, :, 4:] = 1e6
+    for got, want in zip(grads(loud), grads(weights)):
+        np.testing.assert_array_equal(got, want)
+    d_grad, o_grad = grads(weights)
+    np.testing.assert_array_equal(d_grad[:, 16:], weights[:, 2, np.arange(4), np.arange(4)])
+    rows, cols = np.tril_indices(4, -1)
+    np.testing.assert_array_equal(o_grad[:, 56:], weights[:, 2, rows, cols])
 
 
 def test_lgamma_of_four_is_log_six():
