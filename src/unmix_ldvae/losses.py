@@ -134,8 +134,8 @@ def kl_dirichlet(alpha_hat, alpha_prior) -> Tensor:
 @dataclass
 class ReferenceBlocks:
     """What ``kl_bundle`` needs of the K reference bundles: the inverses of
-    their Cholesky blocks stacked as (K, n_seg, L, L) with a short last
-    segment padded by the identity, like ``DecodedBundles.chol_blocks``,
+    their Cholesky blocks stacked as (K, n_seg, L, L) by ``ops.tril_blocks``,
+    the layout of ``DecodedBundles.chol_blocks``,
     their means (K, C) and the log-determinants (K,) of their covariances."""
 
     inv_chols: np.ndarray
@@ -156,14 +156,11 @@ def reference_blocks(gt_bundles: list[EndmemberBundle]) -> ReferenceBlocks:
     for bundle in gt_bundles:
         if [blk.shape[0] for blk in bundle.chol_blocks] != sizes:
             raise ShapeError("reference bundles disagree on segment sizes")
-    width = max(sizes)
-    inv_chols = np.tile(np.eye(width), (len(gt_bundles), len(sizes), 1, 1))
-    for j, bundle in enumerate(gt_bundles):
-        for s, block in enumerate(bundle.chol_blocks):
-            m = block.shape[0]
-            inv_chols[j, s, :m, :m] = np.tril(lapack.dtrtri(block, lower=1)[0])
+    inverses = [[lapack.dtrtri(block, lower=1)[0] for block in b.chol_blocks] for b in gt_bundles]
+    diag = [np.concatenate([np.diag(inv) for inv in row]) for row in inverses]
+    off = [np.concatenate([inv[np.tril_indices(len(inv), -1)] for inv in row]) for row in inverses]
     return ReferenceBlocks(
-        inv_chols=inv_chols,
+        inv_chols=ops.tril_blocks(np.stack(diag), np.stack(off), sizes).data,
         means=np.stack([b.mean for b in gt_bundles]),
         logdets=np.array(
             [2.0 * sum(np.log(np.diag(blk)).sum() for blk in b.chol_blocks) for b in gt_bundles]
@@ -184,8 +181,7 @@ def kl_bundle(pred: DecodedBundles, ref: ReferenceBlocks, alpha_hat) -> Tensor:
     n_seg * L in place of C.
     """
     alpha = _as_batch(alpha_hat, "alpha_hat")
-    k, n_seg, width = ref.inv_chols.shape[:3]
-    c = ref.means.shape[1]
+    k, c = ref.means.shape
     if alpha.shape[1] != k or pred.means.shape[1] != k:
         raise ShapeError(
             f"endmember counts disagree: {alpha.shape[1]} weights, "
@@ -200,7 +196,7 @@ def kl_bundle(pred: DecodedBundles, ref: ReferenceBlocks, alpha_hat) -> Tensor:
             f"segment blocks disagree: predicted {pred.chol_blocks.shape[-3:]}, "
             f"reference {ref.inv_chols.shape[-3:]}"
         )
-    b = pred.means.shape[0]
+    b, _, n_seg, width = pred.chol_blocks.shape[:4]
     inv_chols = Tensor(ref.inv_chols)
     whitened_chol = ops.matmul(inv_chols, pred.chol_blocks)
     trace = ops.sum_reduce(ops.multiply(whitened_chol, whitened_chol), axis=(-3, -2, -1))

@@ -276,7 +276,7 @@ class DecodedBundles:
 
     means: Tensor  # (B, K, C)
     chol_diag: Tensor  # (B, K, C) strictly positive
-    chol_blocks: Tensor  # (B, K, n_seg, seg_len, seg_len) lower-triangular
+    chol_blocks: Tensor  # (B, K, n_seg, L, L) lower-triangular, L = min(seg_len, C)
 
 
 def decode_bundles(x_latent: Tensor, params: dict, config: ModelConfig) -> DecodedBundles:
@@ -305,7 +305,7 @@ def sample_endmembers(bundles: DecodedBundles, config: ModelConfig, rng=None, ep
         eps = rng.standard_normal((b, k, c))
     if eps.shape != (b, k, c):
         raise ShapeError(f"endmember noise shape {eps.shape} does not match {(b, k, c)}")
-    n_seg, width = config.n_segments, config.seg_len
+    n_seg, width = bundles.chol_blocks.shape[2:4]
     padded = np.zeros((b, k, n_seg * width))
     padded[..., :c] = eps
     drawn = ops.matmul(bundles.chol_blocks, Tensor(padded.reshape(b, k, n_seg, width, 1)))
@@ -419,15 +419,17 @@ def predict_cube(
     if indices is None:
         indices = np.arange(cube.n_pixels)
     indices = np.asarray(indices, dtype=np.int64)
+    if indices.size == 0:
+        raise ModelError("predict_cube needs at least one pixel")
     abundances = np.empty((indices.size, config.k))
     mean_sum = np.zeros((config.k, config.bands))
-    block_sum = np.zeros((config.k, config.n_segments, config.seg_len, config.seg_len))
+    block_sum = 0.0  # takes its (K, n_seg, L, L) shape from the decoded blocks
     for start in range(0, indices.size, batch_size):
         batch_idx = indices[start : start + batch_size]
         heads = forward(source.batch(batch_idx), params, config)
         abundances[start : start + batch_idx.size] = heads.z_mean.data
         mean_sum += heads.bundles.means.data.sum(axis=0)
-        block_sum += heads.bundles.chol_blocks.data.sum(axis=0)
+        block_sum = block_sum + heads.bundles.chol_blocks.data.sum(axis=0)
     return Prediction(
         abundances=abundances,
         endmember_means=mean_sum / indices.size,

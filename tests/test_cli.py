@@ -563,6 +563,26 @@ def test_deeply_nested_json_is_one_json_error(ws, capsys, tmp_path, target, code
     assert not (tmp_path / "out").exists()
 
 
+def test_fewer_bands_than_model_seg_len_train_and_unmix(capsys, tmp_path):
+    """An 8-band scene under a model with seg_len 16: one 8-band segment."""
+    scene_cfg = {**SCENE_CFG, "height": 6, "width": 6, "bands": 8}
+    train_cfg = {**TRAIN_CFG, "epochs": 1, "model": {**TRAIN_CFG["model"], "seg_len": 16}}
+    (tmp_path / "scene.json").write_text(json.dumps(scene_cfg))
+    (tmp_path / "train.json").write_text(json.dumps(train_cfg))
+    scene = str(tmp_path / "data" / "scene")
+    assert main(["synth", "--out", str(tmp_path / "data"),
+                 "--config", str(tmp_path / "scene.json")]) == 0
+    assert main(["train", "--data", scene, "--out", str(tmp_path / "run"),
+                 "--config", str(tmp_path / "train.json")]) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    rc, out, err = run_cli(capsys, "unmix", "--checkpoint",
+                           str(tmp_path / "run" / "checkpoint.ldvt"),
+                           "--data", scene, "--out", str(tmp_path / "unmix"))
+    assert rc == 0, err
+    bundles = load_bundles(out[1]["bundles"])
+    assert [[block.shape for block in b.chol_blocks] for b in bundles] == [[(8, 8)]] * 3
+
+
 def test_unmix_matches_eval_and_round_trips(ws, capsys):
     rc, out, _ = run_cli(
         capsys,

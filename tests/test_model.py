@@ -649,6 +649,28 @@ def test_predict_cube_blocks_are_the_pixel_mean_of_the_decoded_blocks():
     )
 
 
+def test_fewer_bands_than_seg_len_make_one_block_of_the_band_count():
+    """With bands < seg_len the single segment holds all C bands, so every
+    pass works on (C, C) blocks, not (seg_len, seg_len) ones."""
+    config = ModelConfig(patch=1, bands=8, k=2, seg_len=16, d=8, layers=1, heads=2, ff_dim=8)
+    params = init_params(config, np.random.default_rng(31))
+    scene = synth_scene(
+        SceneConfig(height=3, width=4, bands=8, k=2, dirichlet_alpha=[1.0, 1.0], seg_len=8),
+        np.random.default_rng(32),
+    )
+    rng = np.random.default_rng(33)
+    bundles = forward(PatchSource(scene, config.patch).batch(np.arange(5)), params, config).bundles
+    assert bundles.chol_blocks.shape == (5, 2, 1, 8, 8)
+    endmembers, _ = sample_endmembers(bundles, config, rng)
+    assert endmembers.shape == (5, 2, 8)
+    kl = kl_bundle(bundles, reference_blocks(scene.gt_bundles), 0.5 + rng.random((5, 2)))
+    assert np.isfinite(kl.data)
+    prediction = predict_cube(params, config, scene, batch_size=5)
+    assert [block.shape for block in prediction.chol_blocks] == [(2, 8, 8)]
+    with pytest.raises(ModelError, match="at least one pixel"):
+        predict_cube(params, config, scene, np.array([], dtype=np.int64))
+
+
 def test_predict_cube_stops_at_the_heads(monkeypatch, tmp_path, capsys):
     """Inference reads only the heads: with the samplers and the refinement
     MLP made to raise, predict_cube and the unmix command still succeed."""
