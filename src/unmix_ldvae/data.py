@@ -62,6 +62,8 @@ class EndmemberBundle:
                 raise DataError(f"Cholesky block must be square, got shape {b.shape}")
             if np.any(np.diag(b) <= 0.0):
                 raise DataError(f"bundle '{self.name}': Cholesky diagonal must be strictly positive")
+            if np.any(np.triu(b, 1) != 0.0):
+                raise DataError(f"bundle '{self.name}': Cholesky block must be lower-triangular")
             sizes.append(b.shape[0])
         expected = segment_sizes(self.mean.size, self.seg_len)
         if sizes != expected:
@@ -492,6 +494,24 @@ class BundleSpec:
     cov_scale: float = 0.001
     base_level: float = 0.15
 
+    def validate(self, where: str) -> None:
+        for name in ("centers", "widths", "amplitudes"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple, np.ndarray)) or not all(
+                _finite_real(v) for v in value
+            ):
+                raise DataError(f"{where}.{name} must be a list of finite numbers, got {value!r}")
+        if not len(self.centers) == len(self.widths) == len(self.amplitudes):
+            raise DataError(f"{where}: centers, widths and amplitudes must have equal lengths")
+        if any(w <= 0 for w in self.widths):
+            raise DataError(f"{where}.widths must be positive, got {self.widths!r}")
+        for name in ("cov_scale", "base_level"):
+            value = getattr(self, name)
+            if not _finite_real(value):
+                raise DataError(f"{where}.{name} must be a finite number, got {value!r}")
+        if self.cov_scale < 0:
+            raise DataError(f"{where}.cov_scale must be nonnegative, got {self.cov_scale}")
+
     def mean_spectrum(self, bands: int) -> np.ndarray:
         grid = np.linspace(0.0, 1.0, bands)
         mean = np.full(bands, self.base_level)
@@ -576,6 +596,8 @@ class SceneConfig:
             raise DataError(
                 f"bundle_spec has {len(self.bundle_spec)} entries for k={self.k}"
             )
+        for i, spec in enumerate(self.bundle_spec or []):
+            spec.validate(f"bundle_spec[{i}]")
         if self.bands < self.seg_len:
             raise DataError(
                 f"scene needs bands >= segment length, got {self.bands} < {self.seg_len}"

@@ -1,8 +1,10 @@
 """Minimal tensor library: reverse-mode autodiff on numpy, with lgamma and
-digamma primitives over scipy.special, and reparameterized gamma sampling.
+digamma primitives over scipy.special, reparameterized gamma sampling and a
+hold on the BLAS thread count.
 
 It exports only what the rest of the package calls."""
 
+from .blas import single_blas_thread
 from .gamma import GammaNoise, draw_gamma_noise, gamma_from_noise
 from .ops import (
     add,
@@ -52,6 +54,7 @@ __all__ = [
     "multiply",
     "relu",
     "reshape",
+    "single_blas_thread",
     "slice_",
     "softplus",
     "subtract",

@@ -393,8 +393,21 @@ def _refresh(snapshot: Checkpoint, opt: AdamState, rng, epoch: int) -> None:
     snapshot.rng_state = copy.deepcopy(rng.bit_generator.state)
 
 
-def _write_log(path, rows) -> None:
-    lines = [LOG_HEADER]
+def _earlier_log_rows(checkpoint_path, epoch: int) -> list[str]:
+    """The rows for epochs before ``epoch`` in the train_log.csv beside a
+    checkpoint, kept as text (their repr floats round-trip); none when
+    there is no such log."""
+    path = Path(checkpoint_path).parent / "train_log.csv"
+    if not path.is_file():
+        return []
+    rows = path.read_text(encoding="utf-8", errors="replace").splitlines()[1:]
+    return [row for row in rows if (head := row.split(",", 1)[0]).isdecimal() and int(head) < epoch]
+
+
+def _write_log(path, rows, earlier=()) -> None:
+    """Write the (epoch, LossBreakdown) rows after the ``earlier`` rows,
+    which a resumed run keeps as text."""
+    lines = [LOG_HEADER, *earlier]
     for epoch, bd in rows:
         lines.append(
             ",".join(
@@ -424,7 +437,9 @@ def fit(
     On a non-finite loss or gradient the run aborts with TrainError but the
     checkpoint from the last completed epoch stays on disk. With resume, the
     saved epoch counter, optimizer moments and RNG state continue the
-    trajectory bit-exactly, so interrupted and uninterrupted runs agree.
+    trajectory bit-exactly, and the log keeps the earlier rows of the
+    train_log.csv beside the resume checkpoint, so interrupted and
+    uninterrupted runs agree.
     """
     config.validate()
     if cube.gt_abundances is None or cube.gt_bundles is None:
@@ -450,11 +465,13 @@ def fit(
         rng = np.random.default_rng(config.seed)
         rng.bit_generator.state = previous.rng_state
         start_epoch = previous.epoch
+        earlier = _earlier_log_rows(resume, start_epoch)
     else:
         rng = np.random.default_rng(config.seed)
         params = init_params(config.model, rng)
         opt = AdamState.zeros(params)
         start_epoch = 0
+        earlier = []
 
     try:
         split = split_pixels(cube.n_pixels, config.split)
@@ -476,7 +493,7 @@ def fit(
             )
         except (NumericError, TrainError) as err:
             save_checkpoint(ck_path, last_good)
-            _write_log(log_path, rows)
+            _write_log(log_path, rows, earlier)
             raise TrainError(
                 f"aborted at epoch {epoch}: {err}; "
                 f"last good checkpoint (epoch {last_good.epoch}) kept at {ck_path}"
@@ -485,5 +502,5 @@ def fit(
         _refresh(last_good, opt, rng, epoch + 1)
 
     save_checkpoint(ck_path, last_good)
-    _write_log(log_path, rows)
+    _write_log(log_path, rows, earlier)
     return last_good, log_path

@@ -191,6 +191,20 @@ def test_bad_scene_number_fails_cleanly(capsys, tmp_path, key, raw):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "entry,key",
+    [({"centers": "ab"}, "centers"), ({"widths": [0.0]}, "widths"), ({"cov_scale": -1}, "cov_scale")],
+    ids=["centers-string", "widths-zero", "cov-scale-negative"],
+)
+def test_bad_bundle_spec_fails_cleanly(capsys, tmp_path, entry, key):
+    config = tmp_path / "scene.json"
+    config.write_text(json.dumps({"bundle_spec": [entry, {}, {}]}))
+    rc, out, err = run_cli(capsys, "synth", "--out", str(tmp_path / "out"), "--config", str(config))
+    assert rc == 1 and out == []
+    assert err["error"] == "DataError" and f"bundle_spec[0].{key}" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("raw", ['"abc"', "2.5", "true", "-1"], ids=["string", "float", "bool", "negative"])
 def test_non_integer_seed_is_a_usage_error(capsys, tmp_path, raw):
     config = tmp_path / "scene.json"

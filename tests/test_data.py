@@ -91,6 +91,16 @@ def test_bundle_rejects_nonpositive_cholesky_diagonal():
         EndmemberBundle("bad", np.ones(4), [np.diag([1.0, -0.5, 1.0, 1.0])], seg_len=4)
 
 
+def test_bundle_rejects_cholesky_block_with_upper_entries():
+    """sample would draw from the full block while the bundle KL reads only
+    its lower triangle, so such a block is not a Cholesky factor."""
+    text = json.dumps(
+        {"seg_len": 2, "endmembers": [{"mean": [0.5, 0.5], "chol_blocks": [[[0.1, 0.7], [0.0, 0.1]]]}]}
+    )
+    with pytest.raises(DataError, match="lower-triangular"):
+        bundles_from_json(text)
+
+
 def test_bundle_rejects_wrong_block_partition():
     blocks = [np.eye(4), np.eye(4)]
     with pytest.raises(DataError):

@@ -7,6 +7,12 @@ checks for decoded covariance blocks.
 """
 
 import math
+import os
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -43,7 +49,7 @@ from unmix_ldvae.model import (
     segment_patch_values,
     tokenize_batch,
 )
-from unmix_ldvae.numcore import ShapeError, Tape, Tensor, backward, ops
+from unmix_ldvae.numcore import ShapeError, Tape, Tensor, backward, blas, ops
 from unmix_ldvae.train import AdamState, Checkpoint, save_checkpoint
 
 GRAD_TOL = 1e-4
@@ -701,3 +707,121 @@ def test_predict_cube_stops_at_the_heads(monkeypatch, tmp_path, capsys):
                "--data", str(tmp_path / "scene"), "--out", str(tmp_path / "out")])
     assert rc == 0, capsys.readouterr().err
     assert (tmp_path / "out" / "bundles.json").exists()
+
+
+def _prediction_setup():
+    """A 99-pixel cube, which is not a multiple of the default batch of 32."""
+    config = ModelConfig(patch=3, bands=12, k=3, seg_len=4, d=8, layers=1, heads=2, ff_dim=16)
+    params = init_params(config, np.random.default_rng(41))
+    scene = synth_scene(
+        SceneConfig(height=9, width=11, bands=12, k=3, seg_len=4),
+        np.random.default_rng(42),
+    )
+    return params, config, scene
+
+
+@contextmanager
+def _cannot_hold_blas():
+    yield False
+
+
+def _blas_threads():
+    return blas._openblas()[0]()
+
+
+@pytest.fixture
+def blas_at_two():
+    """numpy's OpenBLAS at 2 threads, so that holding it at one shows."""
+    calls = blas._openblas()
+    if calls is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS whose thread count can be set")
+    get, set_ = calls
+    before = get()
+    set_(2)
+    yield
+    set_(before)
+
+
+@pytest.mark.parametrize("subset", [False, True], ids=["all-pixels", "indices"])
+def test_predict_cube_is_bit_identical_to_one_worker(monkeypatch, subset):
+    params, config, scene = _prediction_setup()
+    indices = np.arange(1, scene.n_pixels, 2) if subset else None
+    workers = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(model_module, "ThreadPoolExecutor", CountingPool)
+    pooled = predict_cube(params, config, scene, indices)
+    monkeypatch.setattr(model_module, "single_blas_thread", _cannot_hold_blas)
+    serial = predict_cube(params, config, scene, indices)
+    n_batches = -(-(49 if subset else 99) // 32)
+    expected = min(len(os.sched_getaffinity(0)), n_batches) if blas._openblas() else 1
+    assert workers == [expected, 1]
+    assert np.array_equal(pooled.abundances, serial.abundances)
+    assert np.array_equal(pooled.endmember_means, serial.endmember_means)
+    for a, b in zip(pooled.chol_blocks, serial.chol_blocks, strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_predict_cube_with_more_workers_than_cores_matches_one_worker(monkeypatch):
+    """Eight workers over 25 batches, switching threads as often as the
+    interpreter allows: a result lost or copied out of order would show."""
+    params, config, scene = _prediction_setup()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = predict_cube(params, config, scene, batch_size=4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        crowded = predict_cube(params, config, scene, batch_size=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(crowded.abundances, serial.abundances)
+    assert np.array_equal(crowded.endmember_means, serial.endmember_means)
+    for a, b in zip(crowded.chol_blocks, serial.chol_blocks, strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_predict_cube_holds_the_blas_at_one_thread_and_restores_it(monkeypatch, blas_at_two):
+    params, config, scene = _prediction_setup()
+    seen = []
+
+    def forward_noting_threads(*args):
+        seen.append(_blas_threads())
+        return forward(*args)
+
+    monkeypatch.setattr(model_module, "forward", forward_noting_threads)
+    predict_cube(params, config, scene)
+    assert seen == [1] * 4
+    assert _blas_threads() == 2
+
+
+class _BatchFailed(Exception):
+    pass
+
+
+def test_predict_cube_error_restores_the_blas_and_cancels_pending_batches(
+    monkeypatch, blas_at_two
+):
+    params, config, scene = _prediction_setup()
+    lock = threading.Lock()
+    started = []
+
+    def failing_forward(*args):
+        with lock:
+            started.append(len(started))
+            call = started[-1]
+        if call == 2:
+            raise _BatchFailed("third batch")
+        if call > 2:
+            time.sleep(0.05)  # keep later batches running while the error surfaces
+        return forward(*args)
+
+    monkeypatch.setattr(model_module, "forward", failing_forward)
+    with pytest.raises(_BatchFailed):
+        predict_cube(params, config, scene, batch_size=4)  # 25 batches
+    assert len(started) < 10
+    assert _blas_threads() == 2

@@ -511,6 +511,18 @@ def test_fit_resume_matches_uninterrupted_run(tmp_path):
     ).read_bytes()
 
 
+def test_fit_resumed_in_place_keeps_the_earlier_log_rows(tmp_path):
+    """A 1-epoch run resumed to 2 epochs in its own directory writes the
+    same log and checkpoint bytes as an uninterrupted 2-epoch run."""
+    scene = tiny_scene()
+    fit(tiny_train_config(epochs=2), scene, tmp_path / "full")
+    fit(tiny_train_config(epochs=1), scene, tmp_path / "run")
+    fit(tiny_train_config(epochs=2), scene, tmp_path / "run",
+        resume=tmp_path / "run" / "checkpoint.ldvt")
+    for name in ("train_log.csv", "checkpoint.ldvt"):
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+
 def test_fit_epochs_zero_equals_initialization(tmp_path):
     scene = tiny_scene()
     config = tiny_train_config(epochs=0)
