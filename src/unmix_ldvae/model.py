@@ -17,8 +17,6 @@ type so gradients reach every parameter.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -30,7 +28,7 @@ from .numcore import (
     Tensor,
     draw_gamma_noise,
     gamma_from_noise,
-    single_blas_thread,
+    map_on_cores,
 )
 from .numcore import ops
 
@@ -415,10 +413,9 @@ def predict_cube(
     batch_size: int = 32,
 ) -> Prediction:
     """Per-pixel abundance means plus the endmember bundles averaged over the
-    pixels, computed batch by batch by ``forward`` alone, on one worker
-    thread per usable core while the BLAS is held at one thread (on one
-    worker where it cannot be held). Results are copied and summed in batch
-    order, so the output is bit-identical to a one-worker run. Two batches
+    pixels, computed batch by batch by ``forward`` alone on ``map_on_cores``.
+    Results are copied and summed in batch order, so the output is
+    bit-identical to a one-worker run. Two batches
     of 32 in flight hold about what one of 64 did; on the criterion-7 model,
     batches of 32 to 128 ran within noise of each other serially."""
     source = PatchSource(cube, config.patch)
@@ -437,16 +434,11 @@ def predict_cube(
         means, blocks = heads.bundles.means.data, heads.bundles.chol_blocks.data
         return heads.z_mean.data, means.sum(axis=0), blocks.sum(axis=0)
 
-    with single_blas_thread() as held:
-        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        pool = ThreadPoolExecutor(min(cores if held else 1, len(starts)))
-        try:
-            for start, (z_mean, means, blocks) in zip(starts, pool.map(run, starts)):
-                abundances[start : start + batch_size] = z_mean
-                mean_sum += means
-                block_sum = block_sum + blocks
-        finally:
-            pool.shutdown(cancel_futures=True)
+    # results first, so that the pool's generator runs to its end within the loop
+    for (z_mean, means, blocks), start in zip(map_on_cores(run, starts), starts):
+        abundances[start : start + batch_size] = z_mean
+        mean_sum += means
+        block_sum = block_sum + blocks
     return Prediction(
         abundances=abundances,
         endmember_means=mean_sum / indices.size,

@@ -1,10 +1,10 @@
 """Minimal tensor library: reverse-mode autodiff on numpy, with lgamma and
 digamma primitives over scipy.special, reparameterized gamma sampling and a
-hold on the BLAS thread count.
+process-wide worker pool that runs BLAS-bound items one per core.
 
 It exports only what the rest of the package calls."""
 
-from .blas import single_blas_thread
+from .blas import map_on_cores
 from .gamma import GammaNoise, draw_gamma_noise, gamma_from_noise
 from .ops import (
     add,
@@ -48,13 +48,13 @@ __all__ = [
     "lgamma",
     "linear",
     "log",
+    "map_on_cores",
     "matmul",
     "max_reduce",
     "mean_reduce",
     "multiply",
     "relu",
     "reshape",
-    "single_blas_thread",
     "slice_",
     "softplus",
     "subtract",

@@ -1,8 +1,11 @@
 """Holding numpy's OpenBLAS at one thread, so that worker threads which
-each make BLAS calls do not also share the BLAS pool's threads."""
+each make BLAS calls do not also share the BLAS pool's threads, and the
+process-wide worker pool that runs such calls one per usable core."""
 
 import ctypes
 import functools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -40,3 +43,36 @@ def single_blas_thread():
         yield True
     finally:
         calls[1](before)
+
+
+@functools.lru_cache(maxsize=1)
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The process-wide pool, replaced when the core count changes."""
+    return ThreadPoolExecutor(workers, thread_name_prefix="numcore")
+
+
+def map_on_cores(fn, items):
+    """Yield ``fn(item)`` for each item, in item order, computed on one
+    worker thread per usable core (inline on one core) while the BLAS is
+    held at one thread, until the generator ends or is closed; inline,
+    holding nothing, for one item or where the BLAS cannot be held. When an
+    item raises, the items not yet started are cancelled and the running
+    ones waited for before the error reaches the caller."""
+    items = list(items)
+    if len(items) <= 1:
+        yield from map(fn, items)
+        return
+    with single_blas_thread() as held:
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        if not held or cores == 1:
+            yield from map(fn, items)
+            return
+        pool = _pool(cores)
+        futures = [pool.submit(fn, item) for item in items][::-1]
+        try:
+            while futures:  # popped as they are yielded, so the pool keeps no result
+                yield futures.pop().result()
+        finally:
+            for future in futures:
+                future.cancel()
+            wait(futures)

@@ -7,8 +7,9 @@ execution order, which is a valid topological order by construction, so
 backward is a single reverse sweep that touches every record at most once.
 Only leaves (tensors built with ``requires_grad=True``) own a gradient
 buffer; cotangents of primitive outputs live in the sweep alone.
-Tapes are thread-confined: the active tape lives in thread-local state and a
-tape must only be used on the thread that opened it.
+The active tape lives in thread-local state, so tapes on different threads
+record side by side. A tape may be used by one thread at a time: exited on
+one thread, it can be re-entered, extended and backpropagated on another.
 """
 
 from __future__ import annotations

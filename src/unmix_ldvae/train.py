@@ -10,6 +10,7 @@ parameter trajectory of an uninterrupted one.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -27,8 +28,10 @@ from .losses import (
     compute_losses,
     reference_blocks,
 )
-from .model import ModelConfig, forward, init_params, param_shapes, sample_reconstruction
-from .numcore import NumericError, Tape, Tensor, backward
+from .model import ModelConfig, NoiseCache, forward, init_params, param_shapes
+from .model import sample_reconstruction
+from .numcore import GammaNoise, NumericError, Tape, Tensor, backward, draw_gamma_noise
+from .numcore import map_on_cores, ops
 
 CHECKPOINT_MAGIC = b"LDVT"
 CHECKPOINT_VERSION = 1
@@ -37,6 +40,10 @@ LOG_HEADER = "epoch,recon,kl_dirichlet,abundance,endmember,lambda_em,total"
 # of the six vectors it touches (parameters, gradients, both moments and two
 # scratch vectors) take 1.5 MiB and stay in a 2 MiB L2 cache between passes
 ADAM_CHUNK = 32768
+# train_epoch runs a batch as ceil(B / SHARD_ROWS) row shards, one per worker:
+# two at B = 128 and at the criterion-7 epoch's ragged 77, where shards of 64
+# ran faster on two cores than shards of 32 or 43
+SHARD_ROWS = 64
 
 
 class TrainError(RuntimeError):
@@ -179,11 +186,13 @@ def train_epoch(
 ):
     """One pass over the training pixels in shuffled batches.
 
-    ``opt`` must have been built from ``params``. Each batch runs the forward
-    pass on the pixels' patches, samples a reconstruction from its heads,
-    backprops the total loss into the zeroed gradient vector and applies one
-    Adam step. Returns the pixel-weighted mean breakdown over the epoch
-    together with the per-batch breakdowns.
+    ``opt`` must have been built from ``params``. Each batch runs as
+    ``ceil(B / SHARD_ROWS)`` row shards on ``map_on_cores``: their forward
+    passes; the batch's noise, drawn here as one unsharded pass draws it;
+    their draws, losses and backward passes of their shares of the total
+    loss, into ``opt.grad_vec`` and per-shard vectors added in shard order;
+    then one Adam step. Returns the pixel-weighted mean breakdown over the
+    epoch together with the per-batch breakdowns.
     """
     if cube.gt_abundances is None or cube.gt_bundles is None:
         raise TrainError("supervised training needs ground-truth abundances and bundles")
@@ -195,20 +204,64 @@ def train_epoch(
     z_pixels = cube.abundance_pixels()
     reference = reference_blocks(cube.gt_bundles)
     order = rng.permutation(train_indices)
+    n_shards = -(-min(config.batch_size, order.size) // SHARD_ROWS)
+    grad_vecs = [opt.grad_vec, *(np.zeros_like(opt.grad_vec) for _ in range(n_shards - 1))]
+    shard_params, shapes = [params], {name: params[name].shape for name in sorted(params)}
+    for grad_vec in grad_vecs[1:]:  # leaves on the parameters' data with their own gradients
+        shard_params.append({name: Tensor(params[name].data) for name in shapes})
+        for name, grad in _views(grad_vec, shapes).items():
+            shard_params[-1][name].requires_grad, shard_params[-1][name].grad = True, grad
+
+    def front(shard):  # a shard's forward pass, on a tape of its own
+        rows, leaves = shard
+        with Tape() as tape:
+            heads = forward(source.batch(rows), leaves, config.model)
+        return tape, heads
+
+    def back(shard):  # its draws and losses, and the backward pass of its share
+        (tape, heads), rows, leaves, noise, share = shard
+        with tape:
+            sampled = sample_reconstruction(heads, leaves, config.model, noise=noise)
+            total, bd = compute_losses(
+                heads, sampled, x_pixels[rows], z_pixels[rows], reference,
+                config.loss_weights, epoch,
+            )
+            if share != 1.0:
+                total = ops.multiply(total, Tensor(share))
+            backward(total, tape)
+        return heads, sampled, bd
+
     batch_logs: list[LossBreakdown] = []
     sums = np.zeros(5)
     for start in range(0, order.size, config.batch_size):
         idx = order[start : start + config.batch_size]
-        with Tape() as tape:
-            heads = forward(source.batch(idx), params, config.model)
-            sampled = sample_reconstruction(heads, params, config.model, rng=rng)
-            total, bd = compute_losses(
-                heads, sampled, x_pixels[idx], z_pixels[idx], reference,
-                config.loss_weights, epoch,
-            )
-            opt.grad_vec.fill(0.0)
-            backward(total, tape)
+        parts = np.array_split(idx, -(-idx.size // SHARD_ROWS))
+        fronts = list(map_on_cores(front, zip(parts, shard_params)))
+        # The previous step's heads and draws live until this step's forward
+        # passes have run, as in the unsharded loop: freed sooner, their pages
+        # were faulted in again (ten times the minor faults, a fifth slower at
+        # batch 8); held through the backward passes, they raise peak memory.
+        shards = None
+        # the draws of one unsharded pass, in its order, split as the rows are
+        gamma = draw_gamma_noise(np.concatenate([h.alpha_hat.data for _, h in fronts]), rng)
+        eps = rng.standard_normal((idx.size, config.model.k, config.model.bands))
+        noises = [NoiseCache(GammaNoise(*g), e) for *g, e in zip(*(
+            np.array_split(a, len(parts)) for a in (gamma.normal, gamma.boost_u, gamma.boosted, eps)
+        ))]
+        shares = [rows.size / idx.size for rows in parts]
+        opt.grad_vec.fill(0.0)
+        shards = list(map_on_cores(back, zip(fronts, parts, shard_params, noises, shares)))
+        del fronts  # the tapes: kept to the next step, they raised a batch-128 peak by a quarter
+        for grad_vec in grad_vecs[1 : len(parts)]:
+            opt.grad_vec += grad_vec
+            grad_vec.fill(0.0)
         adam_step(opt, config)
+        bd = shards[0][2]
+        if len(shards) > 1:  # the shards' breakdowns by share, in shard order
+            bd = LossBreakdown(*sum(
+                share * np.array(dataclasses.astuple(shard_bd)[:5])
+                for share, (_, _, shard_bd) in zip(shares, shards)
+            ), bd.lambda_endmembers_now)
         batch_logs.append(bd)
         sums += idx.size * np.array(
             [bd.recon, bd.kl_dirichlet, bd.abundance, bd.endmember, bd.total]

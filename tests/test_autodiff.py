@@ -1,5 +1,7 @@
 """Backward-pass contracts and finite-difference validation of every primitive."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,71 @@ def test_leaf_grads_accumulate_across_tapes():
     assert x.grad == pytest.approx(8.0)
     x.zero_grad()
     assert x.grad == 0.0
+
+
+def _on_thread(fn):
+    """Run ``fn`` on a new thread and return its result; errors propagate."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn()
+        except BaseException as err:  # re-raised on the calling thread
+            out["error"] = err
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    if "error" in out:
+        raise out["error"]
+    return out.get("value")
+
+
+def test_tape_reentered_on_another_thread_sees_every_record():
+    x = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+
+    def first_half():
+        with Tape() as tape:
+            return tape, nc.multiply(x, x)
+
+    tape, square = _on_thread(first_half)
+
+    def second_half():
+        with tape:
+            y = nc.sum_reduce(nc.multiply(square, Tensor(3.0)))
+            backward(y, tape)
+
+    _on_thread(second_half)
+    assert [rec.op for rec in tape.records] == ["multiply", "multiply", "sum_reduce"]
+    np.testing.assert_allclose(x.grad, 6.0 * x.data)
+
+
+def test_tapes_recording_at_once_on_two_threads_keep_their_own_records():
+    barrier = threading.Barrier(2, timeout=30)
+    leaves = [Tensor(np.array([2.0]), requires_grad=True) for _ in range(2)]
+    tapes = [Tape(), Tape()]
+
+    def record(i):
+        with tapes[i]:
+            y = leaves[i]
+            for _ in range(3):
+                barrier.wait()  # both threads record each step at once
+                y = nc.multiply(y, Tensor(2.0 + i))
+
+    threads = [threading.Thread(target=record, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    for i, tape in enumerate(tapes):
+        assert len(tape) == 3
+        assert tape.records[0].inputs[0] is leaves[i]
+        for prev, rec in zip(tape.records, tape.records[1:]):
+            assert rec.inputs[0] is prev.output
+        backward(tape.records[-1].output, tape)
+        assert leaves[i].grad == pytest.approx((2.0 + i) ** 3)
 
 
 def test_gradients_flow_through_long_chain():

@@ -11,7 +11,6 @@ import os
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -747,19 +746,19 @@ def test_predict_cube_is_bit_identical_to_one_worker(monkeypatch, subset):
     params, config, scene = _prediction_setup()
     indices = np.arange(1, scene.n_pixels, 2) if subset else None
     workers = []
+    real_pool = blas._pool
 
-    class CountingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-            super().__init__(max_workers)
+    def counting_pool(cores):
+        workers.append(cores)
+        return real_pool(cores)
 
-    monkeypatch.setattr(model_module, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(blas, "_pool", counting_pool)
     pooled = predict_cube(params, config, scene, indices)
-    monkeypatch.setattr(model_module, "single_blas_thread", _cannot_hold_blas)
+    monkeypatch.setattr(blas, "single_blas_thread", _cannot_hold_blas)
     serial = predict_cube(params, config, scene, indices)
-    n_batches = -(-(49 if subset else 99) // 32)
-    expected = min(len(os.sched_getaffinity(0)), n_batches) if blas._openblas() else 1
-    assert workers == [expected, 1]
+    cores = len(os.sched_getaffinity(0))
+    # the serial run cannot hold the BLAS, so it runs inline and asks for no pool
+    assert workers == ([cores] if blas._openblas() and cores > 1 else [])
     assert np.array_equal(pooled.abundances, serial.abundances)
     assert np.array_equal(pooled.endmember_means, serial.endmember_means)
     for a, b in zip(pooled.chol_blocks, serial.chol_blocks, strict=True):
@@ -825,3 +824,29 @@ def test_predict_cube_error_restores_the_blas_and_cancels_pending_batches(
         predict_cube(params, config, scene, batch_size=4)  # 25 batches
     assert len(started) < 10
     assert _blas_threads() == 2
+
+
+def test_map_on_cores_waits_for_the_running_items_when_one_raises(monkeypatch):
+    """Three workers: item 1 raises while items 0 and 2 run, item 2 the
+    longest. Every item started must have finished by the time the error
+    reaches the caller, and the later items must not all have run."""
+    if blas._openblas() is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS whose thread count can be set")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    lock = threading.Lock()
+    started, finished = [], []
+
+    def work(i):
+        with lock:
+            started.append(i)
+        if i == 1:
+            raise _BatchFailed("second item")
+        time.sleep(0.3 if i == 2 else 0.05)
+        with lock:
+            finished.append(i)
+
+    with pytest.raises(_BatchFailed):
+        list(blas.map_on_cores(work, range(8)))
+    with lock:
+        assert sorted(finished) == sorted(set(started) - {1})
+        assert 2 in finished and len(started) < 8

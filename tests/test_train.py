@@ -1,19 +1,27 @@
 """Optimizer arithmetic, checkpoint serialization and training-loop behavior."""
 
 import dataclasses
+import json
 import os
+import shutil
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from unmix_ldvae import train as train_module
+from unmix_ldvae.cli import main
 from unmix_ldvae.data import (
     BundleSpec,
     EndmemberBundle,
     HsiCube,
+    PatchSource,
     SceneConfig,
     SplitSpec,
+    save_cube,
     synth_scene,
 )
 from unmix_ldvae.losses import LossBreakdown, LossWeights, compute_losses, reference_blocks
@@ -24,7 +32,7 @@ from unmix_ldvae.model import (
     init_params,
     sample_reconstruction,
 )
-from unmix_ldvae.numcore import GammaNoise, Tape, Tensor, backward
+from unmix_ldvae.numcore import GammaNoise, NumericError, Tape, Tensor, backward, blas
 from unmix_ldvae.train import (
     ADAM_CHUNK,
     AdamState,
@@ -623,3 +631,170 @@ def test_epoch_totals_regression_on_standard_scene(tmp_path):
     assert totals[49] < totals[0] / 10
     assert totals[0] == pytest.approx(1.2984077471136388, rel=1e-9)
     assert totals[49] == pytest.approx(0.08960814008948922, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# sharded steps
+
+
+def _first_step(config, scene, batch):
+    """Gradient, breakdown and rng state after one step over pixels 0..batch-1."""
+    params = init_params(config.model, np.random.default_rng(4))
+    opt = AdamState.zeros(params)
+    rng = np.random.default_rng(5)
+    _, logs = train_epoch(params, config, scene, np.arange(batch), opt, 0, rng)
+    return opt.grad_vec.copy(), logs[0], rng.bit_generator.state
+
+
+@pytest.mark.parametrize("batch", [128, 77])
+def test_sharded_step_matches_one_shard(monkeypatch, batch):
+    scene = tiny_scene(height=12, width=12)
+    config = tiny_train_config(batch_size=batch)
+    assert batch > train_module.SHARD_ROWS
+    grad, bd, state = _first_step(config, scene, batch)
+    monkeypatch.setattr(train_module, "SHARD_ROWS", batch)
+    one_grad, one_bd, one_state = _first_step(config, scene, batch)
+    np.testing.assert_allclose(grad, one_grad, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(
+        dataclasses.astuple(bd), dataclasses.astuple(one_bd), rtol=1e-12, atol=0.0
+    )
+    assert state == one_state
+
+
+def test_one_shard_step_is_the_unsharded_step_bit_for_bit():
+    """A batch of at most SHARD_ROWS rows runs the pass the loop made before
+    batches were sharded: forward, sampling from the rng, losses, backward."""
+    scene = tiny_scene(height=12, width=12)
+    batch = train_module.SHARD_ROWS
+    config = tiny_train_config(batch_size=batch)
+    grad, bd, state = _first_step(config, scene, batch)
+
+    params = init_params(config.model, np.random.default_rng(4))
+    opt = AdamState.zeros(params)
+    rng = np.random.default_rng(5)
+    idx = rng.permutation(np.arange(batch))
+    with Tape() as tape:
+        heads = forward(PatchSource(scene, config.model.patch).batch(idx), params, config.model)
+        sampled = sample_reconstruction(heads, params, config.model, rng=rng)
+        total, want = compute_losses(
+            heads, sampled, scene.pixels()[idx], scene.abundance_pixels()[idx],
+            reference_blocks(scene.gt_bundles), config.loss_weights, 0,
+        )
+        backward(total, tape)
+    assert np.array_equal(grad, opt.grad_vec)
+    assert bd == want
+    assert state == rng.bit_generator.state
+
+
+def _shard_scene_and_config(**overrides):
+    # 144 training pixels in batches of 127 and 17: the first batch runs as
+    # shards of 64 and 63 rows, the second as one shard
+    scene = tiny_scene(height=12, width=12)
+    config = tiny_train_config(
+        batch_size=127, split=SplitSpec(train_fraction=1.0, seed=1), **overrides
+    )
+    return scene, config
+
+
+def test_sharded_fit_gives_the_same_bytes_on_any_number_of_workers(tmp_path, monkeypatch):
+    """Batches of 140 run as three shards of 47, 47 and 46 rows: on one
+    worker, on the default pool, and on more workers than shards switching
+    threads as often as the interpreter allows."""
+    scene = tiny_scene(height=12, width=12)
+    config = tiny_train_config(
+        epochs=2, batch_size=140, split=SplitSpec(train_fraction=1.0, seed=1)
+    )
+    fit(config, scene, tmp_path / "pool")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    fit(config, scene, tmp_path / "one")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        fit(config, scene, tmp_path / "crowded")
+    finally:
+        sys.setswitchinterval(interval)
+    for name in ("checkpoint.ldvt", "train_log.csv"):
+        pooled = (tmp_path / "pool" / name).read_bytes()
+        assert (tmp_path / "one" / name).read_bytes() == pooled
+        assert (tmp_path / "crowded" / name).read_bytes() == pooled
+
+
+class _ShardWatch:
+    """compute_losses that raises NumericError for the shard of ``rows`` rows
+    in epoch 1 and lets every other shard finish slowly, counting the
+    calls still running."""
+
+    def __init__(self, rows):
+        self.rows, self.running, self.lock = rows, 0, threading.Lock()
+
+    def __call__(self, heads, sampled, x, *rest):
+        with self.lock:
+            self.running += 1
+        try:
+            if rest[-1] == 1:
+                if x.shape[0] == self.rows:
+                    raise NumericError("injected non-finite loss")
+                time.sleep(0.1)  # still running when the failing shard raises
+            return compute_losses(heads, sampled, x, *rest)
+        finally:
+            with self.lock:
+                self.running -= 1
+
+
+def test_shard_error_aborts_the_fit_and_leaves_nothing_running(tmp_path, monkeypatch):
+    scene, config = _shard_scene_and_config(epochs=3)
+    fit(dataclasses.replace(config, epochs=1), scene, tmp_path / "one-epoch")
+    calls = blas._openblas()
+    before = calls[0]() if calls else None
+    if calls:
+        calls[1](2)  # so that a hold left in place would show
+    watch = _ShardWatch(rows=63)
+    monkeypatch.setattr(train_module, "compute_losses", watch)
+    try:
+        with pytest.raises(TrainError, match="aborted at epoch 1: injected") as caught:
+            fit(config, scene, tmp_path / "run")
+        assert isinstance(caught.value.__cause__, NumericError)
+        assert watch.running == 0
+        if calls:
+            assert calls[0]() == 2
+    finally:
+        if calls:
+            calls[1](before)
+    for name in ("checkpoint.ldvt", "train_log.csv"):
+        assert (tmp_path / "run" / name).read_bytes() == (
+            tmp_path / "one-epoch" / name
+        ).read_bytes()
+    assert load_checkpoint(tmp_path / "run" / "checkpoint.ldvt").epoch == 1
+    monkeypatch.undo()
+    final, _ = fit(config, scene, tmp_path / "after")
+    assert final.epoch == config.epochs
+
+
+def test_shard_error_gives_the_one_shard_json_line(tmp_path, monkeypatch, capsys):
+    """The train command fails the same way whether the error comes from
+    the second shard of a batch or from the batch run as one shard."""
+    scene, config = _shard_scene_and_config()
+    save_cube(scene, tmp_path / "scene")
+    train_json = tmp_path / "train.json"
+    train_json.write_text(json.dumps({
+        "epochs": 3, "batch_size": 127, "seed": config.seed,
+        "model": dataclasses.asdict(config.model),
+        "split": {"train_fraction": 1.0, "seed": 1},
+    }))
+
+    def train(rows):
+        shutil.rmtree(tmp_path / "out", ignore_errors=True)
+        monkeypatch.setattr(train_module, "compute_losses", _ShardWatch(rows))
+        rc = main(["train", "--data", str(tmp_path / "scene"), "--out", str(tmp_path / "out"),
+                   "--config", str(train_json)])
+        return rc, capsys.readouterr().err
+
+    sharded = train(rows=63)
+    monkeypatch.setattr(train_module, "SHARD_ROWS", 127)
+    assert sharded == train(rows=127)
+    assert sharded[0] == 1
+    (line,) = sharded[1].splitlines()
+    error = json.loads(line)
+    assert error["error"] == "TrainError"
+    assert error["message"].startswith("aborted at epoch 1: injected non-finite loss")
