@@ -23,9 +23,10 @@ from .data import (
     HsiCube,
     SceneConfig,
     SplitSpec,
-    _integer,
     _strip_known_suffix,
     _write_bsq,
+    check_fields,
+    checked,
     load_cube,
     save_bundles,
     save_cube,
@@ -47,14 +48,11 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _field_names(cls) -> set:
-    return {f.name for f in dataclasses.fields(cls)}
+@dataclasses.dataclass
+class _Seed:
+    """The synth seed, which is not a scene field."""
 
-
-def _check_keys(cfg: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(cfg) - allowed)
-    if unknown:
-        raise CliError(f"unknown {where} config keys: {', '.join(unknown)}")
+    seed: int = checked("int", ">= 0", default=0)
 
 
 def _object(value, where: str) -> dict:
@@ -78,11 +76,10 @@ def _load_config_file(path) -> dict:
 
 def _build_dataclass(cls, cfg, where: str):
     cfg = _object(cfg, where)
-    _check_keys(cfg, _field_names(cls), where)
-    try:
-        return cls(**cfg)
-    except TypeError as exc:
-        raise CliError(f"bad {where} config: {exc}") from exc
+    unknown = sorted(set(cfg) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise CliError(f"unknown {where} config keys: {', '.join(unknown)}")
+    return cls(**cfg)
 
 
 def _jsonable(value):
@@ -112,8 +109,7 @@ def _scene_config(cfg: dict, seed_flag) -> tuple[SceneConfig, int]:
     seed = cfg.pop("seed", 0)
     if seed_flag is not None:
         seed = seed_flag
-    if not _integer(seed) or seed < 0:
-        raise CliError(f"seed must be a nonnegative integer, got {seed!r}")
+    check_fields(_Seed(seed), CliError)
     bundle_cfg = cfg.pop("bundle_spec", None)
     if bundle_cfg is not None:
         if not isinstance(bundle_cfg, list):
@@ -373,6 +369,10 @@ _HANDLED = (
     ShapeError,
     OSError,
     ValueError,
+    # a config value the checks let through can still overflow a float
+    # (corr_length 1e300) or ask numpy for an array it refuses at once
+    ArithmeticError,
+    MemoryError,
 )
 
 
@@ -385,8 +385,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
         return 2
     except _HANDLED as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
+        # named by its first public class: numpy raises _ArrayMemoryError
+        name = next(c.__name__ for c in type(exc).__mro__ if not c.__name__.startswith("_"))
+        print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
         return 1

@@ -1,5 +1,5 @@
-"""Hyperspectral cube I/O, patch extraction, pixel splits, pure-pixel bundle
-estimation and synthetic scene generation.
+"""Hyperspectral cube I/O, patch extraction, pixel splits, synthetic scene
+generation and the field checker every config dataclass validates with.
 
 Cubes live on disk as band-sequential little-endian float32 payloads
 (``<name>.bsq``) next to a JSON sidecar (``<name>.json``) describing height,
@@ -10,9 +10,10 @@ same layout under ``<name>_abundances``; ground-truth bundles are JSON under
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import math
-import warnings
+import operator
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,9 +21,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 SIMPLEX_TOL = 1e-6
-RIDGE_FACTOR = 1e-6
-DEFAULT_SKEWERS = 10_000
-DEFAULT_PURITY_QUANTILE = 0.95
 DEFAULT_SEG_LEN = 16
 
 
@@ -39,6 +37,55 @@ def segment_sizes(bands: int, seg_len: int) -> list[int]:
         raise DataError(f"band count must be >= 1, got {bands}")
     full, rem = divmod(bands, seg_len)
     return [seg_len] * full + ([rem] if rem else [])
+
+
+# ---------------------------------------------------------------------------
+# config fields
+
+_KINDS = {"int": "an integer", "real": "a finite number", "reals": "a list of finite numbers"}
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+
+
+def checked(kind: str, *bounds: str, odd: bool = False, **field_args):
+    """A dataclass field that ``check_fields`` tests. ``kind`` is "int",
+    "real" (finite), "reals" (a list of finite reals) or "config" (a nested
+    config or a list of them); each bound reads like ">= 1" and holds for
+    every entry of a list; ``odd`` asks for an odd value. A field whose
+    default is None may hold None. ``field_args`` go to ``dataclasses.field``."""
+    return field(metadata={"check": (kind, bounds, odd)}, **field_args)
+
+
+def _fits(value, kind: str, bounds, odd: bool) -> bool:
+    if kind == "reals":
+        listed = isinstance(value, (list, tuple)) or getattr(value, "ndim", None) == 1
+        return listed and all(_fits(v, "real", bounds, odd) for v in value)
+    # JSON's true, false, strings and null are not numbers
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    if kind == "int" and not isinstance(value, (int, np.integer)) or odd and value % 2 != 1:
+        return False
+    # NaN, the infinities and ints beyond the float range are not finite reals
+    finite = kind == "int" or abs(value) <= sys.float_info.max
+    return finite and all(_COMPARE[op](value, float(limit)) for op, limit in map(str.split, bounds))
+
+
+def check_fields(obj, error: type[Exception], where: str = "") -> None:
+    """Raise ``error`` at the first field of the config dataclass ``obj``
+    that breaks its ``checked`` rule, naming it as ``where`` plus the field
+    name (``bundle_spec[0].widths``). Nested configs raise the same error;
+    rules that relate two fields stay in each config's ``validate``."""
+    for f in dataclasses.fields(obj):
+        kind, bounds, odd = f.metadata.get("check", (None, (), False))
+        name, value = where + f.name, getattr(obj, f.name)
+        if kind is None or value is None and f.default is None:
+            continue
+        if kind == "config":
+            many = isinstance(value, (list, tuple))
+            for i, item in enumerate(value if many else [value]):
+                check_fields(item, error, f"{name}[{i}]." if many else f"{name}.")
+        elif not _fits(value, kind, bounds, odd):
+            rule = " ".join(["an odd integer" if odd else _KINDS[kind], " and ".join(bounds)])
+            raise error(f"{name} must be {rule.rstrip()}, got {value!r}")
 
 
 @dataclass
@@ -75,9 +122,6 @@ class EndmemberBundle:
     @property
     def bands(self) -> int:
         return self.mean.size
-
-    def cov_blocks(self) -> list[np.ndarray]:
-        return [b @ b.T for b in self.chol_blocks]
 
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         """Draw (size, C) spectra, segment by segment: mean + L @ eps."""
@@ -324,8 +368,8 @@ class PatchSource:
 class SplitSpec:
     """Deterministic train/test pixel split."""
 
-    train_fraction: float = 0.2
-    seed: int = 0
+    train_fraction: float = checked("real", ">= 0", "<= 1", default=0.2)
+    seed: int = checked("int", ">= 0", default=0)
 
 
 @dataclass
@@ -340,10 +384,7 @@ def split_pixels(n_pixels: int, spec: SplitSpec) -> PixelSplit:
     """Disjoint, exhaustive split with |train| = round(train_fraction * N)."""
     if n_pixels < 1:
         raise DataError(f"cannot split {n_pixels} pixels")
-    if not _finite_real(spec.train_fraction) or not 0.0 <= spec.train_fraction <= 1.0:
-        raise DataError(f"train fraction must lie in [0, 1], got {spec.train_fraction!r}")
-    if not _integer(spec.seed) or spec.seed < 0:
-        raise DataError(f"split seed must be a nonnegative integer, got {spec.seed!r}")
+    check_fields(spec, DataError)
     rng = np.random.default_rng(spec.seed)
     perm = rng.permutation(n_pixels)
     n_train = int(round(spec.train_fraction * n_pixels))
@@ -351,131 +392,6 @@ def split_pixels(n_pixels: int, spec: SplitSpec) -> PixelSplit:
         train_indices=np.sort(perm[:n_train]),
         test_indices=np.sort(perm[n_train:]),
     )
-
-
-# ---------------------------------------------------------------------------
-# pure-pixel scoring and bundle estimation
-
-
-def ppi_scores(
-    cube: HsiCube, n_skewers: int = DEFAULT_SKEWERS, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """Pixel purity counts: project every pixel onto random unit spectral
-    directions and increment both extremes of each projection (ties go to the
-    lowest pixel index)."""
-    if n_skewers < 1:
-        raise DataError(f"need at least one skewer, got {n_skewers}")
-    rng = np.random.default_rng(0) if rng is None else rng
-    pixels = cube.pixels()
-    counts = np.zeros(pixels.shape[0], dtype=np.int64)
-    chunk = 512
-    remaining = n_skewers
-    while remaining > 0:
-        m = min(chunk, remaining)
-        directions = rng.standard_normal((cube.bands, m))
-        norms = np.sqrt((directions * directions).sum(axis=0))
-        norms[norms == 0.0] = 1.0
-        projections = pixels @ (directions / norms)
-        np.add.at(counts, np.argmax(projections, axis=0), 1)
-        np.add.at(counts, np.argmin(projections, axis=0), 1)
-        remaining -= m
-    return counts
-
-
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            centers[j] = points[rng.integers(n)]
-        else:
-            centers[j] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
-    return centers
-
-
-def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator, restarts: int = 20, iters: int = 100):
-    """Seeded k-means, best of `restarts` runs by inertia. Empty clusters keep
-    their previous center so the caller can detect degenerate clusterings."""
-    best = None
-    for _ in range(restarts):
-        centers = _kmeans_pp_init(points, k, rng)
-        labels = np.zeros(points.shape[0], dtype=np.int64)
-        for _ in range(iters):
-            d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            labels = np.argmin(d2, axis=1)
-            new_centers = centers.copy()
-            for j in range(k):
-                members = labels == j
-                if members.any():
-                    new_centers[j] = points[members].mean(axis=0)
-            if np.array_equal(new_centers, centers):
-                break
-            centers = new_centers
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(d2, axis=1)
-        inertia = float(d2[np.arange(points.shape[0]), labels].sum())
-        if best is None or inertia < best[2]:
-            best = (labels, centers, inertia)
-    return best
-
-
-def estimate_bundles(
-    cube: HsiCube,
-    scores: np.ndarray,
-    k: int,
-    purity_quantile: float = DEFAULT_PURITY_QUANTILE,
-    seg_len: int = DEFAULT_SEG_LEN,
-    rng: np.random.Generator | None = None,
-) -> list[EndmemberBundle]:
-    """Cluster the top-quantile pure pixels and fit one Gaussian bundle per
-    cluster with segment-wise ridge-stabilized covariances."""
-    scores = np.asarray(scores)
-    if scores.shape != (cube.n_pixels,):
-        raise DataError(f"scores shape {scores.shape} does not match {cube.n_pixels} pixels")
-    nonzero = scores > 0
-    if not nonzero.any():
-        raise DataError("no pixels received a nonzero purity count")
-    threshold = np.quantile(scores[nonzero], purity_quantile)
-    selected = np.nonzero(nonzero & (scores >= threshold))[0]
-    needed = k * (seg_len + 1)
-    if selected.size < needed:
-        raise DataError(
-            f"too few pure pixels: {selected.size} selected, need at least {needed} "
-            f"for {k} endmembers at segment length {seg_len}"
-        )
-    spectra = cube.pixels()[selected]
-    rng = np.random.default_rng(0) if rng is None else rng
-    labels, _, _ = _kmeans(spectra, k, rng)
-    ridge = max(RIDGE_FACTOR * float(spectra.var(axis=0).mean()), 1e-18)
-    sizes = segment_sizes(cube.bands, seg_len)
-    bundles = []
-    for j in range(k):
-        members = spectra[labels == j]
-        if members.shape[0] == 0:
-            raise DataError(
-                f"cluster {j} is empty; the pure pixels do not support {k} distinct endmembers"
-            )
-        if members.shape[0] < 2:
-            warnings.warn(
-                f"cluster {j} has a single member; covariance falls back to the ridge only",
-                stacklevel=2,
-            )
-        mean = members.mean(axis=0)
-        blocks = []
-        start = 0
-        for m in sizes:
-            if members.shape[0] >= 2:
-                cov = np.atleast_2d(np.cov(members[:, start : start + m], rowvar=False))
-            else:
-                cov = np.zeros((m, m))
-            blocks.append(np.linalg.cholesky(cov + ridge * np.eye(m)))
-            start += m
-        bundles.append(EndmemberBundle(name=f"em{j}", mean=mean, chol_blocks=blocks, seg_len=seg_len))
-    return bundles
 
 
 # ---------------------------------------------------------------------------
@@ -488,51 +404,18 @@ class BundleSpec:
     over normalized band position; cov_scale scales a smooth correlated
     covariance shared across segments."""
 
-    centers: list[float] = field(default_factory=lambda: [0.5])
-    widths: list[float] = field(default_factory=lambda: [0.12])
-    amplitudes: list[float] = field(default_factory=lambda: [0.6])
-    cov_scale: float = 0.001
-    base_level: float = 0.15
-
-    def validate(self, where: str) -> None:
-        for name in ("centers", "widths", "amplitudes"):
-            value = getattr(self, name)
-            if not isinstance(value, (list, tuple, np.ndarray)) or not all(
-                _finite_real(v) for v in value
-            ):
-                raise DataError(f"{where}.{name} must be a list of finite numbers, got {value!r}")
-        if not len(self.centers) == len(self.widths) == len(self.amplitudes):
-            raise DataError(f"{where}: centers, widths and amplitudes must have equal lengths")
-        if any(w <= 0 for w in self.widths):
-            raise DataError(f"{where}.widths must be positive, got {self.widths!r}")
-        for name in ("cov_scale", "base_level"):
-            value = getattr(self, name)
-            if not _finite_real(value):
-                raise DataError(f"{where}.{name} must be a finite number, got {value!r}")
-        if self.cov_scale < 0:
-            raise DataError(f"{where}.cov_scale must be nonnegative, got {self.cov_scale}")
+    centers: list[float] = checked("reals", default_factory=lambda: [0.5])
+    widths: list[float] = checked("reals", "> 0", default_factory=lambda: [0.12])
+    amplitudes: list[float] = checked("reals", default_factory=lambda: [0.6])
+    cov_scale: float = checked("real", ">= 0", default=0.001)
+    base_level: float = checked("real", default=0.15)
 
     def mean_spectrum(self, bands: int) -> np.ndarray:
         grid = np.linspace(0.0, 1.0, bands)
-        mean = np.full(bands, self.base_level)
+        mean = np.full(bands, self.base_level, dtype=np.float64)
         for c, w, a in zip(self.centers, self.widths, self.amplitudes):
             mean += a * np.exp(-((grid - c) ** 2) / (2.0 * w * w))
         return np.maximum(mean, 1e-3)
-
-
-def _integer(value) -> bool:
-    """An int or numpy integer; JSON's true and false are not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _finite_real(value) -> bool:
-    """A finite int or float; JSON's true, false, strings and null are not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
 
 
 @dataclass
@@ -545,64 +428,29 @@ class SceneConfig:
     A short correlation length keeps every covariance block far from
     singular, which keeps whitened distances (and their gradients) sane."""
 
-    height: int = 32
-    width: int = 32
-    bands: int = 48
-    k: int = 3
-    dirichlet_alpha: list[float] = field(default_factory=lambda: [20.0, 20.0, 20.0])
-    bundle_spec: list[BundleSpec] | None = None
-    noise_sigma: float = 0.005
-    pure_pixel_fraction: float = 0.1
-    seg_len: int = DEFAULT_SEG_LEN
-    pure_boost: float = 50.0
-    corr_length: float = 0.75
+    height: int = checked("int", ">= 1", default=32)
+    width: int = checked("int", ">= 1", default=32)
+    bands: int = checked("int", ">= 1", default=48)
+    k: int = checked("int", ">= 2", default=3)
+    dirichlet_alpha: list[float] = checked("reals", "> 0", default_factory=lambda: [20.0] * 3)
+    bundle_spec: list[BundleSpec] | None = checked("config", default=None)
+    noise_sigma: float = checked("real", ">= 0", default=0.005)
+    pure_pixel_fraction: float = checked("real", ">= 0", "<= 1", default=0.1)
+    seg_len: int = checked("int", ">= 1", default=DEFAULT_SEG_LEN)
+    pure_boost: float = checked("real", "> 0", default=50.0)
+    corr_length: float = checked("real", "> 0", default=0.75)
 
     def validate(self) -> None:
-        for name in ("height", "width", "bands", "k", "seg_len"):
-            if not _integer(getattr(self, name)):
-                raise DataError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.height < 1 or self.width < 1:
-            raise DataError(f"scene plan {self.height}x{self.width} is empty")
-        if self.k < 2:
-            raise DataError(f"need at least two endmembers, got {self.k}")
-        if self.bands < 1:
-            raise DataError(f"need at least one band, got {self.bands}")
-        for name in ("noise_sigma", "pure_pixel_fraction", "pure_boost", "corr_length"):
-            value = getattr(self, name)
-            if not _finite_real(value):
-                raise DataError(f"{name} must be a finite number, got {value!r}")
-        if not isinstance(self.dirichlet_alpha, (list, tuple, np.ndarray)) or not all(
-            _finite_real(a) for a in self.dirichlet_alpha
-        ):
-            raise DataError(
-                f"dirichlet_alpha must be a list of finite numbers, got {self.dirichlet_alpha!r}"
-            )
+        check_fields(self, DataError)
         if len(self.dirichlet_alpha) != self.k:
-            raise DataError(
-                f"dirichlet_alpha has {len(self.dirichlet_alpha)} entries for k={self.k}"
-            )
-        if any(a <= 0 for a in self.dirichlet_alpha):
-            raise DataError("dirichlet_alpha entries must be strictly positive")
-        if self.noise_sigma < 0:
-            raise DataError(f"noise sigma must be nonnegative, got {self.noise_sigma}")
-        if not 0.0 <= self.pure_pixel_fraction <= 1.0:
-            raise DataError(
-                f"pure pixel fraction must lie in [0, 1], got {self.pure_pixel_fraction}"
-            )
-        for name in ("pure_boost", "corr_length"):
-            if getattr(self, name) <= 0:
-                raise DataError(f"{name} must be positive, got {getattr(self, name)}")
+            raise DataError(f"{len(self.dirichlet_alpha)} dirichlet_alpha entries for k={self.k}")
         if self.bundle_spec is not None and len(self.bundle_spec) != self.k:
-            raise DataError(
-                f"bundle_spec has {len(self.bundle_spec)} entries for k={self.k}"
-            )
+            raise DataError(f"bundle_spec has {len(self.bundle_spec)} entries for k={self.k}")
         for i, spec in enumerate(self.bundle_spec or []):
-            spec.validate(f"bundle_spec[{i}]")
+            if not len(spec.centers) == len(spec.widths) == len(spec.amplitudes):
+                raise DataError(f"bundle_spec[{i}]: centers, widths, amplitudes differ in length")
         if self.bands < self.seg_len:
-            raise DataError(
-                f"scene needs bands >= segment length, got {self.bands} < {self.seg_len}"
-            )
-        segment_sizes(self.bands, self.seg_len)
+            raise DataError(f"scene needs bands >= seg_len, got {self.bands} < {self.seg_len}")
 
     def resolved_bundle_spec(self) -> list[BundleSpec]:
         if self.bundle_spec is not None:

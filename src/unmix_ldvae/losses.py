@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import lapack
 from scipy.special import gammaln
 
-from .data import EndmemberBundle, _finite_real
+from .data import EndmemberBundle, check_fields, checked
 from .model import DecodedBundles, Heads, SampledReconstruction
 from .numcore import NumericError, ShapeError, Tensor, ops
 
@@ -26,28 +26,18 @@ class LossError(ValueError):
 
 @dataclass
 class LossWeights:
-    lambda_abundances: float = 1.0
-    lambda_endmembers_start: float = 1e-6
-    lambda_endmembers_end: float = 1.0
-    anneal_epochs: int = 80_000
-    alpha_prior: np.ndarray | None = None
+    lambda_abundances: float = checked("real", default=1.0)
+    lambda_endmembers_start: float = checked("real", "> 0", default=1e-6)
+    lambda_endmembers_end: float = checked("real", default=1.0)
+    # a real, not only an integer: configs may write 1e5, and the schedule divides by it
+    anneal_epochs: int = checked("real", "> 0", default=80_000)
+    alpha_prior: np.ndarray | None = checked("reals", "> 0", default=None)
 
     def validate(self) -> None:
-        for name in ("lambda_abundances", "lambda_endmembers_start", "lambda_endmembers_end",
-                     "anneal_epochs"):
-            if not _finite_real(getattr(self, name)):
-                raise LossError(f"{name} must be a finite number, got {getattr(self, name)!r}")
-        if not self.lambda_endmembers_start < self.lambda_endmembers_end:
-            raise LossError(
-                f"anneal must increase: start {self.lambda_endmembers_start} "
-                f">= end {self.lambda_endmembers_end}"
-            )
-        if self.lambda_endmembers_start <= 0:
-            raise LossError("anneal start must be strictly positive")
-        if self.anneal_epochs <= 0:
-            raise LossError(f"anneal_epochs must be positive, got {self.anneal_epochs}")
-        if self.alpha_prior is not None and np.any(np.asarray(self.alpha_prior) <= 0):
-            raise LossError("alpha_prior entries must be strictly positive")
+        check_fields(self, LossError)
+        start, end = self.lambda_endmembers_start, self.lambda_endmembers_end
+        if not start < end:
+            raise LossError(f"anneal must increase: start {start} >= end {end}")
 
     def prior_for(self, k: int) -> np.ndarray:
         """Prior concentrations, defaulting to the uniform all-ones vector."""

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import HsiCube, PatchSource, _finite_real, _integer, segment_sizes
+from .data import HsiCube, PatchSource, check_fields, checked, segment_sizes
 from .numcore import (
     GammaNoise,
     ShapeError,
@@ -44,38 +44,21 @@ POS_INIT_SCALE = 0.02
 
 @dataclass
 class ModelConfig:
-    patch: int = 5
-    bands: int = 156
-    k: int = 4
-    seg_len: int = 16
-    d: int = 64
-    layers: int = 4
-    heads: int = 16
-    ff_dim: int = 128
-    eps_alpha: float = 1e-6
-    eps_chol: float = 1e-4
+    patch: int = checked("int", ">= 1", odd=True, default=5)
+    bands: int = checked("int", ">= 1", default=156)
+    k: int = checked("int", ">= 2", default=4)
+    seg_len: int = checked("int", ">= 1", default=16)
+    d: int = checked("int", ">= 1", default=64)
+    layers: int = checked("int", ">= 1", default=4)
+    heads: int = checked("int", ">= 1", default=16)
+    ff_dim: int = checked("int", ">= 1", default=128)
+    eps_alpha: float = checked("real", "> 0", default=1e-6)
+    eps_chol: float = checked("real", "> 0", default=1e-4)
 
     def validate(self) -> None:
-        for name in ("patch", "bands", "k", "seg_len", "d", "layers", "heads", "ff_dim"):
-            if not _integer(getattr(self, name)):
-                raise ModelError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.patch < 1 or self.patch % 2 == 0:
-            raise ModelError(f"patch must be odd and positive, got {self.patch}")
-        if self.bands < 1 or self.seg_len < 1:
-            raise ModelError(
-                f"bands ({self.bands}) and seg_len ({self.seg_len}) must be positive"
-            )
-        if self.k < 2:
-            raise ModelError(f"need at least 2 endmembers, got {self.k}")
-        if self.layers < 1:
-            raise ModelError(f"need at least one encoder layer, got {self.layers}")
-        if self.d < 1 or self.heads < 1 or self.d % self.heads != 0:
+        check_fields(self, ModelError)
+        if self.d % self.heads != 0:
             raise ModelError(f"embedding dim {self.d} does not split into {self.heads} heads")
-        if self.ff_dim < 1:
-            raise ModelError(f"ff_dim must be positive, got {self.ff_dim}")
-        for name in ("eps_alpha", "eps_chol"):
-            if not _finite_real(getattr(self, name)) or getattr(self, name) <= 0:
-                raise ModelError(f"{name} must be a positive number, got {getattr(self, name)!r}")
 
     @property
     def n_segments(self) -> int:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, HsiCube, PatchSource, SplitSpec, _finite_real, _integer, split_pixels
+from .data import HsiCube, PatchSource, SplitSpec, check_fields, checked, split_pixels
 from .losses import (
     LossBreakdown,
     LossWeights,
@@ -52,35 +52,20 @@ class TrainError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    epochs: int = 1000
-    batch_size: int = 128
-    learning_rate: float = 2e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    seed: int = 0
+    epochs: int = checked("int", ">= 0", default=1000)
+    batch_size: int = checked("int", ">= 1", default=128)
+    learning_rate: float = checked("real", "> 0", default=2e-4)
+    adam_beta1: float = checked("real", ">= 0", "< 1", default=0.9)
+    adam_beta2: float = checked("real", ">= 0", "< 1", default=0.999)
+    adam_eps: float = checked("real", "> 0", default=1e-8)
+    seed: int = checked("int", ">= 0", default=0)
+    # model and loss weights raise their own errors from their own validate
     loss_weights: LossWeights = field(default_factory=LossWeights)
     model: ModelConfig = field(default_factory=ModelConfig)
-    split: SplitSpec = field(default_factory=SplitSpec)
+    split: SplitSpec = checked("config", default_factory=SplitSpec)
 
     def validate(self) -> None:
-        for name in ("epochs", "batch_size", "seed"):
-            if not _integer(getattr(self, name)):
-                raise TrainError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("learning_rate", "adam_beta1", "adam_beta2", "adam_eps"):
-            if not _finite_real(getattr(self, name)):
-                raise TrainError(f"{name} must be a finite number, got {getattr(self, name)!r}")
-        if self.epochs < 0 or self.seed < 0:
-            raise TrainError(f"epochs and seed must be nonnegative: {self.epochs}, {self.seed}")
-        if self.batch_size < 1:
-            raise TrainError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise TrainError(f"learning_rate must be positive, got {self.learning_rate}")
-        for name, beta in (("adam_beta1", self.adam_beta1), ("adam_beta2", self.adam_beta2)):
-            if not 0.0 <= beta < 1.0:
-                raise TrainError(f"{name} must lie in [0, 1), got {beta}")
-        if self.adam_eps <= 0:
-            raise TrainError(f"adam_eps must be positive, got {self.adam_eps}")
+        check_fields(self, TrainError)
         self.model.validate()
         self.loss_weights.validate()
 
@@ -498,13 +483,15 @@ def fit(
     if cube.gt_abundances is None or cube.gt_bundles is None:
         raise TrainError("supervised training needs ground-truth abundances and bundles")
     if config.model.bands != cube.bands:
-        raise TrainError(
-            f"model expects {config.model.bands} bands but cube has {cube.bands}"
-        )
+        raise TrainError(f"model expects {config.model.bands} bands but cube has {cube.bands}")
     if config.model.k != len(cube.gt_bundles):
         raise TrainError(
             f"model expects {config.model.k} endmembers but cube has {len(cube.gt_bundles)}"
         )
+    sizes = [block.shape[0] for block in cube.gt_bundles[0].chol_blocks]
+    if config.model.cov_segment_sizes() != sizes:
+        raise TrainError(f"model seg_len {config.model.seg_len} splits the bands unlike the "
+                         f"ground-truth bundles' segments {sizes}")
     if resume is not None:
         previous = load_checkpoint(resume)
         if previous.model.to_dict() != config.model.to_dict():
@@ -526,10 +513,7 @@ def fit(
         start_epoch = 0
         earlier = []
 
-    try:
-        split = split_pixels(cube.n_pixels, config.split)
-    except DataError as err:
-        raise TrainError(str(err)) from err
+    split = split_pixels(cube.n_pixels, config.split)
     if split.train_indices.size == 0:
         raise TrainError("training split is empty; raise train_fraction")
     out_dir = Path(out_dir)

@@ -205,6 +205,24 @@ def test_bad_bundle_spec_fails_cleanly(capsys, tmp_path, entry, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, error",
+    [("corr_length", 1e300, "OverflowError"), ("bundle_spec", [{"base_level": 0}, {}, {}], None)],
+    ids=["corr-length-overflows", "integer-base-level"],
+)
+def test_finite_scene_value_gives_a_scene_or_one_json_error(capsys, tmp_path, key, value, error):
+    """corr_length squared overflows a float inside make_scene_bundles; an
+    integer base level used to start an integer mean spectrum."""
+    config = tmp_path / "scene.json"
+    config.write_text(json.dumps({**SCENE_CFG, key: value}))
+    rc = main(["synth", "--out", str(tmp_path / "out"), "--config", str(config)])
+    if error is None:
+        assert rc == 0 and capsys.readouterr().err == ""
+    else:
+        one_json_error(capsys, rc, 1, error)
+        assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("raw", ['"abc"', "2.5", "true", "-1"], ids=["string", "float", "bool", "negative"])
 def test_non_integer_seed_is_a_usage_error(capsys, tmp_path, raw):
     config = tmp_path / "scene.json"
@@ -504,11 +522,17 @@ def test_config_section_must_be_an_object(ws, capsys, tmp_path, command, section
         ({"split": {"train_fraction": "x"}}, "TrainError"),
         ({"loss_weights": {"anneal_epochs": "x"}}, "LossError"),
         ({"model": {**TRAIN_CFG["model"], "eps_alpha": "x"}}, "ModelError"),
+        ({"loss_weights": {"alpha_prior": [float("nan"), 1.0, 1.0]}}, "LossError"),
+        ({"loss_weights": {"alpha_prior": [1.0, float("inf"), 1.0]}}, "LossError"),
+        ({"model": {**TRAIN_CFG["model"], "seg_len": 4}}, "TrainError"),
+        ({"model": {**TRAIN_CFG["model"], "seg_len": 100_000_000_000}}, "TrainError"),
+        ({"model": {**TRAIN_CFG["model"], "ff_dim": 100_000_000_000}}, "MemoryError"),
     ],
     ids=[
         "seed-string", "seed-float", "seed-negative", "epochs-float", "batch-size-null",
         "learning-rate-string", "train-fraction-string", "anneal-epochs-string",
-        "eps-alpha-string",
+        "eps-alpha-string", "alpha-prior-nan", "alpha-prior-infinity", "seg-len-unlike-scene",
+        "seg-len-huge", "ff-dim-beyond-memory",
     ],
 )
 def test_train_config_of_the_wrong_type_is_one_json_error(ws, capsys, tmp_path, section, error):

@@ -1,17 +1,16 @@
-"""Data layer tests: file round trips, patches, splits, purity scoring,
-bundle estimation and synthetic scenes.
+"""Data layer tests: file round trips, patches, splits, synthetic scenes and
+the config field checker.
 
 Independent oracles used here:
 - scipy.optimize.nnls certifies that noise-free zero-covariance scenes lie in
   the convex hull of the endmember means.
 - empirical moments of bundle draws are checked against the requested
   mean / L L^T covariance.
-- brute-force permutation matching (itertools) pairs recovered endmembers
-  with ground truth by minimal total spectral angle.
 """
 
-import itertools
 import json
+import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +27,10 @@ from unmix_ldvae.data import (
     SplitSpec,
     bundles_from_json,
     bundles_to_json,
-    estimate_bundles,
+    check_fields,
+    checked,
     load_cube,
     make_scene_bundles,
-    ppi_scores,
     save_cube,
     segment_sizes,
     split_pixels,
@@ -56,11 +55,6 @@ def small_scene(noise=0.0, cov=0.0, seed=0, h=8, w=8, pure=0.0):
         seg_len=4,
     )
     return synth_scene(config, np.random.default_rng(seed)), config
-
-
-def spectral_angle(a, b):
-    cosine = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
-    return float(np.arccos(np.clip(cosine, -1.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,167 +309,47 @@ def test_split_partitions_all_pixels():
 
 
 # ---------------------------------------------------------------------------
-# purity scoring
+# config fields
 
 
-def test_ppi_total_increments():
-    scene, _ = small_scene(seed=2)
-    scores = ppi_scores(scene, n_skewers=777, rng=np.random.default_rng(0))
-    assert scores.sum() == 2 * 777
-    assert np.all(scores >= 0)
+@dataclass
+class _Inner:
+    x: float = checked("real", "> 0", default=1.0)
 
 
-def test_ppi_single_pixel_takes_everything():
-    cube = HsiCube(np.full((1, 1, 4), 0.3))
-    scores = ppi_scores(cube, n_skewers=50, rng=np.random.default_rng(0))
-    assert scores.tolist() == [100]
+@dataclass
+class _Outer:
+    n: int = checked("int", ">= 1", odd=True, default=3)
+    xs: list = checked("reals", ">= 0", "< 1", default_factory=lambda: [0.5])
+    inner: list | None = checked("config", default=None)
+    free: object = None
 
 
-def test_ppi_vertex_pixels_dominate_interior_mixtures():
-    rng = np.random.default_rng(0)
-    vertices = np.array(
-        [
-            [0.9, 0.1, 0.1, 0.1, 0.2],
-            [0.1, 0.9, 0.1, 0.2, 0.1],
-            [0.1, 0.1, 0.9, 0.1, 0.1],
-        ]
-    )
-    weights = rng.dirichlet([3.0, 3.0, 3.0], size=46)
-    pixels = np.vstack([vertices, weights @ vertices])
-    cube = HsiCube(pixels.reshape(7, 7, 5))
-    scores = ppi_scores(cube, n_skewers=10_000, rng=np.random.default_rng(1))
-    top3 = set(np.argsort(scores)[-3:].tolist())
-    assert top3 == {0, 1, 2}
+def test_check_fields_passes_values_in_bounds_and_skips_unchecked_fields():
+    outer = _Outer(n=2**70 + 1, xs=np.array([0.0, 0.9]), inner=[_Inner()], free="x")
+    check_fields(outer, DataError)
+    check_fields(_Outer(inner=_Inner(x=2)), DataError)
 
 
-def test_ppi_counts_permute_with_pixel_order():
-    scene, _ = small_scene(seed=6, cov=0.01, noise=0.002)
-    perm = np.random.default_rng(8).permutation(scene.n_pixels)
-    permuted = HsiCube(scene.pixels()[perm].reshape(scene.reflectance.shape))
-    base = ppi_scores(scene, n_skewers=2000, rng=np.random.default_rng(42))
-    moved = ppi_scores(permuted, n_skewers=2000, rng=np.random.default_rng(42))
-    assert np.array_equal(moved, base[perm])
-
-
-# ---------------------------------------------------------------------------
-# bundle estimation
-
-
-def test_estimate_bundles_recovers_generative_means():
-    config = SceneConfig(
-        height=32,
-        width=32,
-        bands=24,
-        k=3,
-        dirichlet_alpha=[0.8, 0.8, 0.8],
-        bundle_spec=[
-            BundleSpec(centers=[0.15], widths=[0.07], amplitudes=[0.8], cov_scale=0.004),
-            BundleSpec(centers=[0.5], widths=[0.09], amplitudes=[0.7], cov_scale=0.004),
-            BundleSpec(centers=[0.85], widths=[0.08], amplitudes=[0.9], cov_scale=0.004),
-        ],
-        noise_sigma=0.002,
-        pure_pixel_fraction=0.1,
-        seg_len=8,
-    )
-    scene = synth_scene(config, np.random.default_rng(0))
-    scores = ppi_scores(scene, n_skewers=10_000, rng=np.random.default_rng(0))
-    bundles = estimate_bundles(
-        scene, scores, k=3, purity_quantile=0.6, seg_len=8, rng=np.random.default_rng(0)
-    )
-    true_means = [b.mean for b in scene.gt_bundles]
-    est_means = [b.mean for b in bundles]
-    best = min(
-        itertools.permutations(range(3)),
-        key=lambda p: sum(spectral_angle(est_means[p[i]], true_means[i]) for i in range(3)),
-    )
-    for i in range(3):
-        assert spectral_angle(est_means[best[i]], true_means[i]) < 0.05
-
-
-def test_estimate_bundles_identical_pixels_cannot_support_two_clusters():
-    cube = HsiCube(np.full((4, 4, 6), 0.4))
-    scores = np.ones(16, dtype=np.int64)
-    with pytest.raises(DataError):
-        estimate_bundles(cube, scores, k=2, purity_quantile=0.5, seg_len=3)
-
-
-def test_estimate_bundles_needs_enough_pure_pixels():
-    scene, _ = small_scene()
-    scores = np.zeros(scene.n_pixels, dtype=np.int64)
-    scores[:4] = 1
-    with pytest.raises(DataError):
-        estimate_bundles(scene, scores, k=3, purity_quantile=0.5, seg_len=4)
-
-
-def test_estimate_bundles_minimal_cluster_is_positive_definite():
-    rng = np.random.default_rng(4)
-    seg_len = 8
-    points = 0.3 + 0.05 * rng.standard_normal((seg_len + 1, seg_len))
-    cube = HsiCube(np.maximum(points, 0.0).reshape(1, seg_len + 1, seg_len))
-    scores = np.ones(seg_len + 1, dtype=np.int64)
-    (bundle,) = estimate_bundles(cube, scores, k=1, purity_quantile=0.0, seg_len=seg_len)
-    assert np.all(np.diag(bundle.chol_blocks[0]) > 0)
-    cov = bundle.cov_blocks()[0]
-    assert np.all(np.linalg.eigvalsh(cov) > 0)
-
-
-def test_estimate_bundle_quality_improves_with_purity():
-    def bundle_kl(est, true):
-        total = 0.0
-        start = 0
-        for lt, le in zip(true.chol_blocks, est.chol_blocks):
-            m = lt.shape[0]
-            a = np.linalg.inv(lt)
-            diff = a @ (true.mean[start : start + m] - est.mean[start : start + m])
-            al = a @ le
-            logdet = 2.0 * (np.log(np.diag(lt)).sum() - np.log(np.diag(le)).sum())
-            total += 0.5 * ((al * al).sum() + diff @ diff - m + logdet)
-            start += m
-        return total
-
-    # Short correlation length keeps the true covariance well conditioned,
-    # so the KL reflects estimation quality instead of amplifying additive
-    # noise along near-null directions of the generative kernel.
-    config = SceneConfig(
-        height=40,
-        width=40,
-        bands=24,
-        k=3,
-        dirichlet_alpha=[0.8, 0.8, 0.8],
-        bundle_spec=[
-            BundleSpec(centers=[0.15], widths=[0.07], amplitudes=[0.8], cov_scale=0.01),
-            BundleSpec(centers=[0.5], widths=[0.09], amplitudes=[0.7], cov_scale=0.01),
-            BundleSpec(centers=[0.85], widths=[0.08], amplitudes=[0.9], cov_scale=0.01),
-        ],
-        noise_sigma=0.0,
-        seg_len=8,
-        corr_length=0.75,
-    )
-    kls = []
-    for purity in (0.02, 0.05, 0.1, 0.2):
-        config.pure_pixel_fraction = purity
-        per_seed = []
-        for seed in (0, 1, 2, 3, 4, 5):
-            scene = synth_scene(config, np.random.default_rng(seed))
-            scores = ppi_scores(scene, n_skewers=10_000, rng=np.random.default_rng(seed))
-            bundles = estimate_bundles(
-                scene, scores, k=3, purity_quantile=0.6, seg_len=8,
-                rng=np.random.default_rng(seed),
-            )
-            true_means = [b.mean for b in scene.gt_bundles]
-            est_means = [b.mean for b in bundles]
-            best = min(
-                itertools.permutations(range(3)),
-                key=lambda p: sum(
-                    spectral_angle(est_means[p[i]], true_means[i]) for i in range(3)
-                ),
-            )
-            per_seed.append(
-                sum(bundle_kl(bundles[best[i]], scene.gt_bundles[i]) for i in range(3))
-            )
-        kls.append(np.mean(per_seed))
-    assert kls[-1] < kls[0]
-    assert all(b < a for a, b in zip(kls, kls[1:]))
+@pytest.mark.parametrize(
+    "outer, message",
+    [
+        (_Outer(n=4), "n must be an odd integer >= 1, got 4"),
+        (_Outer(n=True), "n must be an odd integer >= 1, got True"),
+        (_Outer(n=3.0), "n must be an odd integer >= 1, got 3.0"),
+        (_Outer(xs=[0.5, 1.0]), "xs must be a list of finite numbers >= 0 and < 1, got [0.5, 1.0]"),
+        (_Outer(xs=[0.5, "0.5"]), "xs must be a list of finite numbers"),
+        (_Outer(xs=np.zeros((1, 1))), "xs must be a list of finite numbers"),
+        (_Outer(xs=None), "xs must be a list of finite numbers"),
+        (_Outer(inner=[_Inner(), _Inner(x=float("nan"))]), "inner[1].x must be a finite number"),
+        (_Outer(inner=_Inner(x=10**400)), "inner.x must be a finite number > 0"),
+    ],
+    ids=["even", "bool", "float", "bound", "string-entry", "matrix", "null", "nested-nan",
+         "int-beyond-float"],
+)
+def test_check_fields_names_the_field_and_its_rule(outer, message):
+    with pytest.raises(DataError, match="^cfg." + re.escape(message)):
+        check_fields(outer, DataError, "cfg.")
 
 
 # ---------------------------------------------------------------------------
