@@ -147,10 +147,10 @@ def _train_config(cfg: dict, cube: HsiCube, seed_flag) -> TrainConfig:
     prior = weights_cfg.pop("alpha_prior", None)
     weights = _build_dataclass(LossWeights, weights_cfg, "loss_weights")
     if prior is not None:
-        try:
-            weights.alpha_prior = np.asarray(prior, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"loss_weights.alpha_prior must be a list of numbers: {exc}") from exc
+        # JSON numbers only: numpy would read "2" and true as 2.0 and 1.0
+        if not isinstance(prior, list) or any(type(v) not in (int, float) for v in prior):
+            raise CliError("loss_weights.alpha_prior must be a list of numbers")
+        weights.alpha_prior = np.asarray(prior, dtype=np.float64)
 
     split = _build_dataclass(SplitSpec, cfg.pop("split", {}), "split")
 
@@ -251,9 +251,8 @@ def _write_abundances(out_dir, cube: HsiCube, abundances: np.ndarray) -> tuple[P
     """Create the output directory and write the (H, W, K) abundance maps
     there as BSQ. Returns (output directory, path of the .bsq file)."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     maps_base = _strip_known_suffix(out / "abundances.bsq")
-    _write_bsq(maps_base, abundances.reshape(cube.height, cube.width, -1))
+    _write_bsq({maps_base: abundances.reshape(cube.height, cube.width, -1)}, out)
     return out, Path(str(maps_base) + ".bsq")
 
 

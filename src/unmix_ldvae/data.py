@@ -209,12 +209,20 @@ def _strip_known_suffix(path) -> Path:
     return p
 
 
-def _write_bsq(base: Path, array: np.ndarray) -> None:
-    h, w, b = array.shape
-    payload = np.ascontiguousarray(np.transpose(array, (2, 0, 1)), dtype="<f4")
-    Path(str(base) + ".bsq").write_bytes(payload.tobytes())
-    header = {"height": h, "width": w, "bands": b, "dtype": "f32", "interleave": "bsq"}
-    Path(str(base) + ".json").write_text(json.dumps(header, sort_keys=True))
+def _write_bsq(cubes: dict, directory: Path) -> None:
+    """Write each (H, W, bands) array as float32 BSQ under its base path, and
+    make ``directory`` only once all are cast: a value float32 cannot hold
+    is a DataError that writes nothing."""
+    with np.errstate(over="ignore"):
+        payloads = {p: a.transpose(2, 0, 1).astype("<f4", order="C") for p, a in cubes.items()}
+    if not all(np.isfinite(payload).all() for payload in payloads.values()):
+        raise DataError("cube values are not finite as float32")
+    directory.mkdir(parents=True, exist_ok=True)
+    for base, payload in payloads.items():
+        b, h, w = payload.shape
+        Path(str(base) + ".bsq").write_bytes(payload.tobytes())
+        header = {"height": h, "width": w, "bands": b, "dtype": "f32", "interleave": "bsq"}
+        Path(str(base) + ".json").write_text(json.dumps(header, sort_keys=True))
 
 
 def _read_bsq(base: Path) -> np.ndarray:
@@ -309,10 +317,8 @@ def load_bundles(path) -> list[EndmemberBundle]:
 def save_cube(cube: HsiCube, base_path) -> None:
     """Write reflectance (and any ground truth) under the given base path."""
     base = _strip_known_suffix(base_path)
-    base.parent.mkdir(parents=True, exist_ok=True)
-    _write_bsq(base, cube.reflectance)
-    if cube.gt_abundances is not None:
-        _write_bsq(Path(str(base) + "_abundances"), cube.gt_abundances)
+    cubes = {base: cube.reflectance, Path(str(base) + "_abundances"): cube.gt_abundances}
+    _write_bsq({path: a for path, a in cubes.items() if a is not None}, base.parent)
     if cube.gt_bundles is not None:
         save_bundles(Path(str(base) + "_bundles.json"), cube.gt_bundles)
 

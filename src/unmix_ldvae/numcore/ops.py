@@ -192,30 +192,25 @@ def attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int) -> Tensor:
     and are cut into ``heads`` slices of width e = d / heads. Each head mixes
     its values by the rows of softmax(q k^T / sqrt(e)), and the merged heads
     go through wo + bo. The vjp is derived by hand, as in Dao et al.,
-    "FlashAttention" (2022), so the tape holds a single record in place of
-    the projections, head splits, scores and merge.
+    "FlashAttention" (2022), so the tape holds a single record.
 
-    The projections and the output matmul run over the whole batch. The
-    (heads, S, S) part runs in blocks of as many batch rows as fit in
-    ``ATTENTION_BLOCK_BYTES`` (2 MiB: 22 rows at 16 heads and S = 27). A
-    block's scores are written by one matmul, exponentiated in place to p
-    and then only read: the row sums l are einsum row reductions, 1/sqrt(e)
-    rides on the (S, e) queries and the (S, e) context p v is divided by l
-    instead of p. Softmax is shift-invariant, so the row-max shift only
-    guards the range of exp: every score is bounded by e * max|q| * max|k|
-    (q scaled), and only when that bound exceeds ``ATTENTION_EXP_BOUND`` are
-    the row maxima subtracted first.
+    Everything is feature-major: the projection is one (3d, B * S) product,
+    read as (3, heads, e, B, S), so the q^T, k^T and v^T of a head and a
+    sample are (e, S) matrices with unit stride along S that the BLAS reads
+    where they lie. ctx^T = v^T p^T lands in the (d, B * S) buffer that the
+    output projection reads, and the vjp writes g_q^T, g_k^T and g_v^T into
+    one (3d, B * S) buffer: no step copies an array to change its layout.
 
-    The vjp keeps l, the context and q, k, v, and recomputes p block by
-    block, as FlashAttention does, for one small matmul and an exp per
-    block. Keeping p would hold (B, heads, S, S) doubles, 12 MB per layer at
-    B = 128, from the forward to the backward. The vjp's working set is one
-    block's p and its cotangent, twice the budget. On a 2-core Xeon, a
-    criterion-7 fit at batch 128 peaks at 180 MiB, against 224 MiB with p
-    kept and 199 MiB with the whole batch as one block. Its epochs run about
-    a tenth longer than with p kept, and within noise of one block. Each
-    sample's matmuls are independent, so every result is the same bit for
-    bit whatever the block size.
+    The (heads, S, S) scores run in blocks of as many batch rows as fit in
+    ``ATTENTION_BLOCK_BYTES`` (22 rows at 16 heads and S = 27), exponentiated
+    in place to p, and the context is divided by the row sums l instead of
+    p. Softmax is shift-invariant, so the row maxima are subtracted only
+    when the score bound e * max|q| * max|k| (q scaled) exceeds
+    ``ATTENTION_EXP_BOUND``. The vjp keeps l, the context and q, k, v, and
+    recomputes p block by block, as FlashAttention does, rather than hold
+    (B, heads, S, S) doubles (12 MB per layer at B = 128) until backward.
+    Each sample's matmuls are independent, so every result is the same bit
+    for bit whatever the block size.
     """
     x, wq, wk, wv, wo, bq, bv, bo = (_as_tensor(t) for t in (x, wq, wk, wv, wo, bq, bv, bo))
     if x.ndim != 3:
@@ -233,69 +228,69 @@ def attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int) -> Tensor:
     scale = 1.0 / math.sqrt(e)
     w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
     x2 = x.data.reshape(b * s, d)
-    qkv = x2 @ w_qkv
-    qkv[:, :d] += bq.data
-    qkv[:, :d] *= scale
-    qkv[:, 2 * d :] += bv.data
-    # (3, B, heads, S, e) views of the projections; q carries the scale
-    q, k, v = qkv.reshape(b, s, 3, heads, e).transpose(2, 0, 3, 1, 4)
-    shift = e * np.abs(qkv[:, :d]).max() * np.abs(qkv[:, d : 2 * d]).max() > ATTENTION_EXP_BOUND
+    qkv_t = w_qkv.T @ x2.T
+    qkv_t[:d] += bq.data[:, None]
+    qkv_t[:d] *= scale
+    qkv_t[2 * d :] += bv.data[:, None]
+    # (heads, B, e, S) views of q^T, k^T and v^T; q carries the scale
+    q, k, v = qkv_t.reshape(3, heads, e, b, s).swapaxes(2, 3)
+    shift = e * np.abs(qkv_t[:d]).max() * np.abs(qkv_t[d : 2 * d]).max() > ATTENTION_EXP_BOUND
     rows = max(1, min(b, ATTENTION_BLOCK_BYTES // (heads * s * s * 8)))
     blocks = [slice(i, min(i + rows, b)) for i in range(0, b, rows)]
 
     def probs(blk, out):
-        p = np.matmul(q[blk], k[blk].swapaxes(-1, -2), out=out[: blk.stop - blk.start])
+        p = np.matmul(q[:, blk].swapaxes(-1, -2), k[:, blk], out=out[:, : blk.stop - blk.start])
         if shift:
             p -= p.max(axis=-1, keepdims=True)
         return np.exp(p, out=p)
 
-    l = np.empty((b, heads, s, 1))
-    ctx = np.empty((b, heads, s, e))
-    p_buf = np.empty((rows, heads, s, s))
+    l = np.empty((heads, b, s))
+    # the context, transposed per head and sample: the merged heads as (d, B * S)
+    merged_t = np.empty((d, b * s))
+    ctx_t = merged_t.reshape(heads, e, b, s)
+    p_buf = np.empty((heads, rows, s, s))
     for blk in blocks:
         p = probs(blk, p_buf)
-        np.einsum("...ij->...i", p, out=l[blk, ..., 0])
-        np.matmul(p, v[blk], out=ctx[blk])
+        np.einsum("...ij->...i", p, out=l[:, blk])
+        np.matmul(v[:, blk], p.swapaxes(-1, -2), out=ctx_t.swapaxes(1, 2)[:, blk])
     del p_buf, p
-    ctx /= l
-    merged = ctx.transpose(0, 2, 1, 3).reshape(b * s, d)
-    out = (merged @ wo.data + bo.data).reshape(b, s, d)
+    ctx_t /= l[:, None]
+    out = merged_t.T @ wo.data + bo.data
 
     def vjp(g):
         g2 = g.reshape(b * s, d)
-        g_ctx = (g2 @ wo.data.T).reshape(b, s, heads, e).transpose(0, 2, 1, 3)
         # attn = p / l, so each product with attn is one with p and g_ctx / l.
         # The softmax vjp (g_ctx v^T - r) * p, where r holds the row sums of
-        # g_ctx * ctx ((S, e) per head), is one matmul [g_ctx, -r] @ [v^T; 1].
-        lhs = np.empty((b, heads, s, e + 1))
-        g_ctx = np.divide(g_ctx, l, out=lhs[..., :e])
-        np.einsum("...i,...i->...", g_ctx, ctx, out=lhs[..., e])
-        np.negative(lhs[..., e], out=lhs[..., e])
-        rhs = np.ones((b, heads, e + 1, s))
-        rhs[:, :, :e] = v.swapaxes(-1, -2)
-        g_heads = np.empty((3, b, heads, s, e))
-        p_buf = np.empty((rows, heads, s, s))
-        g_buf = np.empty((rows, heads, s, s))
+        # g_ctx * ctx (over e per head), is one matmul [g_ctx, -r] @ [v^T; 1],
+        # whose operands are held as (e + 1, S) matrices like q^T and k^T.
+        lhs_t = np.empty((heads, e + 1, b, s))
+        g_ctx_t = np.divide((wo.data @ g2.T).reshape(heads, e, b, s), l[:, None], out=lhs_t[:, :e])
+        lhs_t[:, e] = -np.einsum("hebs,hebs->hbs", g_ctx_t, ctx_t)
+        rhs_t = np.ones((heads, e + 1, b, s))
+        rhs_t[:, :e] = v.swapaxes(1, 2)
+        lhs, rhs = lhs_t.swapaxes(1, 2), rhs_t.swapaxes(1, 2)
+        # g_q^T, g_k^T and g_v^T, written where the projection's cotangent lies
+        g_qkv_t = np.empty((3 * d, b * s))
+        g_q, g_k, g_v = g_qkv_t.reshape(3, heads, e, b, s).swapaxes(2, 3)
+        p_buf = np.empty((heads, rows, s, s))
+        g_buf = np.empty((heads, rows, s, s))
         for blk in blocks:
             p = probs(blk, p_buf)
-            np.matmul(p.swapaxes(-1, -2), g_ctx[blk], out=g_heads[2, blk])
-            g_scores = np.matmul(lhs[blk], rhs[blk], out=g_buf[: blk.stop - blk.start])
+            np.matmul(lhs[:, blk, :e], p, out=g_v[:, blk])
+            g_scores = np.matmul(lhs[:, blk].swapaxes(-1, -2), rhs[:, blk], out=g_buf[:, : p.shape[1]])
             g_scores *= p
-            np.matmul(g_scores, k[blk], out=g_heads[0, blk])
-            np.matmul(g_scores.swapaxes(-1, -2), q[blk], out=g_heads[1, blk])
-        g_heads[0] *= scale
-        # one transposing copy back to the (B * S, 3d) projection layout
-        g_qkv = g_heads.transpose(1, 3, 0, 2, 4).reshape(b * s, 3 * d)
-        gw = x2.T @ g_qkv
-        gb = g_qkv.sum(axis=0)
-        gx = (g_qkv @ w_qkv.T).reshape(b, s, d)
-        gwo = merged.T @ g2
+            np.matmul(k[:, blk], g_scores.swapaxes(-1, -2), out=g_q[:, blk])
+            np.matmul(q[:, blk], g_scores, out=g_k[:, blk])
+        g_qkv_t[:d] *= scale
+        gw = x2.T @ g_qkv_t.T
+        gb = g_qkv_t.sum(axis=1)
+        gx = (g_qkv_t.T @ w_qkv.T).reshape(b, s, d)
         return (
-            gx, gw[:, :d], gw[:, d : 2 * d], gw[:, 2 * d :], gwo,
+            gx, gw[:, :d], gw[:, d : 2 * d], gw[:, 2 * d :], merged_t @ g2,
             gb[:d], gb[2 * d :], g2.sum(axis=0),
         )
 
-    return _finish("attention", (x, wq, wk, wv, wo, bq, bv, bo), out, vjp)
+    return _finish("attention", (x, wq, wk, wv, wo, bq, bv, bo), out.reshape(b, s, d), vjp)
 
 
 def reshape(a, shape) -> Tensor:

@@ -207,12 +207,18 @@ def test_bad_bundle_spec_fails_cleanly(capsys, tmp_path, entry, key):
 
 @pytest.mark.parametrize(
     "key, value, error",
-    [("corr_length", 1e300, "OverflowError"), ("bundle_spec", [{"base_level": 0}, {}, {}], None)],
-    ids=["corr-length-overflows", "integer-base-level"],
+    [
+        ("corr_length", 1e300, "OverflowError"),
+        ("noise_sigma", 1e300, "DataError"),
+        ("bundle_spec", [{"base_level": 0}, {}, {}], None),
+    ],
+    ids=["corr-length-overflows", "noise-beyond-float32", "integer-base-level"],
 )
 def test_finite_scene_value_gives_a_scene_or_one_json_error(capsys, tmp_path, key, value, error):
-    """corr_length squared overflows a float inside make_scene_bundles; an
-    integer base level used to start an integer mean spectrum."""
+    """corr_length squared overflows a float inside make_scene_bundles; a
+    noise level of 1e300 gives reflectances the float32 cube cannot hold,
+    found before the output directory is made; an integer base level used
+    to start an integer mean spectrum."""
     config = tmp_path / "scene.json"
     config.write_text(json.dumps({**SCENE_CFG, key: value}))
     rc = main(["synth", "--out", str(tmp_path / "out"), "--config", str(config)])
@@ -491,10 +497,13 @@ def test_malformed_cube_files_are_one_json_error(ws, capsys, tmp_path, command, 
         ("synth", {"bundle_spec": [5, 5, 5]}),
         ("train", {"loss_weights": {"alpha_prior": "abc"}}),
         ("train", {"loss_weights": {"alpha_prior": [1, "x"]}}),
+        ("train", {"loss_weights": {"alpha_prior": ["1", "2", "3"]}}),
+        ("train", {"loss_weights": {"alpha_prior": [1, 2, True]}}),
     ],
     ids=[
         "model-number", "model-list", "split-string", "loss-weights-number", "bundle-spec-entry",
-        "alpha-prior-string", "alpha-prior-non-numeric-entry",
+        "alpha-prior-string", "alpha-prior-non-numeric-entry", "alpha-prior-numeric-strings",
+        "alpha-prior-boolean-entry",
     ],
 )
 def test_config_section_must_be_an_object(ws, capsys, tmp_path, command, section):

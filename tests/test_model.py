@@ -239,6 +239,11 @@ def attention_and_grads(layer, arrays, weights, heads):
         pytest.param(2, 4, 6, 1, 1.0, None, id="2-4-6-1"),
         pytest.param(3, 5, 8, 2, 12.0, None, id="3-5-8-2-row-max-shift"),
         pytest.param(5, 5, 8, 2, 1.0, 2, id="5-5-8-2-blocks-of-2"),
+        # one feature per head: each (head, sample) slice of q, k and v is a single row
+        pytest.param(3, 5, 4, 4, 1.0, None, id="3-5-4-4-heads-equal-width"),
+        pytest.param(1, 5, 8, 2, 1.0, None, id="1-5-8-2-one-sample"),
+        # the fit_smallbatch shape, in blocks of 2, 2 and 1 rows
+        pytest.param(5, 54, 32, 8, 1.0, 2, id="5-54-32-8-ragged-blocks"),
     ],
 )
 def test_fused_attention_matches_composed_oracle(monkeypatch, b, s, d, heads, spread, block_rows):
