@@ -102,11 +102,16 @@ class EndmemberBundle:
         self.mean = np.asarray(self.mean, dtype=np.float64)
         if self.mean.ndim != 1 or self.mean.size < 1:
             raise DataError(f"bundle mean must be a 1-d spectrum, got shape {self.mean.shape}")
+        if not np.isfinite(self.mean).all():
+            raise DataError(f"bundle '{self.name}': mean contains non-finite values")
         self.chol_blocks = [np.asarray(b, dtype=np.float64) for b in self.chol_blocks]
         sizes = []
         for b in self.chol_blocks:
             if b.ndim != 2 or b.shape[0] != b.shape[1]:
                 raise DataError(f"Cholesky block must be square, got shape {b.shape}")
+            # every comparison with NaN is false, so the checks below would pass it
+            if not np.isfinite(b).all():
+                raise DataError(f"bundle '{self.name}': Cholesky block has non-finite values")
             if np.any(np.diag(b) <= 0.0):
                 raise DataError(f"bundle '{self.name}': Cholesky diagonal must be strictly positive")
             if np.any(np.triu(b, 1) != 0.0):
@@ -159,6 +164,8 @@ class HsiCube:
                 raise DataError(
                     f"abundances shape {z.shape} does not match image plan {r.shape[:2]}"
                 )
+            if not np.isfinite(z).all():
+                raise DataError("abundances contain non-finite values")
             if np.any(z < -1e-9):
                 raise DataError("abundances contain negative entries")
             sums = z.sum(axis=-1)
@@ -477,28 +484,32 @@ class SceneConfig:
 
 
 def make_scene_bundles(config: SceneConfig) -> list[EndmemberBundle]:
-    """Deterministic ground-truth bundles for a scene configuration."""
+    """Deterministic ground-truth bundles for a scene configuration. An
+    extreme but finite width, center or correlation length may divide by
+    zero or overflow; the bundle then comes out non-finite, which
+    ``EndmemberBundle`` rejects as a DataError."""
     config.validate()
     sizes = segment_sizes(config.bands, config.seg_len)
     kernel_chols: dict[int, np.ndarray] = {}
-    for m in sizes:
-        idx = np.arange(m)
-        kernel = np.exp(-((idx[:, None] - idx[None, :]) ** 2) / (2.0 * config.corr_length**2))
-        kernel_chols[m] = np.linalg.cholesky(kernel + 1e-10 * np.eye(m))
     bundles = []
-    for i, spec in enumerate(config.resolved_bundle_spec()):
-        # A zero covariance request keeps the Cholesky diagonal positive but
-        # far below one ulp of any reflectance value, so draws equal the mean.
-        scale = spec.cov_scale if spec.cov_scale > 0 else 1e-30
-        blocks = [scale * kernel_chols[m] for m in sizes]
-        bundles.append(
-            EndmemberBundle(
-                name=f"em{i}",
-                mean=spec.mean_spectrum(config.bands),
-                chol_blocks=blocks,
-                seg_len=config.seg_len,
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for m in sizes:
+            idx = np.arange(m)
+            kernel = np.exp(-((idx[:, None] - idx[None, :]) ** 2) / (2.0 * config.corr_length**2))
+            kernel_chols[m] = np.linalg.cholesky(kernel + 1e-10 * np.eye(m))
+        for i, spec in enumerate(config.resolved_bundle_spec()):
+            # A zero covariance request keeps the Cholesky diagonal positive but
+            # far below one ulp of any reflectance value, so draws equal the mean.
+            scale = spec.cov_scale if spec.cov_scale > 0 else 1e-30
+            blocks = [scale * kernel_chols[m] for m in sizes]
+            bundles.append(
+                EndmemberBundle(
+                    name=f"em{i}",
+                    mean=spec.mean_spectrum(config.bands),
+                    chol_blocks=blocks,
+                    seg_len=config.seg_len,
+                )
             )
-        )
     return bundles
 
 

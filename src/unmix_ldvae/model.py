@@ -278,15 +278,11 @@ def decode_bundles(x_latent: Tensor, params: dict, config: ModelConfig) -> Decod
     return DecodedBundles(means=means, chol_diag=diag, chol_blocks=blocks)
 
 
-def sample_endmembers(bundles: DecodedBundles, config: ModelConfig, rng=None, eps=None):
-    """Reparameterized spectra draws: mean + L @ eps, all segments in one
-    batched matmul over the zero-padded noise.
-    Returns (endmembers (B, K, C), eps) for replay."""
+def sample_endmembers(bundles: DecodedBundles, config: ModelConfig, eps: np.ndarray) -> Tensor:
+    """Reparameterized spectra draws (B, K, C) from the standard normal
+    ``eps`` of the same shape: mean + L @ eps, all segments in one batched
+    matmul over the zero-padded noise."""
     b, k, c = bundles.means.shape
-    if eps is None:
-        if rng is None:
-            raise ValueError("sample_endmembers needs an rng when no eps is given")
-        eps = rng.standard_normal((b, k, c))
     if eps.shape != (b, k, c):
         raise ShapeError(f"endmember noise shape {eps.shape} does not match {(b, k, c)}")
     n_seg, width = bundles.chol_blocks.shape[2:4]
@@ -296,7 +292,7 @@ def sample_endmembers(bundles: DecodedBundles, config: ModelConfig, rng=None, ep
     drawn = ops.reshape(drawn, (b, k, n_seg * width))
     if n_seg * width != c:
         drawn = ops.slice_(drawn, (Ellipsis, slice(0, c)))
-    return ops.add(bundles.means, drawn), eps
+    return ops.add(bundles.means, drawn)
 
 
 def reconstruct(z: Tensor, endmembers: Tensor, params: dict) -> Tensor:
@@ -347,6 +343,20 @@ class NoiseCache:
     gamma: GammaNoise
     endmember_eps: np.ndarray
 
+    @classmethod
+    def draw(cls, alpha_hat: np.ndarray, bands: int, rng: np.random.Generator) -> "NoiseCache":
+        """The draws for (B, K) concentrations, in this order: the gamma
+        noise, then the (B, K, bands) endmember noise."""
+        gamma = draw_gamma_noise(alpha_hat, rng)
+        return cls(gamma, rng.standard_normal((*alpha_hat.shape, bands)))
+
+    def split(self, sections) -> list["NoiseCache"]:
+        """The draws of consecutive row ranges, cut by ``np.array_split``."""
+        g = self.gamma
+        arrays = (g.normal, g.boost_u, g.boosted, self.endmember_eps)
+        parts = zip(*(np.array_split(a, sections) for a in arrays))
+        return [NoiseCache(GammaNoise(*gamma), eps) for *gamma, eps in parts]
+
 
 @dataclass
 class SampledReconstruction:
@@ -362,19 +372,17 @@ def sample_reconstruction(
     heads: Heads, params: dict, config: ModelConfig, rng=None, noise: NoiseCache | None = None
 ) -> SampledReconstruction:
     """Draw abundances, then endmembers, from ``heads`` and mix them through
-    the refinement MLP. The draws come from ``rng`` unless ``noise`` replays
-    an earlier call."""
-    z_hat, gamma_noise = sample_abundances(
-        heads.alpha_hat, rng, None if noise is None else noise.gamma
-    )
-    endmembers, eps = sample_endmembers(
-        heads.bundles, config, rng, None if noise is None else noise.endmember_eps
-    )
+    the refinement MLP. The draws come from ``NoiseCache.draw`` on ``rng``
+    unless ``noise`` replays an earlier call."""
+    if noise is None:
+        noise = NoiseCache.draw(heads.alpha_hat.data, config.bands, rng)
+    z_hat, _ = sample_abundances(heads.alpha_hat, noise=noise.gamma)
+    endmembers = sample_endmembers(heads.bundles, config, noise.endmember_eps)
     return SampledReconstruction(
         z_hat=z_hat,
         endmembers=endmembers,
         x_recon=reconstruct(z_hat, endmembers, params),
-        noise=NoiseCache(gamma=gamma_noise, endmember_eps=eps),
+        noise=noise,
     )
 
 

@@ -30,7 +30,7 @@ from .losses import (
 )
 from .model import ModelConfig, NoiseCache, forward, init_params, param_shapes
 from .model import sample_reconstruction
-from .numcore import GammaNoise, NumericError, Tape, Tensor, backward, draw_gamma_noise
+from .numcore import NumericError, Tape, Tensor, backward
 from .numcore import map_on_cores, ops
 
 CHECKPOINT_MAGIC = b"LDVT"
@@ -173,22 +173,18 @@ def train_epoch(
 
     ``opt`` must have been built from ``params``. Each batch runs as
     ``ceil(B / SHARD_ROWS)`` row shards on ``map_on_cores``: their forward
-    passes; the batch's noise, drawn here as one unsharded pass draws it;
-    their draws, losses and backward passes of their shares of the total
-    loss, into ``opt.grad_vec`` and per-shard vectors added in shard order;
-    then one Adam step. Returns the pixel-weighted mean breakdown over the
-    epoch together with the per-batch breakdowns.
+    passes; the batch's ``NoiseCache.draw``, split as the rows are; their
+    draws, losses and backward passes of their shares of the total loss,
+    into ``opt.grad_vec`` and per-shard vectors added in shard order; then
+    one Adam step. Returns the pixel-weighted mean breakdown over the epoch
+    together with the per-batch breakdowns, each the shards' breakdowns
+    weighted by share.
     """
-    if cube.gt_abundances is None or cube.gt_bundles is None:
-        raise TrainError("supervised training needs ground-truth abundances and bundles")
-    train_indices = np.asarray(train_indices, dtype=np.int64)
-    if train_indices.size == 0:
-        raise TrainError("empty training split")
     source = PatchSource(cube, config.model.patch)
     x_pixels = cube.pixels()
     z_pixels = cube.abundance_pixels()
     reference = reference_blocks(cube.gt_bundles)
-    order = rng.permutation(train_indices)
+    order = rng.permutation(np.asarray(train_indices, dtype=np.int64))
     n_shards = -(-min(config.batch_size, order.size) // SHARD_ROWS)
     grad_vecs = [opt.grad_vec, *(np.zeros_like(opt.grad_vec) for _ in range(n_shards - 1))]
     shard_params, shapes = [params], {name: params[name].shape for name in sorted(params)}
@@ -211,9 +207,7 @@ def train_epoch(
                 heads, sampled, x_pixels[rows], z_pixels[rows], reference,
                 config.loss_weights, epoch,
             )
-            if share != 1.0:
-                total = ops.multiply(total, Tensor(share))
-            backward(total, tape)
+            backward(ops.multiply(total, Tensor(share)), tape)
         return heads, sampled, bd
 
     batch_logs: list[LossBreakdown] = []
@@ -227,12 +221,8 @@ def train_epoch(
         # were faulted in again (ten times the minor faults, a fifth slower at
         # batch 8); held through the backward passes, they raise peak memory.
         shards = None
-        # the draws of one unsharded pass, in its order, split as the rows are
-        gamma = draw_gamma_noise(np.concatenate([h.alpha_hat.data for _, h in fronts]), rng)
-        eps = rng.standard_normal((idx.size, config.model.k, config.model.bands))
-        noises = [NoiseCache(GammaNoise(*g), e) for *g, e in zip(*(
-            np.array_split(a, len(parts)) for a in (gamma.normal, gamma.boost_u, gamma.boosted, eps)
-        ))]
+        alpha_hat = np.concatenate([heads.alpha_hat.data for _, heads in fronts])
+        noises = NoiseCache.draw(alpha_hat, config.model.bands, rng).split(len(parts))
         shares = [rows.size / idx.size for rows in parts]
         opt.grad_vec.fill(0.0)
         shards = list(map_on_cores(back, zip(fronts, parts, shard_params, noises, shares)))
@@ -241,25 +231,13 @@ def train_epoch(
             opt.grad_vec += grad_vec
             grad_vec.fill(0.0)
         adam_step(opt, config)
-        bd = shards[0][2]
-        if len(shards) > 1:  # the shards' breakdowns by share, in shard order
-            bd = LossBreakdown(*sum(
-                share * np.array(dataclasses.astuple(shard_bd)[:5])
-                for share, (_, _, shard_bd) in zip(shares, shards)
-            ), bd.lambda_endmembers_now)
-        batch_logs.append(bd)
-        sums += idx.size * np.array(
-            [bd.recon, bd.kl_dirichlet, bd.abundance, bd.endmember, bd.total]
+        terms = sum(
+            share * np.array(dataclasses.astuple(bd)[:5]) for share, (*_, bd) in zip(shares, shards)
         )
+        batch_logs.append(LossBreakdown(*terms, shards[0][2].lambda_endmembers_now))
+        sums += idx.size * terms
     means = sums / order.size
-    epoch_mean = LossBreakdown(
-        recon=means[0],
-        kl_dirichlet=means[1],
-        abundance=means[2],
-        endmember=means[3],
-        total=means[4],
-        lambda_endmembers_now=anneal_lambda(epoch, config.loss_weights),
-    )
+    epoch_mean = LossBreakdown(*means, anneal_lambda(epoch, config.loss_weights))
     return epoch_mean, batch_logs
 
 
@@ -472,12 +450,15 @@ def fit(
     """Train to config.epochs, writing checkpoint.ldvt and train_log.csv into
     out_dir. Returns (final Checkpoint, log path).
 
-    On a non-finite loss or gradient the run aborts with TrainError but the
-    checkpoint from the last completed epoch stays on disk. With resume, the
-    saved epoch counter, optimizer moments and RNG state continue the
+    A fresh fit is a resume from its initial state: without ``resume`` it
+    builds the epoch-0 checkpoint (``init_params``, ``AdamState.zeros`` and
+    the rng state after init); with it, it loads the saved one. Either way
+    the saved epoch counter, optimizer moments and RNG state continue the
     trajectory bit-exactly, and the log keeps the earlier rows of the
     train_log.csv beside the resume checkpoint, so interrupted and
-    uninterrupted runs agree.
+    uninterrupted runs agree. However the epoch loop ends, the checkpoint
+    and log of the last completed epoch are written, once; a non-finite
+    loss or gradient aborts the run with TrainError.
     """
     config.validate()
     if cube.gt_abundances is None or cube.gt_bundles is None:
@@ -492,26 +473,23 @@ def fit(
     if config.model.cov_segment_sizes() != sizes:
         raise TrainError(f"model seg_len {config.model.seg_len} splits the bands unlike the "
                          f"ground-truth bundles' segments {sizes}")
-    if resume is not None:
-        previous = load_checkpoint(resume)
-        if previous.model.to_dict() != config.model.to_dict():
-            raise TrainError("resume checkpoint was built for a different model config")
-        if previous.seed != config.seed:
-            raise TrainError(
-                f"resume checkpoint used seed {previous.seed}, config says {config.seed}"
-            )
-        params = previous.params
-        opt = previous.opt
-        rng = np.random.default_rng(config.seed)
-        rng.bit_generator.state = previous.rng_state
-        start_epoch = previous.epoch
-        earlier = _earlier_log_rows(resume, start_epoch)
-    else:
+    if resume is None:
         rng = np.random.default_rng(config.seed)
         params = init_params(config.model, rng)
-        opt = AdamState.zeros(params)
-        start_epoch = 0
+        start = Checkpoint(
+            params, AdamState.zeros(params), 0, rng.bit_generator.state, config.model, config.seed
+        )
         earlier = []
+    else:
+        start = load_checkpoint(resume)
+        earlier = _earlier_log_rows(resume, start.epoch)
+    if start.model.to_dict() != config.model.to_dict():
+        raise TrainError("resume checkpoint was built for a different model config")
+    if start.seed != config.seed:
+        raise TrainError(f"resume checkpoint used seed {start.seed}, config says {config.seed}")
+    params, opt = start.params, start.opt
+    rng = np.random.default_rng(config.seed)
+    rng.bit_generator.state = start.rng_state
 
     split = split_pixels(cube.n_pixels, config.split)
     if split.train_indices.size == 0:
@@ -522,22 +500,18 @@ def fit(
     log_path = out_dir / "train_log.csv"
 
     rows = []
-    last_good = _snapshot(params, opt, rng, start_epoch, config)
-    for epoch in range(start_epoch, config.epochs):
-        try:
-            epoch_mean, _ = train_epoch(
-                params, config, cube, split.train_indices, opt, epoch, rng
-            )
-        except (NumericError, TrainError) as err:
-            save_checkpoint(ck_path, last_good)
-            _write_log(log_path, rows, earlier)
-            raise TrainError(
-                f"aborted at epoch {epoch}: {err}; "
-                f"last good checkpoint (epoch {last_good.epoch}) kept at {ck_path}"
-            ) from err
-        rows.append((epoch, epoch_mean))
-        _refresh(last_good, opt, rng, epoch + 1)
-
-    save_checkpoint(ck_path, last_good)
-    _write_log(log_path, rows, earlier)
+    last_good = _snapshot(params, opt, rng, start.epoch, config)
+    try:
+        for epoch in range(start.epoch, config.epochs):
+            epoch_mean, _ = train_epoch(params, config, cube, split.train_indices, opt, epoch, rng)
+            rows.append((epoch, epoch_mean))
+            _refresh(last_good, opt, rng, epoch + 1)
+    except (NumericError, TrainError) as err:
+        raise TrainError(
+            f"aborted at epoch {epoch}: {err}; "
+            f"last good checkpoint (epoch {last_good.epoch}) kept at {ck_path}"
+        ) from err
+    finally:
+        save_checkpoint(ck_path, last_good)
+        _write_log(log_path, rows, earlier)
     return last_good, log_path

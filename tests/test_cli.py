@@ -209,16 +209,22 @@ def test_bad_bundle_spec_fails_cleanly(capsys, tmp_path, entry, key):
     "key, value, error",
     [
         ("corr_length", 1e300, "OverflowError"),
+        ("corr_length", 1e-300, "DataError"),
         ("noise_sigma", 1e300, "DataError"),
         ("bundle_spec", [{"base_level": 0}, {}, {}], None),
+        ("bundle_spec", [{"widths": [1e-200]}, {}, {}], None),
+        ("bundle_spec", [{"centers": [1e308]}, {}, {}], None),
     ],
-    ids=["corr-length-overflows", "noise-beyond-float32", "integer-base-level"],
+    ids=["corr-length-overflows", "corr-length-underflows", "noise-beyond-float32",
+         "integer-base-level", "width-underflows", "center-overflows"],
 )
 def test_finite_scene_value_gives_a_scene_or_one_json_error(capsys, tmp_path, key, value, error):
-    """corr_length squared overflows a float inside make_scene_bundles; a
+    """corr_length squared overflows a float inside make_scene_bundles, and
+    underflows to a zero divisor that leaves NaN in the Cholesky blocks; a
     noise level of 1e300 gives reflectances the float32 cube cannot hold,
     found before the output directory is made; an integer base level used
-    to start an integer mean spectrum."""
+    to start an integer mean spectrum; a width whose square underflows and a
+    center whose distance overflows give zero bumps, so a finite scene."""
     config = tmp_path / "scene.json"
     config.write_text(json.dumps({**SCENE_CFG, key: value}))
     rc = main(["synth", "--out", str(tmp_path / "out"), "--config", str(config)])
@@ -464,6 +470,12 @@ def test_checkpoint_tensors_must_fit_the_model(ws, capsys, tmp_path, edit, comma
     assert not (tmp_path / "out").exists()
 
 
+# one well-formed 16-band bundle; json reads NaN and Infinity as floats
+_ONE_BUNDLE = json.dumps(
+    {"seg_len": 8, "endmembers": [{"mean": [0.5] * 16, "chol_blocks": [np.eye(8).tolist()] * 2}]}
+)
+
+
 @pytest.mark.parametrize("command", ["train", "eval", "unmix"])
 @pytest.mark.parametrize(
     "name, text",
@@ -471,9 +483,12 @@ def test_checkpoint_tensors_must_fit_the_model(ws, capsys, tmp_path, edit, comma
         ("scene_bundles.json", "5"),
         ("scene_bundles.json", '{"seg_len": 8, "endmembers": [3]}'),
         ("scene_bundles.json", '{"seg_len": 8, "endmembers": [{"mean": [0.5]}]}'),
+        ("scene_bundles.json", _ONE_BUNDLE.replace("[0.5,", "[NaN,", 1)),
+        ("scene_bundles.json", _ONE_BUNDLE.replace("[[1.0,", "[[Infinity,", 1)),
         ("scene.json", "7"),
     ],
-    ids=["bundles-number", "bundle-entry-number", "bundle-entry-without-blocks", "sidecar-number"],
+    ids=["bundles-number", "bundle-entry-number", "bundle-entry-without-blocks",
+         "bundle-nan-mean", "bundle-infinite-diagonal", "sidecar-number"],
 )
 def test_malformed_cube_files_are_one_json_error(ws, capsys, tmp_path, command, name, text):
     shutil.copytree(ws / "data", tmp_path / "data")

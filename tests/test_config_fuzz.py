@@ -102,6 +102,9 @@ def _config(command, section, key, value) -> dict:
 @example((("train", "loss_weights", "alpha_prior"), [float("nan"), 1.0, 1.0]))
 @example((("train", "loss_weights", "alpha_prior"), [1.0, float("inf"), 1.0]))
 @example((("synth", None, "corr_length"), 1e300))
+@example((("synth", None, "corr_length"), 1e-300))
+@example((("synth", "bundle_spec", "widths"), [1e-200]))
+@example((("synth", "bundle_spec", "centers"), [1e308]))
 @example((("train", "model", "seg_len"), 100_000_000_000))
 @example((("train", "model", "ff_dim"), 100_000_000_000))
 def test_any_config_value_gives_a_result_or_one_json_error(scene, capsys, case):

@@ -95,6 +95,18 @@ def test_bundle_rejects_cholesky_block_with_upper_entries():
         bundles_from_json(text)
 
 
+@pytest.mark.parametrize("where", ["mean", "diagonal", "below-diagonal"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_bundle_rejects_nonfinite_values(where, value):
+    mean, block = np.full(2, 0.5), np.eye(2)
+    if where == "mean":
+        mean[1] = value
+    else:
+        block[1, 1 if where == "diagonal" else 0] = value
+    with pytest.raises(DataError, match="non-finite"):
+        EndmemberBundle("bad", mean, [block], seg_len=2)
+
+
 def test_bundle_rejects_wrong_block_partition():
     blocks = [np.eye(4), np.eye(4)]
     with pytest.raises(DataError):
@@ -170,6 +182,15 @@ def test_cube_rejects_off_simplex_abundances():
     z = np.full((2, 2, 2), 0.6)
     with pytest.raises(DataError):
         HsiCube(r, gt_abundances=z)
+
+
+def test_cube_rejects_nonfinite_abundances():
+    """A NaN fails every comparison, so the sign and simplex checks alone
+    would pass it."""
+    z = np.full((2, 2, 2), 0.5)
+    z[1, 1] = [np.nan, 0.5]
+    with pytest.raises(DataError, match="non-finite"):
+        HsiCube(np.ones((2, 2, 3)), gt_abundances=z)
 
 
 def test_cube_round_trip_is_bit_identical(tmp_path):

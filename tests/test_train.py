@@ -25,14 +25,8 @@ from unmix_ldvae.data import (
     synth_scene,
 )
 from unmix_ldvae.losses import LossBreakdown, LossWeights, compute_losses, reference_blocks
-from unmix_ldvae.model import (
-    ModelConfig,
-    NoiseCache,
-    forward,
-    init_params,
-    sample_reconstruction,
-)
-from unmix_ldvae.numcore import GammaNoise, NumericError, Tape, Tensor, backward, blas
+from unmix_ldvae.model import ModelConfig, forward, init_params, sample_reconstruction
+from unmix_ldvae.numcore import NumericError, Tape, Tensor, backward, blas
 from unmix_ldvae.train import (
     ADAM_CHUNK,
     AdamState,
@@ -438,15 +432,7 @@ def test_batch_gradient_is_mean_of_single_sample_gradients():
     noise = sampled.noise
 
     summed = {name: np.zeros_like(p.data) for name, p in params.items()}
-    for i in range(3):
-        row = NoiseCache(
-            gamma=GammaNoise(
-                normal=noise.gamma.normal[i : i + 1],
-                boost_u=noise.gamma.boost_u[i : i + 1],
-                boosted=noise.gamma.boosted[i : i + 1],
-            ),
-            endmember_eps=noise.endmember_eps[i : i + 1],
-        )
+    for i, row in enumerate(noise.split(3)):
         with Tape() as tape:
             heads_i = forward(patches[i : i + 1], params, config)
             sampled_i = sample_reconstruction(heads_i, params, config, noise=row)
@@ -502,21 +488,23 @@ def test_fit_writes_artifacts_and_is_bit_deterministic(tmp_path):
     assert all(np.isfinite(float(v)) for v in first_row[1:])
 
 
-def test_fit_resume_matches_uninterrupted_run(tmp_path):
+@pytest.mark.parametrize("first", [2, 0], ids=["from-epoch-2", "from-epoch-0"])
+def test_fit_resume_matches_uninterrupted_run(tmp_path, first):
+    """A fresh fit is a resume from its initial state, so resuming the
+    epoch-0 checkpoint of a 0-epoch run retraces a fresh fit too."""
     scene = tiny_scene()
     full = tiny_train_config(epochs=4)
     fit(full, scene, tmp_path / "full")
 
-    half = tiny_train_config(epochs=2)
+    half = tiny_train_config(epochs=first)
     fit(half, scene, tmp_path / "half")
     resumed = tiny_train_config(epochs=4)
     final, _ = fit(
         resumed, scene, tmp_path / "resumed", resume=tmp_path / "half" / "checkpoint.ldvt"
     )
     assert final.epoch == 4
-    assert (tmp_path / "full" / "checkpoint.ldvt").read_bytes() == (
-        tmp_path / "resumed" / "checkpoint.ldvt"
-    ).read_bytes()
+    for name in ("checkpoint.ldvt", "train_log.csv"):
+        assert (tmp_path / "full" / name).read_bytes() == (tmp_path / "resumed" / name).read_bytes()
 
 
 def test_fit_resumed_in_place_keeps_the_earlier_log_rows(tmp_path):
@@ -582,10 +570,20 @@ def test_fit_divergence_keeps_last_good_checkpoint(tmp_path):
     assert len(log_lines) == 1 + kept.epoch
 
 
-def test_abort_keeps_the_state_of_the_last_completed_epoch(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (TrainError, "^aborted at epoch 2: injected failure; last good checkpoint"),
+        (RuntimeError, "^injected failure$"),
+        (KeyboardInterrupt, "^injected failure$"),
+    ],
+    ids=["train-error", "runtime-error", "keyboard-interrupt"],
+)
+def test_abort_keeps_the_state_of_the_last_completed_epoch(tmp_path, monkeypatch, error, message):
     # three batches an epoch; the second step of epoch 2 moves the parameters
     # and then fails, so the kept checkpoint and log must be those of a
-    # two-epoch run, untouched by the steps epoch 2 took
+    # two-epoch run, untouched by the steps epoch 2 took. A TrainError
+    # becomes the abort message; any other exception passes through as it is
     scene = tiny_scene()
     config = tiny_train_config(epochs=4, batch_size=6)
     fit(dataclasses.replace(config, epochs=2), scene, tmp_path / "two")
@@ -594,10 +592,10 @@ def test_abort_keeps_the_state_of_the_last_completed_epoch(tmp_path, monkeypatch
     def failing_step(state, cfg):
         real_step(state, cfg)
         if state.t == 8:
-            raise TrainError("injected failure")
+            raise error("injected failure")
 
     monkeypatch.setattr(train_module, "adam_step", failing_step)
-    with pytest.raises(TrainError, match="aborted at epoch 2"):
+    with pytest.raises(error, match=message):
         fit(config, scene, tmp_path / "run")
     for artifact in ("checkpoint.ldvt", "train_log.csv"):
         assert (tmp_path / "run" / artifact).read_bytes() == (
