@@ -1,9 +1,10 @@
 """Command-line pipeline: synthesize scenes, train, evaluate, unmix.
 
-Every subcommand echoes its effective configuration as a single JSON line
-on stdout before doing any work, then prints a one-line JSON result on
-success. Failures leave one machine-readable JSON line on stderr and a
-nonzero exit code (2 for usage problems, 1 for everything else).
+Every subcommand loads its inputs and config, echoes the effective config
+as one JSON line on stdout, then does the work and prints a one-line JSON
+result on success. A failure leaves one machine-readable JSON line on
+stderr and a nonzero exit code (2 for usage problems, 1 otherwise); stdout
+then holds nothing, or the echo alone if the failure came after it.
 """
 
 from __future__ import annotations

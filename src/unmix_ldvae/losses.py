@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
-from scipy.special import gammaln
 
 from .data import EndmemberBundle, check_fields, checked
 from .model import DecodedBundles, Heads, SampledReconstruction
@@ -101,6 +99,7 @@ def kl_dirichlet_per(alpha_hat, alpha_prior) -> Tensor:
         )
     if np.any(alpha.data <= 0) or np.any(prior <= 0):
         raise LossError("Dirichlet concentrations must be strictly positive")
+    from scipy.special import gammaln  # here, so a command that never trains skips scipy
     b = alpha.shape[0]
     alpha_sum = ops.sum_reduce(alpha, axis=1)
     entropy_terms = ops.subtract(
@@ -136,8 +135,9 @@ class ReferenceBlocks:
 def reference_blocks(gt_bundles: list[EndmemberBundle]) -> ReferenceBlocks:
     """The constants of ``kl_bundle``, computed once so a training loop can
     reuse them for every batch. Each inverse comes from LAPACK's triangular
-    inverse (trtri), not a general inverse. ``scipy.linalg.solve_triangular``
-    would do as well numerically, but its trtrs call wakes the thread pool of
+    inverse (trtri, from ``scipy.linalg``, imported here so only training
+    loads it), not a general inverse. ``scipy.linalg.solve_triangular`` would
+    do as well numerically, but its trtrs call wakes the thread pool of
     scipy's own OpenBLAS, whose spinning threads then slowed numpy's BLAS work
     by about 60 % for some 0.1 s on a 2-core machine."""
     if not gt_bundles:
@@ -146,6 +146,7 @@ def reference_blocks(gt_bundles: list[EndmemberBundle]) -> ReferenceBlocks:
     for bundle in gt_bundles:
         if [blk.shape[0] for blk in bundle.chol_blocks] != sizes:
             raise ShapeError("reference bundles disagree on segment sizes")
+    from scipy.linalg import lapack
     inverses = [[lapack.dtrtri(block, lower=1)[0] for block in b.chol_blocks] for b in gt_bundles]
     diag = [np.concatenate([np.diag(inv) for inv in row]) for row in inverses]
     off = [np.concatenate([inv[np.tril_indices(len(inv), -1)] for inv in row]) for row in inverses]

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .data import HsiCube
 
@@ -68,8 +67,45 @@ def match_endmembers(pred_means: np.ndarray, gt_means: np.ndarray) -> np.ndarray
     for i in range(k):
         for j in range(k):
             cost[i, j] = sad(pred_means[i], gt_means[j])
-    _, cols = linear_sum_assignment(cost)
-    return cols
+    return min_cost_assignment(cost)
+
+
+def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """The permutation ``cols`` minimizing ``sum(cost[i, cols[i]])`` over a
+    square matrix of finite costs, in O(K^3): Kuhn's Hungarian method in the
+    shortest augmenting path form of Jonker and Volgenant.
+
+    Ties: rows join the matching in index order, and each row's search takes
+    the lowest column index among equal reduced costs, so a matrix of equal
+    entries gives the identity.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    if not np.isfinite(cost).all():
+        raise MetricsError("assignment costs must be finite")
+    k = cost.shape[0]
+    padded = np.pad(cost, ((1, 0), (1, 0)))  # column 0 starts every search
+    u, v = np.zeros(k + 1), np.zeros(k + 1)  # row and column potentials
+    row_of = np.zeros(k + 1, dtype=np.int64)  # row matched to each column, 0 if free
+    for i in range(1, k + 1):
+        row_of[0], col = i, 0
+        dist = np.full(k + 1, np.inf)  # shortest reduced distance to each column
+        way = np.zeros(k + 1, dtype=np.int64)  # previous column on that path
+        done = np.zeros(k + 1, dtype=bool)
+        while row_of[col]:
+            done[col] = True
+            row = row_of[col]
+            reduced = padded[row] - u[row] - v
+            closer = ~done & (reduced < dist)
+            dist[closer], way[closer] = reduced[closer], col
+            open_dist = np.where(done, np.inf, dist)
+            col = int(np.argmin(open_dist))
+            delta = open_dist[col]
+            u[row_of[done]] += delta
+            v[done] -= delta
+            dist[~done] -= delta
+        while col:  # shift the matching back along the path to the free column
+            row_of[col], col = row_of[way[col]], way[col]
+    return np.argsort(row_of[1:])
 
 
 @dataclass
@@ -82,7 +118,6 @@ class EvalReport:
     avg_rmse: float
     assignment: np.ndarray
     names: list[str] = field(default_factory=list)
-    overall_rmse: float = 0.0
 
 
 def evaluate(
@@ -122,7 +157,6 @@ def evaluate(
         avg_rmse=float(rmse_scores.mean()),
         assignment=assignment,
         names=[b.name for b in cube.gt_bundles],
-        overall_rmse=float(np.sqrt((rmse_scores**2).sum())),
     )
 
 

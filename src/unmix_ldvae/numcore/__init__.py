@@ -1,6 +1,7 @@
 """Minimal tensor library: reverse-mode autodiff on numpy, with lgamma and
-digamma primitives over scipy.special, reparameterized gamma sampling and a
-process-wide worker pool that runs BLAS-bound items one per core.
+digamma primitives over scipy.special (imported on their first call, so only
+training loads scipy), reparameterized gamma sampling and a process-wide
+worker pool that runs BLAS-bound items one per core.
 
 It exports only what the rest of the package calls."""
 

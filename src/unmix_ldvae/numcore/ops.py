@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .tensor import NumericError, ShapeError, Tensor, active_tape
 
@@ -423,6 +422,7 @@ def _positive(a: Tensor) -> np.ndarray:
 
 
 def lgamma(a) -> Tensor:
+    from scipy import special  # here, so a command that never trains skips scipy
     a = _as_tensor(a)
     x = _positive(a)
 
@@ -433,6 +433,7 @@ def lgamma(a) -> Tensor:
 
 
 def digamma(a) -> Tensor:
+    from scipy import special
     a = _as_tensor(a)
     x = _positive(a)
 

@@ -90,9 +90,9 @@ class Tensor:
 
     A leaf, built with ``requires_grad=True``, gets a zero-filled ``grad``
     that accumulates contributions from every consumer across backward passes
-    until ``zero_grad`` resets it. Primitive outputs recorded on a tape are
-    tracked too, but their ``grad`` stays None: backward hands their
-    cotangents from record to record and drops each once it is consumed.
+    until its owner zeroes it (training fills ``AdamState.grad_vec``). Primitive
+    outputs on a tape are tracked too, but their ``grad`` stays None: backward
+    hands their cotangents from record to record and drops each once consumed.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -118,10 +118,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

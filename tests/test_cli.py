@@ -1,8 +1,11 @@
 """End-to-end checks of the command-line surface."""
 
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -146,10 +149,10 @@ def test_unknown_config_key_is_named(ws, capsys):
 def test_invalid_scene_value_fails_cleanly(ws, capsys):
     bad = ws / "neg_noise.json"
     bad.write_text(json.dumps({"noise_sigma": -1.0}))
-    rc, _, err = run_cli(
+    rc, out, err = run_cli(
         capsys, "synth", "--out", str(ws / "bad2"), "--config", str(bad)
     )
-    assert rc == 1
+    assert rc == 1 and out == []
     assert err["error"] == "DataError"
     assert "noise" in err["message"]
 
@@ -224,14 +227,17 @@ def test_finite_scene_value_gives_a_scene_or_one_json_error(capsys, tmp_path, ke
     noise level of 1e300 gives reflectances the float32 cube cannot hold,
     found before the output directory is made; an integer base level used
     to start an integer mean spectrum; a width whose square underflows and a
-    center whose distance overflows give zero bumps, so a finite scene."""
+    center whose distance overflows give zero bumps, so a finite scene.
+    Each value passes the config checks, so the failures come after the
+    echo, which stays on stdout alone."""
     config = tmp_path / "scene.json"
     config.write_text(json.dumps({**SCENE_CFG, key: value}))
     rc = main(["synth", "--out", str(tmp_path / "out"), "--config", str(config)])
     if error is None:
         assert rc == 0 and capsys.readouterr().err == ""
     else:
-        one_json_error(capsys, rc, 1, error)
+        [echo] = one_json_error(capsys, rc, 1, error).splitlines()
+        assert json.loads(echo)["scene"][key] == value
         assert not (tmp_path / "out").exists()
 
 
@@ -671,3 +677,52 @@ def test_unmix_matches_eval_and_round_trips(ws, capsys):
     for b in bundles:
         for block in b.chol_blocks:
             assert np.all(np.diag(block) > 0)
+
+
+# the child imports the CLI itself, runs one command and, on its way out,
+# writes the scipy modules it loaded to the file named by its first argument
+_SCIPY_AT_EXIT = """
+import json, sys
+from unmix_ldvae.cli import main
+rc = main(sys.argv[2:])
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+with open(sys.argv[1], "w") as f:
+    json.dump(loaded, f)
+sys.exit(rc)
+"""
+
+
+def test_each_command_loads_only_the_scipy_it_runs(tmp_path):
+    """synth, unmix and eval call nothing of scipy, so they load none of it;
+    train loads scipy.special and scipy.linalg for its losses, and nothing
+    of scipy.optimize, scipy.sparse or scipy.spatial. Each command runs in a
+    fresh interpreter on a 6x6x16 scene."""
+    import unmix_ldvae
+
+    path = [str(Path(unmix_ldvae.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+           "PYTHONWARNINGS": "error::RuntimeWarning"}
+    (tmp_path / "scene.json").write_text(json.dumps(
+        {"height": 6, "width": 6, "bands": 16, "k": 2, "seg_len": 8, "dirichlet_alpha": [2.0, 2.0]}
+    ))
+    (tmp_path / "train.json").write_text(json.dumps({**TRAIN_CFG, "epochs": 1, "batch_size": 8}))
+    modules = tmp_path / "modules.json"
+
+    def scipy_loaded_by(*argv):
+        done = subprocess.run([sys.executable, "-c", _SCIPY_AT_EXIT, str(modules), *argv],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return set(json.loads(modules.read_text()))
+
+    data = str(tmp_path / "data" / "scene")
+    checkpoint = str(tmp_path / "run" / "checkpoint.ldvt")
+    assert scipy_loaded_by("synth", "--out", str(tmp_path / "data"),
+                           "--config", str(tmp_path / "scene.json")) == set()
+    trained = scipy_loaded_by("train", "--data", data, "--out", str(tmp_path / "run"),
+                              "--config", str(tmp_path / "train.json"))
+    assert {"scipy.special", "scipy.linalg"} <= trained
+    assert not {m for m in trained
+                if m.startswith(("scipy.optimize", "scipy.sparse", "scipy.spatial"))}
+    for command in ("eval", "unmix"):
+        assert scipy_loaded_by(command, "--checkpoint", checkpoint, "--data", data,
+                               "--out", str(tmp_path / command)) == set()

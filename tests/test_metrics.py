@@ -1,8 +1,9 @@
 """Metric tests.
 
 Oracles: hand-derived angles for fixed geometry, brute-force enumeration of
-all assignments (itertools) against the Hungarian matcher, plug-in RMSE
-arithmetic, and a Monte-Carlo value for the uniform-abundance baseline.
+all assignments (itertools) and scipy's linear_sum_assignment against the
+Hungarian matcher, plug-in RMSE arithmetic, and a Monte-Carlo value for the
+uniform-abundance baseline.
 """
 
 import itertools
@@ -17,6 +18,7 @@ from unmix_ldvae.metrics import (
     MetricsError,
     evaluate,
     match_endmembers,
+    min_cost_assignment,
     report_to_csv,
     rmse_abundance,
     sad,
@@ -153,6 +155,45 @@ def test_match_agrees_with_brute_force():
         assert total == pytest.approx(best, abs=1e-12)
 
 
+def _cost_cases():
+    """(cost, unique) pairs: random float costs, whose optimum is unique
+    almost surely, then integer costs with many ties and all-equal costs."""
+    rng = np.random.default_rng(8)
+    for k in range(1, 13):
+        for _ in range(20):
+            yield rng.random((k, k)), True
+            yield rng.integers(0, 3, size=(k, k)).astype(np.float64), False
+        yield np.full((k, k), 2.5), False
+
+
+def test_assignment_matches_scipy():
+    from scipy.optimize import linear_sum_assignment
+
+    for cost, unique in _cost_cases():
+        k = cost.shape[0]
+        got = min_cost_assignment(cost)
+        rows, want = linear_sum_assignment(cost)
+        np.testing.assert_array_equal(rows, np.arange(k))
+        assert sorted(got.tolist()) == list(range(k))
+        if unique:
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert cost[rows, got].sum() == cost[rows, want].sum()
+
+
+def test_assignment_tie_rule_gives_identity_on_equal_costs():
+    for k in (1, 2, 5, 12):
+        np.testing.assert_array_equal(min_cost_assignment(np.zeros((k, k))), np.arange(k))
+
+
+def test_assignment_rejects_non_finite_costs():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(MetricsError, match="finite"):
+            min_cost_assignment(np.array([[0.0, bad], [1.0, 0.0]]))
+    with pytest.raises(MetricsError, match="finite"):
+        match_endmembers(np.array([[np.nan, 1.0], [1.0, 0.5]]), np.eye(2) + 0.1)
+
+
 # ---------------------------------------------------------------------------
 # evaluation reports
 
@@ -199,8 +240,8 @@ def test_uniform_model_rmse_matches_monte_carlo():
     gt_means = np.stack([b.mean for b in scene.gt_bundles])
     report = evaluate(uniform, gt_means, scene)
     draws = np.random.default_rng(7).dirichlet(config.dirichlet_alpha, size=500_000)
-    expected_overall = math.sqrt(np.mean(((draws - 1.0 / 3.0) ** 2).sum(axis=1)))
-    assert report.overall_rmse == pytest.approx(expected_overall, rel=0.02)
+    expected = np.sqrt(((draws - 1.0 / 3.0) ** 2).mean(axis=0))
+    np.testing.assert_allclose(report.per_endmember_rmse, expected, rtol=0.02)
 
 
 def test_report_restricted_to_index_subset():

@@ -426,7 +426,7 @@ def test_batch_gradient_is_mean_of_single_sample_gradients():
         sampled = sample_reconstruction(heads, params, config, rng=np.random.default_rng(14))
         total, _ = compute_losses(heads, sampled, x, z_gt, reference, weights, epoch=0)
         for p in params.values():
-            p.zero_grad()
+            p.grad[...] = 0.0
         backward(total, tape)
     batch_grads = {name: p.grad.copy() for name, p in params.items()}
     noise = sampled.noise
@@ -440,7 +440,7 @@ def test_batch_gradient_is_mean_of_single_sample_gradients():
                 heads_i, sampled_i, x[i : i + 1], z_gt[i : i + 1], reference, weights, epoch=0
             )
             for p in params.values():
-                p.zero_grad()
+                p.grad[...] = 0.0
             backward(total_i, tape)
         for name, p in params.items():
             summed[name] += p.grad
