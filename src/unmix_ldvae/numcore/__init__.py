@@ -5,7 +5,7 @@ worker pool that runs BLAS-bound items one per core.
 
 It exports only what the rest of the package calls."""
 
-from .blas import map_on_cores
+from .blas import keep_freed_memory, map_on_cores
 from .gamma import GammaNoise, draw_gamma_noise, gamma_from_noise
 from .ops import (
     add,
@@ -45,6 +45,7 @@ __all__ = [
     "divide",
     "draw_gamma_noise",
     "gamma_from_noise",
+    "keep_freed_memory",
     "layer_norm",
     "lgamma",
     "linear",

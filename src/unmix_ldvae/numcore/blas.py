@@ -1,6 +1,7 @@
-"""Holding numpy's OpenBLAS at one thread, so that worker threads which
-each make BLAS calls do not also share the BLAS pool's threads, and the
-process-wide worker pool that runs such calls one per usable core."""
+"""The process's native settings and worker pool: numpy's OpenBLAS held at
+one thread, so that worker threads which each make BLAS calls do not also
+share the BLAS pool's threads; glibc's malloc thresholds, fixed for training;
+and the pool that runs such calls one per usable core."""
 
 import ctypes
 import functools
@@ -26,6 +27,23 @@ def _openblas():
         set_.argtypes, set_.restype = [ctypes.c_int], None
         return get, set_
     return None
+
+
+@functools.cache
+def keep_freed_memory() -> bool:
+    """Fix glibc's mmap threshold at 32 MiB, the ceiling of its dynamic rule
+    on 64-bit, and its trim threshold at twice that, as the rule keeps it:
+    freed blocks up to 32 MiB then stay in the heap for the next step instead
+    of being unmapped and faulted in afresh. Setting either stops glibc
+    adjusting both, so both are set. Returns whether they were; False,
+    changing nothing, where there is no glibc mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mmap_threshold, trim_threshold = -3, -1  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD in malloc.h
+    return mallopt(mmap_threshold, 32 << 20) == 1 and mallopt(trim_threshold, 64 << 20) == 1
 
 
 @contextmanager

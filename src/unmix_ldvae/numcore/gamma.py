@@ -5,7 +5,14 @@ form v = (1 + c n)^3 with d = shape - 1/3 and c = 1/sqrt(9 d), and accept
 d*v under the squeeze or the exact log test. Shapes below one are drawn at
 shape+1 and scaled by u**(1/shape) with an extra uniform u. Gradients flow
 through the smooth transformation with the accepted noise held fixed; the
-rejection-rate correction term is dropped, a negligible bias here.
+rejection-rate correction term is dropped. That biases the pathwise
+derivative of E[z] = shape, whose exact value is 1. Its mean over
+5 x 400,000 draws per shape, seed 0:
+
+    shape       1.0      2.0      5.0      20       0.3 and 0.9 (boosted)
+    dE[z]/da    1.0246   1.0058   1.0009   1.0001   1.003
+
+The bias peaks at shape 1, where the model initializes every concentration.
 
 Splitting the draw from the transformation lets a forward pass be replayed
 under parameter perturbations with identical noise, which is how the

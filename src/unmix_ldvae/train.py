@@ -15,6 +15,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .losses import (
 from .model import ModelConfig, NoiseCache, forward, init_params, param_shapes
 from .model import sample_reconstruction
 from .numcore import NumericError, Tape, Tensor, backward
-from .numcore import map_on_cores, ops
+from .numcore import keep_freed_memory, map_on_cores, ops
 
 CHECKPOINT_MAGIC = b"LDVT"
 CHECKPOINT_VERSION = 1
@@ -160,6 +161,19 @@ def adam_step(state: AdamState, config: TrainConfig) -> None:
         p -= step
 
 
+@contextmanager
+def _raising_float_errors():
+    """Raise NumericError on a floating-point overflow, division by zero or
+    invalid operation. numpy keeps this state per thread, so each function
+    that may run on the pool sets it itself, as a decorator."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as err:
+        raise NumericError(str(err)) from err
+
+
+@_raising_float_errors()
 def train_epoch(
     params: dict[str, Tensor],
     config: TrainConfig,
@@ -179,7 +193,12 @@ def train_epoch(
     one Adam step. Returns the pixel-weighted mean breakdown over the epoch
     together with the per-batch breakdowns, each the shards' breakdowns
     weighted by share.
+
+    A floating-point overflow, division by zero or invalid operation raises
+    NumericError. ``keep_freed_memory`` runs first, so that each step reuses
+    the pages the steps before it freed.
     """
+    keep_freed_memory()
     source = PatchSource(cube, config.model.patch)
     x_pixels = cube.pixels()
     z_pixels = cube.abundance_pixels()
@@ -193,12 +212,14 @@ def train_epoch(
         for name, grad in _views(grad_vec, shapes).items():
             shard_params[-1][name].requires_grad, shard_params[-1][name].grad = True, grad
 
+    @_raising_float_errors()
     def front(shard):  # a shard's forward pass, on a tape of its own
         rows, leaves = shard
         with Tape() as tape:
             heads = forward(source.batch(rows), leaves, config.model)
         return tape, heads
 
+    @_raising_float_errors()
     def back(shard):  # its draws and losses, and the backward pass of its share
         (tape, heads), rows, leaves, noise, share = shard
         with tape:

@@ -1,13 +1,16 @@
 """Contract test for config input: whatever JSON value sits at one config
 key, in any section, ``synth`` and ``train`` either succeed with two JSON
 lines on stdout or fail with exit 1 or 2, exactly one JSON line on stderr and
-no output directory.
+no output directory. A fit that aborts inside an epoch, as a finite but
+extreme value can make it do, leaves instead the checkpoint of the last
+epoch it completed, which the error line names.
 
 Examples are derandomized and bounded, so every run draws the same inputs.
 """
 
 import dataclasses
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -19,7 +22,7 @@ from unmix_ldvae.cli import main
 from unmix_ldvae.data import BundleSpec, SceneConfig, SplitSpec
 from unmix_ldvae.losses import LossWeights
 from unmix_ldvae.model import ModelConfig
-from unmix_ldvae.train import TrainConfig
+from unmix_ldvae.train import TrainConfig, load_checkpoint
 
 # capsys is reset by hand before each example
 FUZZ = settings(
@@ -107,6 +110,11 @@ def _config(command, section, key, value) -> dict:
 @example((("synth", "bundle_spec", "centers"), [1e308]))
 @example((("train", "model", "seg_len"), 100_000_000_000))
 @example((("train", "model", "ff_dim"), 100_000_000_000))
+@example((("train", "loss_weights", "lambda_abundances"), 1e300))
+@example((("train", "loss_weights", "lambda_abundances"), -1e300))
+@example((("train", "loss_weights", "alpha_prior"), [1e308, 1.0, 1.0]))
+@example((("train", "model", "eps_alpha"), 1e308))
+@example((("train", "model", "eps_chol"), 1e300))
 def test_any_config_value_gives_a_result_or_one_json_error(scene, capsys, case):
     (command, section, key), value = case
     work = scene.parent.parent / "work"
@@ -127,5 +135,8 @@ def test_any_config_value_gives_a_result_or_one_json_error(scene, capsys, case):
     else:
         assert rc in (1, 2)
         assert len(captured.err.splitlines()) == 1
-        json.loads(captured.err)
-        assert not Path(out).exists()
+        aborted = re.match(r"aborted at epoch (\d+): ", json.loads(captured.err)["message"])
+        if aborted:
+            assert load_checkpoint(out / "checkpoint.ldvt").epoch == int(aborted[1])
+        else:
+            assert not Path(out).exists()

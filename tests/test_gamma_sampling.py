@@ -64,6 +64,25 @@ def test_pathwise_gradient_matches_finite_difference(shape_val):
     assert err < 1e-4
 
 
+# Mean pathwise dz/dalpha over 5 x 400,000 draws, as the numcore.gamma
+# docstring gives them; E[z] = alpha, so the exact derivative is 1. The
+# sampler holds the accepted noise fixed and drops the acceptance-rejection
+# correction, which biases the estimate most at alpha = 1, where the model
+# initializes every concentration.
+PATHWISE_MEANS = [(0.3, 1.003), (1.0, 1.0246), (2.0, 1.0058), (5.0, 1.0009), (20.0, 1.0001)]
+
+
+@pytest.mark.parametrize("shape_val, documented", PATHWISE_MEANS)
+def test_pathwise_gradient_bias_is_the_documented_one(shape_val, documented):
+    n = 400_000
+    alpha = Tensor(np.full(n, shape_val), requires_grad=True)
+    noise = draw_gamma_noise(alpha.data, np.random.default_rng(0))
+    with Tape() as tape:
+        backward(nc.sum_reduce(gamma_from_noise(alpha, noise)), tape)
+    standard_error = alpha.grad.std() / np.sqrt(n)
+    assert abs(alpha.grad.mean() - documented) < 4.0 * standard_error
+
+
 def test_gradient_finite_at_small_shape():
     rng = np.random.default_rng(5)
     alpha = Tensor(np.full(20, 0.5), requires_grad=True)

@@ -22,11 +22,12 @@ from unmix_ldvae.data import (
     SceneConfig,
     SplitSpec,
     save_cube,
+    split_pixels,
     synth_scene,
 )
 from unmix_ldvae.losses import LossBreakdown, LossWeights, compute_losses, reference_blocks
 from unmix_ldvae.model import ModelConfig, forward, init_params, sample_reconstruction
-from unmix_ldvae.numcore import NumericError, Tape, Tensor, backward, blas
+from unmix_ldvae.numcore import NumericError, Tape, Tensor, backward, blas, keep_freed_memory
 from unmix_ldvae.train import (
     ADAM_CHUNK,
     AdamState,
@@ -629,6 +630,27 @@ def test_epoch_totals_regression_on_standard_scene(tmp_path):
     assert totals[49] < totals[0] / 10
     assert totals[0] == pytest.approx(1.2984077471136388, rel=1e-9)
     assert totals[49] == pytest.approx(0.08960814008948922, rel=1e-9)
+
+
+def test_warm_epoch_takes_few_page_faults():
+    """A criterion-7 epoch at batch 128 reuses the memory of the epoch
+    before it. With glibc's dynamic mmap threshold, every attention vjp
+    mapped its block buffers afresh, and an epoch took about 12,000 minor
+    page faults."""
+    if not keep_freed_memory():
+        pytest.skip("no glibc mallopt to fix the malloc thresholds with")
+    import resource
+
+    scene = synth_scene(SceneConfig(), np.random.default_rng(0))
+    model = ModelConfig(patch=3, bands=48, k=3, seg_len=16, d=32, layers=4, heads=16, ff_dim=64)
+    config = TrainConfig(batch_size=128, seed=3, model=model, split=SplitSpec(train_fraction=0.2))
+    params = init_params(model, np.random.default_rng(config.seed))
+    opt, rng = AdamState.zeros(params), np.random.default_rng(config.seed)
+    train = split_pixels(scene.n_pixels, config.split).train_indices
+    train_epoch(params, config, scene, train, opt, 0, rng)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train_epoch(params, config, scene, train, opt, 1, rng)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
 # ---------------------------------------------------------------------------
