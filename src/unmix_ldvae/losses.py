@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import EndmemberBundle, check_fields, checked
 from .model import DecodedBundles, Heads, SampledReconstruction
-from .numcore import NumericError, ShapeError, Tensor, ops
+from .numcore import NumericError, ShapeError, Tensor, ops, special
 
 
 class LossError(ValueError):
@@ -99,13 +99,12 @@ def kl_dirichlet_per(alpha_hat, alpha_prior) -> Tensor:
         )
     if np.any(alpha.data <= 0) or np.any(prior <= 0):
         raise LossError("Dirichlet concentrations must be strictly positive")
-    from scipy.special import gammaln  # here, so a command that never trains skips scipy
     b = alpha.shape[0]
     alpha_sum = ops.sum_reduce(alpha, axis=1)
     entropy_terms = ops.subtract(
         ops.lgamma(alpha_sum), ops.sum_reduce(ops.lgamma(alpha), axis=1)
     )
-    prior_const = float(gammaln(prior.sum()) - gammaln(prior).sum())
+    prior_const = float(special.lgamma(prior.sum()) - special.lgamma(prior).sum())
     centered_digamma = ops.subtract(
         ops.digamma(alpha), ops.reshape(ops.digamma(alpha_sum), (b, 1))
     )
@@ -134,28 +133,25 @@ class ReferenceBlocks:
 
 def reference_blocks(gt_bundles: list[EndmemberBundle]) -> ReferenceBlocks:
     """The constants of ``kl_bundle``, computed once so a training loop can
-    reuse them for every batch. Each inverse comes from LAPACK's triangular
-    inverse (trtri, from ``scipy.linalg``, imported here so only training
-    loads it), not a general inverse. ``scipy.linalg.solve_triangular`` would
-    do as well numerically, but its trtrs call wakes the thread pool of
-    scipy's own OpenBLAS, whose spinning threads then slowed numpy's BLAS work
-    by about 60 % for some 0.1 s on a 2-core machine."""
+    reuse them for every batch. ``ops.tril_blocks`` stacks the reference
+    Cholesky blocks, padding a short last segment with the identity, so every
+    block stays lower-triangular and ``special.tril_inverse`` inverts the
+    whole stack at once."""
     if not gt_bundles:
         raise ShapeError("need at least one reference bundle")
     sizes = [blk.shape[0] for blk in gt_bundles[0].chol_blocks]
     for bundle in gt_bundles:
         if [blk.shape[0] for blk in bundle.chol_blocks] != sizes:
             raise ShapeError("reference bundles disagree on segment sizes")
-    from scipy.linalg import lapack
-    inverses = [[lapack.dtrtri(block, lower=1)[0] for block in b.chol_blocks] for b in gt_bundles]
-    diag = [np.concatenate([np.diag(inv) for inv in row]) for row in inverses]
-    off = [np.concatenate([inv[np.tril_indices(len(inv), -1)] for inv in row]) for row in inverses]
+    diag = np.stack([np.concatenate([np.diag(blk) for blk in b.chol_blocks]) for b in gt_bundles])
+    off = np.stack([
+        np.concatenate([blk[np.tril_indices(len(blk), -1)] for blk in b.chol_blocks])
+        for b in gt_bundles
+    ])
     return ReferenceBlocks(
-        inv_chols=ops.tril_blocks(np.stack(diag), np.stack(off), sizes).data,
+        inv_chols=special.tril_inverse(ops.tril_blocks(diag, off, sizes).data),
         means=np.stack([b.mean for b in gt_bundles]),
-        logdets=np.array(
-            [2.0 * sum(np.log(np.diag(blk)).sum() for blk in b.chol_blocks) for b in gt_bundles]
-        ),
+        logdets=2.0 * np.log(diag).sum(axis=1),
     )
 
 

@@ -1,10 +1,12 @@
 """Minimal tensor library: reverse-mode autodiff on numpy, with lgamma and
-digamma primitives over scipy.special (imported on their first call, so only
-training loads scipy), reparameterized gamma sampling and a process-wide
-worker pool that runs BLAS-bound items one per core.
+digamma primitives over the in-package series of ``special`` (which also
+inverts the reference Cholesky blocks, so nothing here needs scipy),
+reparameterized gamma sampling and a process-wide worker pool that runs
+BLAS-bound items one per core.
 
 It exports only what the rest of the package calls."""
 
+from . import special
 from .blas import keep_freed_memory, map_on_cores
 from .gamma import GammaNoise, draw_gamma_noise, gamma_from_noise
 from .ops import (
@@ -59,6 +61,7 @@ __all__ = [
     "reshape",
     "slice_",
     "softplus",
+    "special",
     "subtract",
     "sum_reduce",
     "tril_blocks",

@@ -71,18 +71,16 @@ def _pool(workers: int) -> ThreadPoolExecutor:
 
 def map_on_cores(fn, items):
     """Yield ``fn(item)`` for each item, in item order, computed on one
-    worker thread per usable core (inline on one core) while the BLAS is
-    held at one thread, until the generator ends or is closed; inline,
-    holding nothing, for one item or where the BLAS cannot be held. When an
-    item raises, the items not yet started are cancelled and the running
-    ones waited for before the error reaches the caller."""
+    worker thread per usable core (inline for one item or on one core) while
+    the BLAS is held at one thread, until the generator ends or is closed;
+    inline, holding nothing, where the BLAS cannot be held. So each item's
+    BLAS calls run at one thread however many items there are. When an item
+    raises, the items not yet started are cancelled and the running ones
+    waited for before the error reaches the caller."""
     items = list(items)
-    if len(items) <= 1:
-        yield from map(fn, items)
-        return
     with single_blas_thread() as held:
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        if not held or cores == 1:
+        if not held or min(cores, len(items)) <= 1:
             yield from map(fn, items)
             return
         pool = _pool(cores)

@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from . import special
 from .tensor import NumericError, ShapeError, Tensor, active_tape
 
 
@@ -422,23 +423,21 @@ def _positive(a: Tensor) -> np.ndarray:
 
 
 def lgamma(a) -> Tensor:
-    from scipy import special  # here, so a command that never trains skips scipy
     a = _as_tensor(a)
     x = _positive(a)
 
     def vjp(g):
         return (g * special.digamma(x),)
 
-    return _finish("lgamma", (a,), special.gammaln(x), vjp)
+    return _finish("lgamma", (a,), special.lgamma(x), vjp)
 
 
 def digamma(a) -> Tensor:
-    from scipy import special
     a = _as_tensor(a)
     x = _positive(a)
 
     def vjp(g):
-        return (g * special.polygamma(1, x),)
+        return (g * special.trigamma(x),)
 
     return _finish("digamma", (a,), special.digamma(x), vjp)
 

@@ -736,19 +736,6 @@ def _blas_threads():
     return blas._openblas()[0]()
 
 
-@pytest.fixture
-def blas_at_two():
-    """numpy's OpenBLAS at 2 threads, so that holding it at one shows."""
-    calls = blas._openblas()
-    if calls is None:
-        pytest.skip("numpy's BLAS is not an OpenBLAS whose thread count can be set")
-    get, set_ = calls
-    before = get()
-    set_(2)
-    yield
-    set_(before)
-
-
 @pytest.mark.parametrize("subset", [False, True], ids=["all-pixels", "indices"])
 def test_predict_cube_is_bit_identical_to_one_worker(monkeypatch, subset):
     params, config, scene = _prediction_setup()

@@ -1,15 +1,21 @@
-"""The gamma-family primitives ops.lgamma and ops.digamma, and digamma's vjp,
-which evaluates trigamma.
+"""The gamma-family primitives ops.lgamma and ops.digamma, digamma's vjp,
+which evaluates trigamma, the series under them in numcore.special, and
+special.tril_inverse.
 
 Oracles: the recurrence identities lgamma(x+1) = lgamma(x) + ln x,
 digamma(x+1) = digamma(x) + 1/x and trigamma(x+1) = trigamma(x) - 1/x^2,
-and known closed-form points.
+known closed-form points, and scipy.special and LAPACK's trtri, which the
+package itself does not use.
 """
 
 import numpy as np
 import pytest
+from scipy import special as scipy_special
+from scipy.linalg import lapack
 
-from unmix_ldvae.numcore import Tape, Tensor, backward, ops
+from unmix_ldvae.data import EndmemberBundle
+from unmix_ldvae.losses import reference_blocks
+from unmix_ldvae.numcore import Tape, Tensor, backward, ops, special
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -83,3 +89,87 @@ def test_shapes_preserved():
     assert lgamma(2.5).shape == ()
     assert digamma(2.5).shape == ()
     assert trigamma(2.5).shape == ()
+
+
+# a log grid over the range training can reach and a dense one over the
+# shifted range and the threshold
+GRID = np.concatenate([np.logspace(-6, 12, 50001), np.linspace(0.05, 12, 50001)])
+
+
+@pytest.mark.parametrize(
+    "fn, oracle, tol",
+    [
+        (special.lgamma, scipy_special.gammaln, 1e-13),
+        (special.digamma, scipy_special.digamma, 1e-14),
+        (special.trigamma, lambda x: scipy_special.polygamma(1, x), 1e-14),
+    ],
+    ids=["lgamma", "digamma", "trigamma"],
+)
+def test_series_match_scipy(fn, oracle, tol):
+    want = oracle(GRID)
+    err = np.abs(fn(GRID) - want) / np.maximum(1.0, np.abs(want))
+    assert err.max() <= tol, GRID[np.argmax(err)]
+
+
+@pytest.mark.parametrize("fn", [special.lgamma, special.digamma, special.trigamma])
+def test_series_raise_nothing_under_trainings_float_errors(fn):
+    """Training raises on overflow, division by zero and invalid values;
+    every value from 1e-150 to 1e300 is finite, so none may raise."""
+    x = np.logspace(-150, 300, 4501)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        out = fn(x)
+        scalars = [fn(1e-150), fn(1e300)]
+    assert np.isfinite(out).all()
+    assert all(np.isfinite(v) and v.shape == () for v in scalars)
+
+
+def _well_conditioned_blocks(rng, shape):
+    blocks = np.tril(rng.normal(scale=0.3, size=shape))
+    idx = np.arange(shape[-1])
+    blocks[..., idx, idx] = rng.uniform(0.5, 2.0, size=shape[:-1])
+    return blocks
+
+
+def _assert_inverts(blocks, inv):
+    eye = np.eye(blocks.shape[-1])
+    assert np.array_equal(inv, np.tril(inv))
+    residual = np.abs(blocks @ inv - eye).max()
+    assert residual <= 1e-12 * max(1.0, np.abs(inv).max())
+    trtri = np.array([lapack.dtrtri(b, lower=1)[0] for b in blocks.reshape((-1,) + eye.shape)])
+    np.testing.assert_allclose(
+        inv, trtri.reshape(blocks.shape), rtol=0, atol=1e-12 * np.abs(trtri).max()
+    )
+
+
+def test_tril_inverse_of_random_blocks():
+    rng = np.random.default_rng(7)
+    blocks = _well_conditioned_blocks(rng, (4, 6, 16, 16))
+    blocks[..., np.triu_indices(16, 1)[0], np.triu_indices(16, 1)[1]] = 5.0  # never read
+    inv = special.tril_inverse(blocks)
+    _assert_inverts(np.tril(blocks), inv)
+
+
+def test_reference_inverses_with_a_padded_last_segment():
+    """Bundles of 13 bands in segments of 5: the last block is 3x3 and the
+    stack pads it with the identity, whose inverse is the identity."""
+    rng = np.random.default_rng(8)
+    bundles = [
+        EndmemberBundle(
+            name=f"e{k}",
+            mean=rng.uniform(0.1, 0.9, 13),
+            chol_blocks=[_well_conditioned_blocks(rng, (m, m)) for m in (5, 5, 3)],
+            seg_len=5,
+        )
+        for k in range(3)
+    ]
+    inv = reference_blocks(bundles).inv_chols
+    assert inv.shape == (3, 3, 5, 5)
+    blocks = np.zeros_like(inv)
+    for k, bundle in enumerate(bundles):
+        for s, block in enumerate(bundle.chol_blocks):
+            m = block.shape[0]
+            blocks[k, s] = np.eye(5)
+            blocks[k, s, :m, :m] = block
+    _assert_inverts(blocks, inv)
+    np.testing.assert_array_equal(inv[:, 2, 3:, 3:], np.broadcast_to(np.eye(2), (3, 2, 2)))
+    np.testing.assert_array_equal(inv[:, 2, 3:, :3], 0.0)

@@ -740,6 +740,25 @@ def test_sharded_fit_gives_the_same_bytes_on_any_number_of_workers(tmp_path, mon
         assert (tmp_path / "crowded" / name).read_bytes() == pooled
 
 
+def test_small_batch_fit_gives_the_same_bytes_at_one_and_two_blas_threads(tmp_path, blas_at_two):
+    """Batches of 8 run as one shard, inline; held at one BLAS thread like
+    the pool's shards, a fit's bytes do not depend on the thread count the
+    process was started with. Two epochs of the fit_smallbatch benchmark's
+    configuration: 96 bands, K=4, 26 steps per epoch."""
+    scene = synth_scene(
+        SceneConfig(bands=96, k=4, dirichlet_alpha=[20.0] * 4), np.random.default_rng(3)
+    )
+    model = ModelConfig(patch=3, bands=96, k=4, seg_len=16, d=32, layers=2, heads=8, ff_dim=64)
+    config = TrainConfig(
+        epochs=2, batch_size=8, seed=3, model=model, split=SplitSpec(train_fraction=0.2, seed=3)
+    )
+    fit(config, scene, tmp_path / "two")
+    blas._openblas()[1](1)
+    fit(config, scene, tmp_path / "one")
+    for name in ("checkpoint.ldvt", "train_log.csv"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+
 class _ShardWatch:
     """compute_losses that raises NumericError for the shard of ``rows`` rows
     in epoch 1 and lets every other shard finish slowly, counting the
