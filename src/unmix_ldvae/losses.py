@@ -9,6 +9,7 @@ the scale is independent of batch size.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,14 @@ def loss_abundance(z_hat, z_gt) -> Tensor:
     return _mean_squared_error(z_hat, z_gt, "abundance")
 
 
+@functools.lru_cache(maxsize=8)
+def _prior_constant(prior: tuple) -> float:
+    """lgamma(sum p) - sum lgamma(p), the KL's term in the prior alone. A fit
+    has one prior, so each shard of each step finds it here."""
+    p = np.array(prior)
+    return float(special.lgamma(p.sum()) - special.lgamma(p).sum())
+
+
 def kl_dirichlet_per(alpha_hat, alpha_prior) -> Tensor:
     """Per-row KL(Dir(alpha_hat) || Dir(alpha_prior)), closed form.
 
@@ -104,7 +113,7 @@ def kl_dirichlet_per(alpha_hat, alpha_prior) -> Tensor:
     entropy_terms = ops.subtract(
         ops.lgamma(alpha_sum), ops.sum_reduce(ops.lgamma(alpha), axis=1)
     )
-    prior_const = float(special.lgamma(prior.sum()) - special.lgamma(prior).sum())
+    prior_const = _prior_constant(tuple(prior.tolist()))
     centered_digamma = ops.subtract(
         ops.digamma(alpha), ops.reshape(ops.digamma(alpha_sum), (b, 1))
     )

@@ -11,7 +11,8 @@ reconstruction MLP that starts out as the plain linear mixing model
 (``sample_reconstruction``).
 
 All internal math runs batched, shapes (B, ...), on the tape-based Tensor
-type so gradients reach every parameter.
+type so gradients reach every parameter. Each encoder layer is one tape
+record, ``ops.encoder_layer``, which keeps only what its vjp reads.
 """
 
 from __future__ import annotations
@@ -201,26 +202,26 @@ def tokenize_batch(patches: np.ndarray, params: dict, config: ModelConfig) -> Te
 # encoder
 
 
-def _attention(x_norm: Tensor, params: dict, prefix: str, config: ModelConfig) -> Tensor:
-    names = ("wq", "wk", "wv", "wo", "bq", "bv", "bo")
-    return ops.attention(x_norm, *(params[f"{prefix}.{n}"] for n in names), config.heads)
+# one encoder layer's parameters, in the argument order of ops.encoder_layer
+LAYER_PARAMS = (
+    "ln1.g", "ln1.b",
+    *(f"attn.{n}" for n in ("wq", "wk", "wv", "wo", "bq", "bv", "bo")),
+    "ln2.g", "ln2.b", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2",
+)
 
 
 def encode_batch(tokens: Tensor, params: dict, config: ModelConfig):
-    """(B, S, d) tokens -> (h: (B, S, d), x_latent: (B, d))."""
+    """(B, S, d) tokens -> (h: (B, S, d), x_latent: (B, d)). Each pre-norm
+    layer, layer norm, attention, residual add, layer norm, FFN and residual
+    add, is one ``ops.encoder_layer`` record."""
     if tokens.ndim != 3 or tokens.shape[1] != config.n_tokens or tokens.shape[2] != config.d:
         raise ShapeError(
             f"token batch shape {tokens.shape} does not match (B, {config.n_tokens}, {config.d})"
         )
     x = ops.add(tokens, params["pos"])
     for i in range(config.layers):
-        pre = f"enc{i}"
-        normed = ops.layer_norm(x, params[f"{pre}.ln1.g"], params[f"{pre}.ln1.b"])
-        x = ops.add(x, _attention(normed, params, f"{pre}.attn", config))
-        normed = ops.layer_norm(x, params[f"{pre}.ln2.g"], params[f"{pre}.ln2.b"])
-        hidden = ops.relu(ops.linear(normed, params[f"{pre}.ffn.w1"], params[f"{pre}.ffn.b1"]))
-        ffn_out = ops.linear(hidden, params[f"{pre}.ffn.w2"], params[f"{pre}.ffn.b2"])
-        x = ops.add(x, ffn_out)
+        layer = (params[f"enc{i}.{name}"] for name in LAYER_PARAMS)
+        x = ops.encoder_layer(x, *layer, config.heads)
     return x, ops.max_reduce(x, axis=1)
 
 

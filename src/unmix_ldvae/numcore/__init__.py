@@ -11,11 +11,10 @@ from .blas import keep_freed_memory, map_on_cores
 from .gamma import GammaNoise, draw_gamma_noise, gamma_from_noise
 from .ops import (
     add,
-    attention,
     concat,
     digamma,
     divide,
-    layer_norm,
+    encoder_layer,
     lgamma,
     linear,
     log,
@@ -40,15 +39,14 @@ __all__ = [
     "Tape",
     "Tensor",
     "add",
-    "attention",
     "backward",
     "concat",
     "digamma",
     "divide",
     "draw_gamma_noise",
+    "encoder_layer",
     "gamma_from_noise",
     "keep_freed_memory",
-    "layer_norm",
     "lgamma",
     "linear",
     "log",

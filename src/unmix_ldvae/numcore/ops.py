@@ -5,14 +5,20 @@ cotangent back onto each input's shape. matmul contracts the last two axes
 and broadcasts leading batch axes, with 2-d weight operands shared across
 the batch. Reductions accept an int, a tuple of ints, or None for the axis.
 
-The binary arithmetic primitives and matmul return None instead of a
-cotangent for an input that does not require gradients, so constants cost
+The binary arithmetic primitives, matmul and linear return None instead of
+a cotangent for an input that does not require gradients, so constants cost
 nothing in backward. A vjp never writes into the cotangent it is given:
 backward may hand one array to several records.
+
+Layer norm, attention and linear are kernels over arrays (``_layer_norm``,
+``_attention``, ``_linear``) that return their output and its vjp. ``linear``
+records one kernel; ``encoder_layer``, a whole transformer layer, records
+one chain of them, so each kernel has a single copy however it is recorded.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -25,12 +31,19 @@ def _as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+def _recording_tape(inputs):
+    """The tape a primitive over ``inputs`` records on: the active tape if an
+    input is tracked, else None."""
+    tape = active_tape()
+    return tape if tape is not None and any(t.requires_grad for t in inputs) else None
+
+
 def _finish(op: str, inputs, out_data, vjp) -> Tensor:
     """Wrap a primitive's result; on a recording tape with a tracked input,
     mark it tracked (without a gradient buffer) and record it."""
     out = Tensor(out_data)
-    tape = active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    tape = _recording_tape(inputs)
+    if tape is not None:
         out.requires_grad = True
         tape.record(op, inputs, out, vjp)
     return out
@@ -149,27 +162,35 @@ def matmul(a, b) -> Tensor:
     return _finish("matmul", (a, b), out, vjp)
 
 
-def linear(x, w, b) -> Tensor:
-    """x @ w + b for an (n, m) weight and an (m,) bias, over the last axis of
-    x, as one record. Leading axes fold into the rows of one matmul, forward
-    and vjp, so the weight cotangent is a single (n, m) product."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+def _linear(x, w, b, needs=(True, True, True)):
+    """x @ w + b for an (n, m) weight and an (m,) bias over the last axis of
+    the array x, and its vjp, which skips the cotangents ``needs`` marks
+    False. Leading axes fold into the rows of one matmul, forward and vjp,
+    so the weight cotangent is a single (n, m) product."""
     if x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear: shapes {x.shape} @ {w.shape} + {b.shape} do not chain")
     n, m = w.shape
-    x2 = x.data.reshape(-1, n)
-    out = x2 @ w.data
-    out += b.data
+    shape = x.shape
+    x2 = x.reshape(-1, n)
+    out = x2 @ w
+    out += b
 
     def vjp(g):
         g2 = g.reshape(-1, m)
         return (
-            (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None,
-            x2.T @ g2 if w.requires_grad else None,
-            g2.sum(axis=0) if b.requires_grad else None,
+            (g2 @ w.T).reshape(shape) if needs[0] else None,
+            x2.T @ g2 if needs[1] else None,
+            g2.sum(axis=0) if needs[2] else None,
         )
 
-    return _finish("linear", (x, w, b), out.reshape(x.shape[:-1] + (m,)), vjp)
+    return out.reshape(shape[:-1] + (m,)), vjp
+
+
+def linear(x, w, b) -> Tensor:
+    """x @ w + b over the last axis of x, as one record (see ``_linear``)."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    out, vjp = _linear(x.data, w.data, b.data, (x.requires_grad, w.requires_grad, b.requires_grad))
+    return _finish("linear", (x, w, b), out, vjp)
 
 
 # Largest score bound for which attention exponentiates raw scores. exp of a
@@ -185,14 +206,15 @@ ATTENTION_EXP_BOUND = 300.0
 ATTENTION_BLOCK_BYTES = 2 << 20
 
 
-def attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int) -> Tensor:
-    """Multi-head self-attention over (B, S, d) tokens as one primitive.
+def _attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int):
+    """Multi-head self-attention over (B, S, d) token arrays, and its vjp.
 
     q = x wq + bq, k = x wk and v = x wv + bv come from one (d, 3d) matmul
     and are cut into ``heads`` slices of width e = d / heads. Each head mixes
     its values by the rows of softmax(q k^T / sqrt(e)), and the merged heads
     go through wo + bo. The vjp is derived by hand, as in Dao et al.,
-    "FlashAttention" (2022), so the tape holds a single record.
+    "FlashAttention" (2022), and returns the cotangents of all eight
+    arrays; ``encoder_layer`` chains it with the layer's other kernels.
 
     Everything is feature-major: the projection is one (3d, B * S) product,
     read as (3, heads, e, B, S), so the q^T, k^T and v^T of a head and a
@@ -212,7 +234,6 @@ def attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int) -> Tensor:
     Each sample's matmuls are independent, so every result is the same bit
     for bit whatever the block size.
     """
-    x, wq, wk, wv, wo, bq, bv, bo = (_as_tensor(t) for t in (x, wq, wk, wv, wo, bq, bv, bo))
     if x.ndim != 3:
         raise ShapeError(f"attention: tokens need shape (B, S, d), got {x.shape}")
     b, s, d = x.shape
@@ -226,12 +247,12 @@ def attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int) -> Tensor:
         raise ShapeError(f"attention: width {d} does not split into {heads} heads")
     e = d // heads
     scale = 1.0 / math.sqrt(e)
-    w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
-    x2 = x.data.reshape(b * s, d)
+    w_qkv = np.concatenate([wq, wk, wv], axis=1)
+    x2 = x.reshape(b * s, d)
     qkv_t = w_qkv.T @ x2.T
-    qkv_t[:d] += bq.data[:, None]
+    qkv_t[:d] += bq[:, None]
     qkv_t[:d] *= scale
-    qkv_t[2 * d :] += bv.data[:, None]
+    qkv_t[2 * d :] += bv[:, None]
     # (heads, B, e, S) views of q^T, k^T and v^T; q carries the scale
     q, k, v = qkv_t.reshape(3, heads, e, b, s).swapaxes(2, 3)
     shift = e * np.abs(qkv_t[:d]).max() * np.abs(qkv_t[d : 2 * d]).max() > ATTENTION_EXP_BOUND
@@ -255,7 +276,7 @@ def attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int) -> Tensor:
         np.matmul(v[:, blk], p.swapaxes(-1, -2), out=ctx_t.swapaxes(1, 2)[:, blk])
     del p_buf, p
     ctx_t /= l[:, None]
-    out = merged_t.T @ wo.data + bo.data
+    out = merged_t.T @ wo + bo
 
     def vjp(g):
         g2 = g.reshape(b * s, d)
@@ -264,7 +285,7 @@ def attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int) -> Tensor:
         # g_ctx * ctx (over e per head), is one matmul [g_ctx, -r] @ [v^T; 1],
         # whose operands are held as (e + 1, S) matrices like q^T and k^T.
         lhs_t = np.empty((heads, e + 1, b, s))
-        g_ctx_t = np.divide((wo.data @ g2.T).reshape(heads, e, b, s), l[:, None], out=lhs_t[:, :e])
+        g_ctx_t = np.divide((wo @ g2.T).reshape(heads, e, b, s), l[:, None], out=lhs_t[:, :e])
         lhs_t[:, e] = -np.einsum("hebs,hebs->hbs", g_ctx_t, ctx_t)
         rhs_t = np.ones((heads, e + 1, b, s))
         rhs_t[:, :e] = v.swapaxes(1, 2)
@@ -290,7 +311,7 @@ def attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int) -> Tensor:
             gb[:d], gb[2 * d :], g2.sum(axis=0),
         )
 
-    return _finish("attention", (x, wq, wk, wv, wo, bq, bv, bo), out.reshape(b, s, d), vjp)
+    return out.reshape(b, s, d), vjp
 
 
 def reshape(a, shape) -> Tensor:
@@ -336,6 +357,22 @@ def slice_(a, index) -> Tensor:
     return _finish("slice", (a,), out, vjp)
 
 
+@functools.lru_cache(maxsize=32)
+def _tril_index(sizes: tuple):
+    """``tril_blocks``' flat index of the diagonals, then the packed
+    off-diagonals, in a stack of blocks of ``sizes``; read-only, since every
+    call with these sizes shares it."""
+    width = max(sizes)
+    diag_idx, off_idx = [], []
+    for s, m in enumerate(sizes):
+        rows, cols = np.tril_indices(m, -1)
+        diag_idx.append(s * width * width + (width + 1) * np.arange(m))
+        off_idx.append(s * width * width + width * rows + cols)
+    index = np.concatenate(diag_idx + off_idx)
+    index.flags.writeable = False
+    return index
+
+
 def tril_blocks(diag, off, sizes) -> Tensor:
     """Stacked lower-triangular blocks (..., n_seg, L, L), L = max(sizes),
     from a diagonal part (..., sum(sizes)) and strictly-lower entries
@@ -358,12 +395,7 @@ def tril_blocks(diag, off, sizes) -> Tensor:
             f"tril_blocks: leading shapes differ, {diag.shape[:-1]} vs {off.shape[:-1]}"
         )
     width = max(sizes)
-    diag_idx, off_idx = [], []
-    for s, m in enumerate(sizes):
-        rows, cols = np.tril_indices(m, -1)
-        diag_idx.append(s * width * width + (width + 1) * np.arange(m))
-        off_idx.append(s * width * width + width * rows + cols)
-    index = np.concatenate(diag_idx + off_idx)
+    index = _tril_index(tuple(sizes))
     lead = diag.shape[:-1]
     out = np.zeros(lead + (len(sizes), width, width))
     # every diagonal starts at one; the scatter overwrites all but the padding
@@ -445,40 +477,40 @@ def digamma(a) -> Tensor:
 # normalizations and reductions
 
 
-def layer_norm(a, gain, bias, eps: float = 1e-12) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance, then apply the
-    learned elementwise scale and shift.
+def _layer_norm(a, gain, bias, eps: float = 1e-12):
+    """The last axis of the array ``a`` normalized to zero mean and unit
+    variance, then scaled by ``gain`` and shifted by ``bias``; and its vjp,
+    which keeps the normalized rows and their inverse deviations.
 
     The row statistics, forward and vjp, are einsum reductions over an
     (n, width) view: numpy's ``mean`` over a short last axis runs a strided
     loop per row and takes about twice as long."""
-    a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
     if a.ndim < 1:
         raise ShapeError("layer_norm needs at least one axis")
-    width = a.shape[-1]
+    shape, width = a.shape, a.shape[-1]
     if gain.shape != (width,) or bias.shape != (width,):
         raise ShapeError(
             f"layer_norm: scale/shift must have shape ({width},), got {gain.shape} and {bias.shape}"
         )
-    a2 = a.data.reshape(-1, width)
+    a2 = a.reshape(-1, width)
     mu = np.einsum("ij->i", a2) / width
     normalized = a2 - mu[:, None]
     var = np.einsum("ij,ij->i", normalized, normalized) / width
     inv = (1.0 / np.sqrt(var + eps))[:, None]
     normalized *= inv
-    out = normalized * gain.data
-    out += bias.data
+    out = normalized * gain
+    out += bias
 
     def vjp(g):
         g2 = g.reshape(-1, width)
-        gn = g2 * gain.data
+        gn = g2 * gain
         m1 = np.einsum("ij->i", gn) / width
         m2 = np.einsum("ij,ij->i", gn, normalized) / width
         ga = (gn - m1[:, None] - normalized * m2[:, None]) * inv
         ggain = np.einsum("ij,ij->j", g2, normalized)
-        return ga.reshape(a.shape), ggain, g2.sum(axis=0)
+        return ga.reshape(shape), ggain, g2.sum(axis=0)
 
-    return _finish("layer_norm", (a, gain, bias), out.reshape(a.shape), vjp)
+    return out.reshape(shape), vjp
 
 
 def max_reduce(a, axis: int, keepdims: bool = False) -> Tensor:
@@ -489,12 +521,11 @@ def max_reduce(a, axis: int, keepdims: bool = False) -> Tensor:
         raise ShapeError("max_reduce needs a single integer axis")
     ax = int(axis) % a.ndim
     out = np.max(a.data, axis=ax, keepdims=keepdims)
-    argmax = np.argmax(a.data, axis=ax)
 
     def vjp(g):
         gg = g if keepdims else np.expand_dims(g, ax)
         buf = np.zeros_like(a.data)
-        np.put_along_axis(buf, np.expand_dims(argmax, ax), gg, ax)
+        np.put_along_axis(buf, np.expand_dims(np.argmax(a.data, axis=ax), ax), gg, ax)
         return (buf,)
 
     return _finish("max_reduce", (a,), out, vjp)
@@ -524,3 +555,60 @@ def mean_reduce(a, axis=None, keepdims: bool = False) -> Tensor:
 
     return _finish("mean_reduce", (a,), out, vjp)
 
+
+# the transformer layer
+
+
+def encoder_layer(
+    x, ln1_g, ln1_b, wq, wk, wv, wo, bq, bv, bo, ln2_g, ln2_b, w1, b1, w2, b2, heads: int
+) -> Tensor:
+    """One pre-norm transformer layer over (B, S, d) tokens as one record:
+
+        x1 = x + attention(layer_norm(x)),
+        out = x1 + relu(layer_norm(x1) w1 + b1) w2 + b2,
+
+    where ``_attention`` takes wq, wk, wv, wo, bq, bv, bo and ``heads``. The
+    forward runs the ``_layer_norm``, ``_attention`` and ``_linear`` kernels,
+    so every value is the same bit for bit as the composed records'. The
+    vjp chains their vjps by hand and keeps only what they read: the
+    normalized rows and inverse deviations of both layer norms, the two
+    layer-norm outputs, attention's q, k, v, row sums and context, and the
+    relu output, whose ``> 0`` is the relu mask. No vjp reads the attention
+    output, the residual sum x1 or the two FFN linear outputs, so the layer
+    keeps none of them: x1 is summed into the attention output, and the
+    relu and the second residual sum run in place. With no tape recording,
+    each kernel's vjp is dropped as soon as its output exists, so the
+    forward holds no more at once than the layer's primitives one by one.
+    The vjp returns the cotangents of all 16 arrays, in argument order."""
+    inputs = (x, ln1_g, ln1_b, wq, wk, wv, wo, bq, bv, bo, ln2_g, ln2_b, w1, b1, w2, b2)
+    inputs = tuple(_as_tensor(t) for t in inputs)
+    x, ln1_g, ln1_b, wq, wk, wv, wo, bq, bv, bo, ln2_g, ln2_b, w1, b1, w2, b2 = (
+        t.data for t in inputs
+    )
+    recording = _recording_tape(inputs) is not None
+    vjps = []
+
+    def run(kernel, *args):
+        out, vjp = kernel(*args)
+        if recording:
+            vjps.append(vjp)
+        return out
+
+    x1 = run(_attention, run(_layer_norm, x, ln1_g, ln1_b), wq, wk, wv, wo, bq, bv, bo, heads)
+    x1 += x
+    hidden = run(_linear, run(_layer_norm, x1, ln2_g, ln2_b), w1, b1)
+    np.maximum(hidden, 0.0, out=hidden)
+    out = run(_linear, hidden, w2, b2)
+    out += x1
+
+    def vjp(g):
+        ln1, attn, ln2, lin1, lin2 = vjps
+        g_hidden, g_w2, g_b2 = lin2(g)
+        g_normed, g_w1, g_b1 = lin1(g_hidden * (hidden > 0.0))
+        g_x1, g_ln2_g, g_ln2_b = ln2(g_normed)
+        g_x1 = g + g_x1
+        g_normed, *g_attn = attn(g_x1)
+        g_x, g_ln1_g, g_ln1_b = ln1(g_normed)
+        return (g_x1 + g_x, g_ln1_g, g_ln1_b, *g_attn, g_ln2_g, g_ln2_b, g_w1, g_b1, g_w2, g_b2)
+
+    return _finish("encoder_layer", inputs, out, vjp)

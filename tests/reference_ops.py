@@ -2,9 +2,12 @@
 builder of stacked Cholesky blocks from per-segment factors.
 
 The package does not call these. Tests build oracles from them, such as
-attention composed from single-purpose primitives, and check every vjp
-against central differences. Each primitive records through ``ops._finish``
-as the package's own primitives do.
+attention composed from single-purpose primitives and an encoder layer
+composed from ``layer_norm``, ``attention`` and the package's primitives,
+and check every vjp against central differences. Each primitive records
+through ``ops._finish`` as the package's own primitives do; ``layer_norm``
+and ``attention`` record the package's kernels, which ``ops.encoder_layer``
+chains into one record.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from unmix_ldvae.numcore import NumericError, ShapeError, Tape, Tensor, backward
-from unmix_ldvae.numcore.ops import _as_tensor, _finish
+from unmix_ldvae.numcore.ops import _as_tensor, _attention, _finish, _layer_norm
 
 
 def stack_factors(factors) -> np.ndarray:
@@ -83,6 +86,20 @@ def softmax(a, axis: int = -1) -> Tensor:
         return (out * (g - dot),)
 
     return _finish("softmax", (a,), out, vjp)
+
+
+def layer_norm(a, gain, bias) -> Tensor:
+    """``ops._layer_norm`` as one record."""
+    a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
+    out, vjp = _layer_norm(a.data, gain.data, bias.data)
+    return _finish("layer_norm", (a, gain, bias), out, vjp)
+
+
+def attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int) -> Tensor:
+    """``ops._attention`` as one record."""
+    inputs = tuple(_as_tensor(t) for t in (x, wq, wk, wv, wo, bq, bv, bo))
+    out, vjp = _attention(*(t.data for t in inputs), heads)
+    return _finish("attention", inputs, out, vjp)
 
 
 def finite_diff_check(f, x, h: float = 1e-5) -> float:

@@ -355,7 +355,7 @@ def test_criterion_04_gradient_suite():
             "layer_norm-input",
             ln_in,
             weighted(
-                lambda p: ops.layer_norm(p, Tensor(ln_gain), Tensor(ln_bias)), w_shape=(2, 5)
+                lambda p: ref.layer_norm(p, Tensor(ln_gain), Tensor(ln_bias)), w_shape=(2, 5)
             ),
         )
     )
@@ -364,7 +364,7 @@ def test_criterion_04_gradient_suite():
             "layer_norm-gain",
             ln_gain,
             weighted(
-                lambda p: ops.layer_norm(Tensor(ln_in), p, Tensor(ln_bias)), w_shape=(2, 5)
+                lambda p: ref.layer_norm(Tensor(ln_in), p, Tensor(ln_bias)), w_shape=(2, 5)
             ),
         )
     )
@@ -373,7 +373,7 @@ def test_criterion_04_gradient_suite():
             "layer_norm-bias",
             ln_bias,
             weighted(
-                lambda p: ops.layer_norm(Tensor(ln_in), Tensor(ln_gain), p), w_shape=(2, 5)
+                lambda p: ref.layer_norm(Tensor(ln_in), Tensor(ln_gain), p), w_shape=(2, 5)
             ),
         )
     )
@@ -466,13 +466,25 @@ def test_criterion_04_gradient_suite():
 
     for slot, name in enumerate(attn_names):
         entries.append(
-            (f"attention-{name}", attn_args[slot], slot_objective(ops.attention, attn_args, attn_w, slot, 2))
+            (f"attention-{name}", attn_args[slot], slot_objective(ref.attention, attn_args, attn_w, slot, 2))
         )
     lin_args = [rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 5)), rng.standard_normal(5)]
     lin_w = rng.random((2, 3, 5))
     for slot, name in enumerate(("x", "w", "b")):
         entries.append(
             (f"linear-{name}", lin_args[slot], slot_objective(ops.linear, lin_args, lin_w, slot))
+        )
+    # (2, 3, 4) tokens, 2 heads, an FFN of width 5
+    layer_names = ("x", "ln1.g", "ln1.b", *attn_names[1:], "ln2.g", "ln2.b", "w1", "b1", "w2", "b2")
+    layer_args = [rng.standard_normal((2, 3, 4)), 1.0 + 0.1 * rng.standard_normal(4)]
+    layer_args += [rng.standard_normal(4), *attn_args[1:]]
+    layer_args += [1.0 + 0.1 * rng.standard_normal(4), rng.standard_normal(4)]
+    layer_args += [0.5 * rng.standard_normal((4, 5)), rng.standard_normal(5)]
+    layer_args += [0.5 * rng.standard_normal((5, 4)), rng.standard_normal(4)]
+    for slot, name in enumerate(layer_names):
+        entries.append(
+            (f"encoder_layer-{name}", layer_args[slot],
+             slot_objective(ops.encoder_layer, layer_args, attn_w, slot, 2))
         )
 
     worst_name, worst_err = "", 0.0

@@ -92,7 +92,7 @@ def gradient_cases():
     cases.append(
         (
             "layer_norm_x",
-            lambda t: weighted(nc.layer_norm(t, Tensor(ln_gain), Tensor(ln_bias)), _w((4, 6))),
+            lambda t: weighted(ref.layer_norm(t, Tensor(ln_gain), Tensor(ln_bias)), _w((4, 6))),
             _x((4, 6), 36),
         )
     )
@@ -100,14 +100,14 @@ def gradient_cases():
     cases.append(
         (
             "layer_norm_gain",
-            lambda t: weighted(nc.layer_norm(Tensor(ln_x), t, Tensor(ln_bias)), _w((4, 6))),
+            lambda t: weighted(ref.layer_norm(Tensor(ln_x), t, Tensor(ln_bias)), _w((4, 6))),
             _pos((6,), 38),
         )
     )
     cases.append(
         (
             "layer_norm_bias",
-            lambda t: weighted(nc.layer_norm(Tensor(ln_x), Tensor(ln_gain), t), _w((4, 6))),
+            lambda t: weighted(ref.layer_norm(Tensor(ln_x), Tensor(ln_gain), t), _w((4, 6))),
             _x((6,), 39),
         )
     )

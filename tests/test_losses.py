@@ -42,6 +42,7 @@ from unmix_ldvae.numcore import (
     Tensor,
     backward,
     ops,
+    special,
 )
 
 GRAD_TOL = 1e-4
@@ -185,6 +186,22 @@ def test_dirichlet_kl_rejects_nonpositive():
         kl_dirichlet(Tensor([1.0, 0.0]), np.ones(2))
     with pytest.raises(LossError):
         kl_dirichlet(Tensor([1.0, 1.0]), np.array([1.0, -2.0]))
+
+
+def test_dirichlet_prior_constant_is_evaluated_once_per_prior(monkeypatch):
+    """A fit's prior is fixed: its lgamma terms are taken on the first call
+    with it alone, and a later call gives the same bits."""
+    calls = []
+    lgamma = special.lgamma
+    monkeypatch.setattr(special, "lgamma", lambda x: calls.append(1) or lgamma(x))
+    prior = np.array([0.35, 1.75, 2.45])  # a prior no other test uses
+    alpha = Tensor(np.array([[0.8, 1.5, 3.0], [2.2, 0.6, 1.1]]))
+    first = kl_dirichlet_per(alpha, prior).data
+    first_calls = len(calls)
+    second = kl_dirichlet_per(alpha, prior.copy()).data
+    # the second call skips the prior's sum and entries
+    assert len(calls) - first_calls == first_calls - 2
+    assert (second == first).all()
 
 
 def test_dirichlet_kl_gradient_matches_finite_differences():

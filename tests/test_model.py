@@ -11,7 +11,8 @@ import os
 import sys
 import threading
 import time
-from contextlib import contextmanager
+import tracemalloc
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -157,8 +158,9 @@ def test_residual_only_encoder_is_permutation_invariant():
 
 
 def composed_attention(x, wq, wk, wv, wo, bq, bv, bo, heads):
-    """Test oracle for ``ops.attention``: the same layer assembled from
-    single-purpose primitives, one tape record per step."""
+    """Test oracle for the attention kernel (``ref.attention`` records it):
+    the same layer assembled from single-purpose primitives, one tape record
+    per step."""
     b, s, d = x.shape
     e = d // heads
 
@@ -175,13 +177,13 @@ def composed_attention(x, wq, wk, wv, wo, bq, bv, bo, heads):
 
 
 def test_attention_rows_sum_to_one(monkeypatch):
-    """Every encoder layer's fused attention equals the composed oracle,
-    whose softmax rows lie on the simplex."""
+    """The attention kernel of every encoder layer equals the composed
+    oracle, whose softmax rows lie on the simplex."""
     config = small_config()
     params = init_params(config, np.random.default_rng(5))
     tokens = Tensor(np.random.default_rng(6).random((2, config.n_tokens, config.d)))
     attn_maps = []
-    fused, softmax = ops.attention, ref.softmax
+    kernel, softmax = ops._attention, ref.softmax
 
     def capture(*args, **kwargs):
         out = softmax(*args, **kwargs)
@@ -189,14 +191,14 @@ def test_attention_rows_sum_to_one(monkeypatch):
         return out
 
     def checked(*args):
-        out = fused(*args)
+        out, vjp = kernel(*args)
         with monkeypatch.context() as patch:
             patch.setattr(ref, "softmax", capture)
             reference = composed_attention(*args)
-        np.testing.assert_allclose(out.data, reference.data, rtol=1e-12, atol=1e-12)
-        return out
+        np.testing.assert_allclose(out, reference.data, rtol=1e-12, atol=1e-12)
+        return out, vjp
 
-    monkeypatch.setattr(ops, "attention", checked)
+    monkeypatch.setattr(ops, "_attention", checked)
     encode_batch(tokens, params, config)
     assert len(attn_maps) == config.layers
     for attn in attn_maps:
@@ -207,7 +209,7 @@ def test_attention_rows_sum_to_one(monkeypatch):
 
 
 def attention_score_bound(x, wq, wk, bq, heads):
-    """The bound on |score| that ``ops.attention`` compares with
+    """The bound on |score| that the attention kernel compares with
     ``ATTENTION_EXP_BOUND``: e * max|q| * max|k|, with q scaled by 1/sqrt(e)."""
     e = x.shape[-1] // heads
     q = (x @ wq + bq) / math.sqrt(e)
@@ -223,8 +225,8 @@ def attention_arrays(rng, b, s, d, spread):
     )
 
 
-def attention_and_grads(layer, arrays, weights, heads):
-    """Output and the 8 input gradients of sum(layer(...) * weights)."""
+def layer_and_grads(layer, arrays, weights, heads):
+    """Output and the input gradients of sum(layer(...) * weights)."""
     with Tape() as tape:
         inputs = [Tensor(a, requires_grad=True) for a in arrays]
         out = layer(*inputs, heads)
@@ -255,8 +257,8 @@ def test_fused_attention_matches_composed_oracle(monkeypatch, b, s, d, heads, sp
     shifted = attention_score_bound(x, wq, wk, bq, heads) > ops.ATTENTION_EXP_BOUND
     assert shifted == (spread > 1.0)
     weights = Tensor(rng.standard_normal((b, s, d)))
-    fused_out, fused_grads = attention_and_grads(ops.attention, arrays, weights, heads)
-    ref_out, ref_grads = attention_and_grads(composed_attention, arrays, weights, heads)
+    fused_out, fused_grads = layer_and_grads(ref.attention, arrays, weights, heads)
+    ref_out, ref_grads = layer_and_grads(composed_attention, arrays, weights, heads)
     np.testing.assert_allclose(fused_out, ref_out, rtol=1e-12, atol=1e-12)
     for name, got, want in zip(("x", "wq", "wk", "wv", "wo", "bq", "bv", "bo"), fused_grads, ref_grads):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=name)
@@ -287,7 +289,7 @@ def test_attention_blocks_are_bit_identical(monkeypatch, spread):
         with monkeypatch.context() as patch:
             patch.setattr(ops, "ATTENTION_BLOCK_BYTES", budget)
             patch.setattr(np, "exp", counted)
-            results.append(attention_and_grads(ops.attention, arrays, weights, heads))
+            results.append(layer_and_grads(ref.attention, arrays, weights, heads))
         assert len(calls) == n_exp
     (one_out, one_grads), (split_out, split_grads) = results
     assert (split_out == one_out).all()
@@ -295,15 +297,103 @@ def test_attention_blocks_are_bit_identical(monkeypatch, spread):
         assert (got == want).all(), name
 
 
-def test_fused_attention_is_one_tape_record():
+def composed_layer(x, ln1_g, ln1_b, *rest):
+    """Test oracle for ``ops.encoder_layer``: the pre-norm layer as the
+    records of its kernels and primitives, one per step."""
+    *attn, ln2_g, ln2_b, w1, b1, w2, b2, heads = rest
+    x = ops.add(x, ref.attention(ref.layer_norm(x, ln1_g, ln1_b), *attn, heads))
+    hidden = ops.relu(ops.linear(ref.layer_norm(x, ln2_g, ln2_b), w1, b1))
+    return ops.add(x, ops.linear(hidden, w2, b2))
+
+
+LAYER_NAMES = ("x", "ln1.g", "ln1.b", "wq", "wk", "wv", "wo", "bq", "bv", "bo",
+               "ln2.g", "ln2.b", "w1", "b1", "w2", "b2")
+
+
+@pytest.mark.parametrize(
+    "b,s,d,heads,spread,block_rows",
+    [
+        pytest.param(3, 5, 8, 2, 1.0, None, id="3-5-8-2"),
+        pytest.param(2, 4, 6, 1, 1.0, None, id="2-4-6-1"),
+        pytest.param(3, 5, 8, 2, 12.0, None, id="3-5-8-2-row-max-shift"),
+        pytest.param(5, 5, 8, 2, 1.0, 2, id="5-5-8-2-blocks-of-2"),
+        pytest.param(3, 5, 4, 4, 1.0, None, id="3-5-4-4-heads-equal-width"),
+        pytest.param(1, 5, 8, 2, 1.0, None, id="1-5-8-2-one-sample"),
+        pytest.param(5, 54, 32, 8, 1.0, 2, id="5-54-32-8-ragged-blocks"),
+    ],
+)
+def test_encoder_layer_equals_its_composed_records(monkeypatch, b, s, d, heads, spread, block_rows):
+    """The one-record layer gives the output and all 16 gradients of the
+    records it replaces, bit for bit. ``spread`` scales the first layer
+    norm's gain, and so the scores, past the row-max shift's bound."""
+    if block_rows is not None:
+        monkeypatch.setattr(ops, "ATTENTION_BLOCK_BYTES", block_rows * heads * s * s * 8)
+    rng = np.random.default_rng(b * 100 + heads)
+    x, *attn = attention_arrays(rng, b, s, d, 1.0)
+    ff = 2 * d
+    arrays = [
+        x, spread * (1.0 + 0.1 * rng.standard_normal(d)), 0.1 * rng.standard_normal(d), *attn,
+        1.0 + 0.1 * rng.standard_normal(d), 0.1 * rng.standard_normal(d),
+        rng.standard_normal((d, ff)) / math.sqrt(d), rng.standard_normal(ff),
+        rng.standard_normal((ff, d)) / math.sqrt(ff), rng.standard_normal(d),
+    ]
+    normed = ref.layer_norm(Tensor(x), Tensor(arrays[1]), Tensor(arrays[2])).data
+    wq, wk, _, _, bq, _, _ = attn
+    shifted = attention_score_bound(normed, wq, wk, bq, heads) > ops.ATTENTION_EXP_BOUND
+    assert shifted == (spread > 1.0)
+    weights = Tensor(rng.standard_normal((b, s, d)))
+    fused_out, fused_grads = layer_and_grads(ops.encoder_layer, arrays, weights, heads)
+    ref_out, ref_grads = layer_and_grads(composed_layer, arrays, weights, heads)
+    assert (fused_out == ref_out).all()
+    assert len(fused_grads) == len(LAYER_NAMES)
+    for name, got, want in zip(LAYER_NAMES, fused_grads, ref_grads):
+        assert (got == want).all(), name
+
+
+def test_encoder_layer_is_one_tape_record():
     config = small_config()
     params = init_params(config, np.random.default_rng(7))
     tokens = Tensor(np.random.default_rng(8).random((2, config.n_tokens, config.d)))
     with Tape() as tape:
         encode_batch(tokens, params, config)
-    ops_recorded = [rec.op for rec in tape.records]
-    assert ops_recorded.count("attention") == config.layers
-    assert "softmax" not in ops_recorded and "transpose" not in ops_recorded
+    recorded = [rec.op for rec in tape.records]
+    assert recorded == ["add", *["encoder_layer"] * config.layers, "max_reduce"]
+
+
+def criterion_7_forward_bytes(record: bool):
+    """tracemalloc's traced bytes held after, and peaking during, the
+    forward of 64 patches through the criterion-7 model, on a tape or not."""
+    config = ModelConfig(patch=3, bands=48, k=3, seg_len=16, d=32, layers=4, heads=16, ff_dim=64)
+    params = init_params(config, np.random.default_rng(9))
+    patches = np.random.default_rng(10).random((64, 3, 3, 48))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        with Tape() if record else nullcontext() as tape:
+            heads = forward(patches, params, config)
+        held, peak = tracemalloc.get_traced_memory()  # with the tape and heads alive
+    finally:
+        tracemalloc.stop()
+    return held - before, peak - before
+
+
+def test_encoder_layer_forward_tape_holds_at_most_24_mib():
+    """A 64-row criterion-7 shard's forward tape keeps only what the vjps
+    read. With a record per layer norm, attention, add, linear and relu it
+    held 31 MiB."""
+    held, _ = criterion_7_forward_bytes(record=True)
+    assert held <= 24 * 2**20, held / 2**20
+
+
+def test_encoder_layer_without_a_tape_peaks_no_higher_than_its_records(monkeypatch):
+    """With no tape, as in inference, the layer drops each kernel's vjp as
+    soon as its output exists, so a forward holds no more arrays at once
+    than through the composed records: its peak stays within a tenth of one
+    (B * S, d) array (442 KB) of theirs, a margin for Python objects."""
+    _, fused = criterion_7_forward_bytes(record=False)
+    monkeypatch.setattr(ops, "encoder_layer", composed_layer)
+    _, composed = criterion_7_forward_bytes(record=False)
+    assert fused <= composed + 64 * 27 * 32 * 8 // 10, (fused / 2**20, composed / 2**20)
 
 
 def test_encoder_rejects_wrong_sequence_length():

@@ -140,7 +140,7 @@ def test_attention_handles_large_logits(logit, shifted):
     assert (bound > nc.ops.ATTENTION_EXP_BOUND) == shifted
     with Tape() as tape:
         inputs = [Tensor(a, requires_grad=True) for a in (x, wq, eye, eye, eye, zero, zero, zero)]
-        out = nc.attention(*inputs, 1)
+        out = ref.attention(*inputs, 1)
         nc.backward(nc.sum_reduce(nc.multiply(out, Tensor(np.arange(9.0).reshape(1, 3, 3)))), tape)
     attn = out.data[0]
     assert np.isfinite(attn).all() and attn.min() >= 0.0
@@ -153,7 +153,7 @@ def test_layer_norm_standardizes_before_scale_shift():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((32, 16)) * 4.0 + 2.0
     width = x.shape[-1]
-    out = nc.layer_norm(Tensor(x), Tensor(np.ones(width)), Tensor(np.zeros(width)))
+    out = ref.layer_norm(Tensor(x), Tensor(np.ones(width)), Tensor(np.zeros(width)))
     mean = out.data.mean(axis=-1)
     var = out.data.var(axis=-1)
     assert np.max(np.abs(mean)) < 1e-10
@@ -164,20 +164,35 @@ def test_layer_norm_applies_scale_and_shift():
     x = np.array([[1.0, 2.0, 3.0, 4.0]])
     gain = np.array([2.0, 2.0, 2.0, 2.0])
     bias = np.array([1.0, 1.0, 1.0, 1.0])
-    out = nc.layer_norm(Tensor(x), Tensor(gain), Tensor(bias))
-    plain = nc.layer_norm(Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)))
+    out = ref.layer_norm(Tensor(x), Tensor(gain), Tensor(bias))
+    plain = ref.layer_norm(Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)))
     np.testing.assert_allclose(out.data, plain.data * 2.0 + 1.0)
 
 
 def test_layer_norm_rejects_wrong_param_width():
     with pytest.raises(ShapeError, match="layer_norm"):
-        nc.layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(4)))
+        ref.layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(4)))
 
 
 def test_max_reduce_takes_elementwise_max_over_axis():
     x = np.array([[1.0, 5.0], [4.0, 2.0], [3.0, 3.0]])
     out = nc.max_reduce(Tensor(x), axis=0)
     np.testing.assert_array_equal(out.data, [4.0, 5.0])
+
+
+def test_max_reduce_takes_its_argmax_only_in_the_vjp(monkeypatch):
+    """Inference records no tape, so it never needs the index the vjp routes
+    gradients by; on a tape the vjp takes it, and ties go to the lowest."""
+    calls = []
+    argmax = np.argmax
+    monkeypatch.setattr(np, "argmax", lambda *a, **k: calls.append(1) or argmax(*a, **k))
+    x = Tensor(np.array([[1.0, 5.0], [4.0, 5.0], [3.0, 3.0]]), requires_grad=True)
+    nc.max_reduce(x, axis=0)
+    assert calls == []
+    with Tape() as tape:
+        nc.backward(nc.sum_reduce(nc.max_reduce(x, axis=0)), tape)
+    assert calls == [1]
+    np.testing.assert_array_equal(x.grad, [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
 
 
 def test_max_reduce_needs_integer_axis():
@@ -201,6 +216,23 @@ def test_tril_blocks_builds_lower_triangular():
     out = nc.tril_blocks(diag, off, [3]).data
     expected = np.array([[1.0, 0.0, 0.0], [4.0, 2.0, 0.0], [5.0, 6.0, 3.0]])
     np.testing.assert_array_equal(out, expected[None])
+
+
+def test_tril_blocks_builds_its_index_once_per_sizes(monkeypatch):
+    """The scatter index is cached per tuple of segment sizes and read-only,
+    so the calls that share it cannot change it."""
+    sizes = [4, 3, 1]  # sizes no other test uses
+    diag, off = Tensor(np.arange(8.0)), Tensor(np.arange(9.0))
+    first = nc.tril_blocks(diag, off, sizes).data
+    calls = []
+    tril_indices = np.tril_indices
+    monkeypatch.setattr(np, "tril_indices", lambda *a: calls.append(1) or tril_indices(*a))
+    again = nc.tril_blocks(diag, off, tuple(sizes)).data
+    assert calls == [] and (again == first).all()
+    index = nc.ops._tril_index(tuple(sizes))
+    assert not index.flags.writeable
+    with pytest.raises(ValueError):
+        index[0] = 0
 
 
 def test_tril_blocks_validates_packed_sizes():
@@ -281,10 +313,10 @@ def test_attention_rejects_bad_shapes():
     w = Tensor(np.eye(4))
     bias = Tensor(np.zeros(4))
     with pytest.raises(ShapeError, match="tokens"):
-        nc.attention(Tensor(np.ones((3, 4))), w, w, w, w, bias, bias, bias, 2)
+        ref.attention(Tensor(np.ones((3, 4))), w, w, w, w, bias, bias, bias, 2)
     with pytest.raises(ShapeError, match="wk"):
-        nc.attention(x, w, Tensor(np.eye(3)), w, w, bias, bias, bias, 2)
+        ref.attention(x, w, Tensor(np.eye(3)), w, w, bias, bias, bias, 2)
     with pytest.raises(ShapeError, match="bo"):
-        nc.attention(x, w, w, w, w, bias, bias, Tensor(np.zeros(3)), 2)
+        ref.attention(x, w, w, w, w, bias, bias, Tensor(np.zeros(3)), 2)
     with pytest.raises(ShapeError, match="heads"):
-        nc.attention(x, w, w, w, w, bias, bias, bias, 3)
+        ref.attention(x, w, w, w, w, bias, bias, bias, 3)
