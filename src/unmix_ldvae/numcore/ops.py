@@ -10,10 +10,13 @@ a cotangent for an input that does not require gradients, so constants cost
 nothing in backward. A vjp never writes into the cotangent it is given:
 backward may hand one array to several records.
 
-Layer norm, attention and linear are kernels over arrays (``_layer_norm``,
-``_attention``, ``_linear``) that return their output and its vjp. ``linear``
-records one kernel; ``encoder_layer``, a whole transformer layer, records
-one chain of them, so each kernel has a single copy however it is recorded.
+Layer norm, attention and linear are kernels over arrays. ``_layer_norm``
+returns its output and the rows that ``_layer_norm_vjp`` reads,
+``_attention`` its output and a vjp that takes the input again, and
+``_linear`` its output alone, since ``_linear_vjp`` reads only the input
+and the weight. ``linear`` records one kernel; ``encoder_layer``, a whole
+transformer layer, records one chain of them, so each kernel has a single
+copy however it is recorded.
 """
 
 from __future__ import annotations
@@ -162,35 +165,40 @@ def matmul(a, b) -> Tensor:
     return _finish("matmul", (a, b), out, vjp)
 
 
-def _linear(x, w, b, needs=(True, True, True)):
+def _linear(x, w, b):
     """x @ w + b for an (n, m) weight and an (m,) bias over the last axis of
-    the array x, and its vjp, which skips the cotangents ``needs`` marks
-    False. Leading axes fold into the rows of one matmul, forward and vjp,
-    so the weight cotangent is a single (n, m) product."""
+    the array x. Leading axes fold into the rows of one matmul, here and in
+    ``_linear_vjp``, so the weight cotangent is a single (n, m) product."""
     if x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear: shapes {x.shape} @ {w.shape} + {b.shape} do not chain")
-    n, m = w.shape
-    shape = x.shape
-    x2 = x.reshape(-1, n)
-    out = x2 @ w
+    out = x.reshape(-1, w.shape[0]) @ w
     out += b
+    return out.reshape(x.shape[:-1] + w.shape[1:])
+
+
+def _linear_vjp(x, w, needs=(True, True, True)):
+    """The vjp of ``_linear`` at the input x and weight w, which skips the
+    cotangents ``needs`` marks False; it reads nothing the forward made."""
+    n, m = w.shape
+    x2 = x.reshape(-1, n)
 
     def vjp(g):
         g2 = g.reshape(-1, m)
         return (
-            (g2 @ w.T).reshape(shape) if needs[0] else None,
+            (g2 @ w.T).reshape(x.shape) if needs[0] else None,
             x2.T @ g2 if needs[1] else None,
             g2.sum(axis=0) if needs[2] else None,
         )
 
-    return out.reshape(shape[:-1] + (m,)), vjp
+    return vjp
 
 
 def linear(x, w, b) -> Tensor:
     """x @ w + b over the last axis of x, as one record (see ``_linear``)."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    out, vjp = _linear(x.data, w.data, b.data, (x.requires_grad, w.requires_grad, b.requires_grad))
-    return _finish("linear", (x, w, b), out, vjp)
+    out = _linear(x.data, w.data, b.data)
+    needs = (x.requires_grad, w.requires_grad, b.requires_grad)
+    return _finish("linear", (x, w, b), out, _linear_vjp(x.data, w.data, needs))
 
 
 # Largest score bound for which attention exponentiates raw scores. exp of a
@@ -202,8 +210,11 @@ ATTENTION_EXP_BOUND = 300.0
 # Bytes of (heads, S, S) probability maps in one block of attention's batch
 # rows. The forward holds one block's p at a time, the vjp one block's p and
 # its cotangent, so this bounds what attention allocates beyond its (B, S, d)
-# operands, whatever the batch size.
-ATTENTION_BLOCK_BYTES = 2 << 20
+# operands, whatever the batch size. At 2 MiB the vjp's two block buffers
+# were the only allocations larger than a few (B * S, d) arrays, and once
+# backward freed each record as it went, the heap often lacked a 2 MiB hole
+# for them in the middle of a warm epoch and grew again.
+ATTENTION_BLOCK_BYTES = 1 << 20
 
 
 def _attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int):
@@ -213,8 +224,9 @@ def _attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int):
     and are cut into ``heads`` slices of width e = d / heads. Each head mixes
     its values by the rows of softmax(q k^T / sqrt(e)), and the merged heads
     go through wo + bo. The vjp is derived by hand, as in Dao et al.,
-    "FlashAttention" (2022), and returns the cotangents of all eight
-    arrays; ``encoder_layer`` chains it with the layer's other kernels.
+    "FlashAttention" (2022). It is called as ``vjp(g, x)``, with the same x
+    again, and returns the cotangents of all eight arrays; ``encoder_layer``
+    chains it with the layer's other kernels.
 
     Everything is feature-major: the projection is one (3d, B * S) product,
     read as (3, heads, e, B, S), so the q^T, k^T and v^T of a head and a
@@ -224,13 +236,15 @@ def _attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int):
     one (3d, B * S) buffer: no step copies an array to change its layout.
 
     The (heads, S, S) scores run in blocks of as many batch rows as fit in
-    ``ATTENTION_BLOCK_BYTES`` (22 rows at 16 heads and S = 27), exponentiated
+    ``ATTENTION_BLOCK_BYTES`` (11 rows at 16 heads and S = 27), exponentiated
     in place to p, and the context is divided by the row sums l instead of
     p. Softmax is shift-invariant, so the row maxima are subtracted only
     when the score bound e * max|q| * max|k| (q scaled) exceeds
-    ``ATTENTION_EXP_BOUND``. The vjp keeps l, the context and q, k, v, and
-    recomputes p block by block, as FlashAttention does, rather than hold
-    (B, heads, S, S) doubles (12 MB per layer at B = 128) until backward.
+    ``ATTENTION_EXP_BOUND``. The vjp keeps only l and the context, which
+    cost the whole score pass to rebuild. It rebuilds q, k and v from the x
+    it is given with the forward's own projection, and p block by block, as
+    FlashAttention does, rather than hold (B, heads, S, S) doubles (12 MB
+    per layer at B = 128) until backward.
     Each sample's matmuls are independent, so every result is the same bit
     for bit whatever the block size.
     """
@@ -248,37 +262,46 @@ def _attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int):
     e = d // heads
     scale = 1.0 / math.sqrt(e)
     w_qkv = np.concatenate([wq, wk, wv], axis=1)
-    x2 = x.reshape(b * s, d)
-    qkv_t = w_qkv.T @ x2.T
-    qkv_t[:d] += bq[:, None]
-    qkv_t[:d] *= scale
-    qkv_t[2 * d :] += bv[:, None]
-    # (heads, B, e, S) views of q^T, k^T and v^T; q carries the scale
-    q, k, v = qkv_t.reshape(3, heads, e, b, s).swapaxes(2, 3)
-    shift = e * np.abs(qkv_t[:d]).max() * np.abs(qkv_t[d : 2 * d]).max() > ATTENTION_EXP_BOUND
     rows = max(1, min(b, ATTENTION_BLOCK_BYTES // (heads * s * s * 8)))
     blocks = [slice(i, min(i + rows, b)) for i in range(0, b, rows)]
 
-    def probs(blk, out):
+    def project(x2):
+        """(heads, B, e, S) views of q^T, k^T and v^T, q carrying the scale,
+        and whether the scores need their row maxima subtracted."""
+        qkv_t = w_qkv.T @ x2.T
+        qkv_t[:d] += bq[:, None]
+        qkv_t[:d] *= scale
+        qkv_t[2 * d :] += bv[:, None]
+        shift = e * np.abs(qkv_t[:d]).max() * np.abs(qkv_t[d : 2 * d]).max() > ATTENTION_EXP_BOUND
+        return (*qkv_t.reshape(3, heads, e, b, s).swapaxes(2, 3), shift)
+
+    def probs(q, k, shift, blk, out):
         p = np.matmul(q[:, blk].swapaxes(-1, -2), k[:, blk], out=out[:, : blk.stop - blk.start])
         if shift:
             p -= p.max(axis=-1, keepdims=True)
         return np.exp(p, out=p)
 
+    # l and the context, which the vjp keeps, are allocated before the
+    # projection and the block buffer, and the output before those two are
+    # dropped: freed together, they leave one hole for the next allocations
     l = np.empty((heads, b, s))
     # the context, transposed per head and sample: the merged heads as (d, B * S)
     merged_t = np.empty((d, b * s))
     ctx_t = merged_t.reshape(heads, e, b, s)
+    q, k, v, shift = project(x.reshape(b * s, d))
     p_buf = np.empty((heads, rows, s, s))
     for blk in blocks:
-        p = probs(blk, p_buf)
+        p = probs(q, k, shift, blk, p_buf)
         np.einsum("...ij->...i", p, out=l[:, blk])
         np.matmul(v[:, blk], p.swapaxes(-1, -2), out=ctx_t.swapaxes(1, 2)[:, blk])
-    del p_buf, p
     ctx_t /= l[:, None]
-    out = merged_t.T @ wo + bo
+    out = merged_t.T @ wo
+    out += bo
+    del p_buf, p, q, k, v
 
-    def vjp(g):
+    def vjp(g, x):
+        x2 = x.reshape(b * s, d)
+        q, k, v, shift = project(x2)
         g2 = g.reshape(b * s, d)
         # attn = p / l, so each product with attn is one with p and g_ctx / l.
         # The softmax vjp (g_ctx v^T - r) * p, where r holds the row sums of
@@ -296,12 +319,14 @@ def _attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int):
         p_buf = np.empty((heads, rows, s, s))
         g_buf = np.empty((heads, rows, s, s))
         for blk in blocks:
-            p = probs(blk, p_buf)
+            p = probs(q, k, shift, blk, p_buf)
             np.matmul(lhs[:, blk, :e], p, out=g_v[:, blk])
             g_scores = np.matmul(lhs[:, blk].swapaxes(-1, -2), rhs[:, blk], out=g_buf[:, : p.shape[1]])
             g_scores *= p
             np.matmul(k[:, blk], g_scores.swapaxes(-1, -2), out=g_q[:, blk])
             np.matmul(q[:, blk], g_scores, out=g_k[:, blk])
+        # the scratch is freed before the weight and input cotangents exist
+        del q, k, v, lhs_t, rhs_t, lhs, rhs, g_ctx_t, p_buf, g_buf, p, g_scores
         g_qkv_t[:d] *= scale
         gw = x2.T @ g_qkv_t.T
         gb = g_qkv_t.sum(axis=1)
@@ -479,15 +504,17 @@ def digamma(a) -> Tensor:
 
 def _layer_norm(a, gain, bias, eps: float = 1e-12):
     """The last axis of the array ``a`` normalized to zero mean and unit
-    variance, then scaled by ``gain`` and shifted by ``bias``; and its vjp,
-    which keeps the normalized rows and their inverse deviations.
+    variance, then scaled by ``gain`` and shifted by ``bias``. Returns the
+    output and what ``_layer_norm_vjp`` reads: the normalized rows as an
+    (n, width) array and their (n, 1) inverse deviations. ``_scaled`` of
+    the rows rebuilds the output bit for bit.
 
     The row statistics, forward and vjp, are einsum reductions over an
     (n, width) view: numpy's ``mean`` over a short last axis runs a strided
     loop per row and takes about twice as long."""
     if a.ndim < 1:
         raise ShapeError("layer_norm needs at least one axis")
-    shape, width = a.shape, a.shape[-1]
+    width = a.shape[-1]
     if gain.shape != (width,) or bias.shape != (width,):
         raise ShapeError(
             f"layer_norm: scale/shift must have shape ({width},), got {gain.shape} and {bias.shape}"
@@ -498,19 +525,33 @@ def _layer_norm(a, gain, bias, eps: float = 1e-12):
     var = np.einsum("ij,ij->i", normalized, normalized) / width
     inv = (1.0 / np.sqrt(var + eps))[:, None]
     normalized *= inv
+    return _scaled(normalized, gain, bias).reshape(a.shape), (normalized, inv)
+
+
+def _scaled(normalized, gain, bias):
+    """normalized * gain + bias: a layer norm's output from its rows."""
     out = normalized * gain
     out += bias
+    return out
+
+
+def _layer_norm_vjp(normalized, inv, gain):
+    """The vjp of ``_layer_norm`` from its normalized rows and inverse
+    deviations; the input cotangent takes the output cotangent's shape."""
+    width = normalized.shape[-1]
 
     def vjp(g):
         g2 = g.reshape(-1, width)
         gn = g2 * gain
         m1 = np.einsum("ij->i", gn) / width
         m2 = np.einsum("ij,ij->i", gn, normalized) / width
-        ga = (gn - m1[:, None] - normalized * m2[:, None]) * inv
         ggain = np.einsum("ij,ij->j", g2, normalized)
-        return ga.reshape(shape), ggain, g2.sum(axis=0)
+        gn -= m1[:, None]
+        gn -= normalized * m2[:, None]
+        gn *= inv
+        return gn.reshape(g.shape), ggain, g2.sum(axis=0)
 
-    return out.reshape(shape), vjp
+    return vjp
 
 
 def max_reduce(a, axis: int, keepdims: bool = False) -> Tensor:
@@ -570,45 +611,57 @@ def encoder_layer(
     where ``_attention`` takes wq, wk, wv, wo, bq, bv, bo and ``heads``. The
     forward runs the ``_layer_norm``, ``_attention`` and ``_linear`` kernels,
     so every value is the same bit for bit as the composed records'. The
-    vjp chains their vjps by hand and keeps only what they read: the
-    normalized rows and inverse deviations of both layer norms, the two
-    layer-norm outputs, attention's q, k, v, row sums and context, and the
-    relu output, whose ``> 0`` is the relu mask. No vjp reads the attention
-    output, the residual sum x1 or the two FFN linear outputs, so the layer
-    keeps none of them: x1 is summed into the attention output, and the
-    relu and the second residual sum run in place. With no tape recording,
-    each kernel's vjp is dropped as soon as its output exists, so the
-    forward holds no more at once than the layer's primitives one by one.
-    The vjp returns the cotangents of all 16 arrays, in argument order."""
+    vjp chains their vjps by hand. It keeps only what costs a kernel's pass
+    to rebuild: the normalized rows and inverse deviations of both layer
+    norms, and attention's row sums and context. Everything else it
+    recomputes with the forward's own operations on the same arrays, so
+    with the same bits: both layer-norm outputs, as ``_scaled`` rows;
+    attention's q, k and v, inside its vjp; and the relu output, as one
+    ``_linear`` of the second layer-norm output with the relu in place. No
+    vjp reads the attention output, the residual sum x1 or the second
+    linear's output, so the layer keeps none of them. With no tape
+    recording, each kernel's saved state is dropped as soon as its output
+    exists, so the forward holds no more at once than the layer's
+    primitives one by one. The vjp returns the cotangents of all 16 arrays,
+    in argument order."""
     inputs = (x, ln1_g, ln1_b, wq, wk, wv, wo, bq, bv, bo, ln2_g, ln2_b, w1, b1, w2, b2)
     inputs = tuple(_as_tensor(t) for t in inputs)
     x, ln1_g, ln1_b, wq, wk, wv, wo, bq, bv, bo, ln2_g, ln2_b, w1, b1, w2, b2 = (
         t.data for t in inputs
     )
+    shape = x.shape
     recording = _recording_tape(inputs) is not None
-    vjps = []
+    saved = []
 
     def run(kernel, *args):
-        out, vjp = kernel(*args)
+        out, state = kernel(*args)
         if recording:
-            vjps.append(vjp)
+            saved.append(state)
         return out
 
     x1 = run(_attention, run(_layer_norm, x, ln1_g, ln1_b), wq, wk, wv, wo, bq, bv, bo, heads)
     x1 += x
-    hidden = run(_linear, run(_layer_norm, x1, ln2_g, ln2_b), w1, b1)
+    hidden = _linear(run(_layer_norm, x1, ln2_g, ln2_b), w1, b1)
     np.maximum(hidden, 0.0, out=hidden)
-    out = run(_linear, hidden, w2, b2)
+    out = _linear(hidden, w2, b2)
+    del hidden
     out += x1
 
     def vjp(g):
-        ln1, attn, ln2, lin1, lin2 = vjps
-        g_hidden, g_w2, g_b2 = lin2(g)
-        g_normed, g_w1, g_b1 = lin1(g_hidden * (hidden > 0.0))
-        g_x1, g_ln2_g, g_ln2_b = ln2(g_normed)
-        g_x1 = g + g_x1
-        g_normed, *g_attn = attn(g_x1)
-        g_x, g_ln1_g, g_ln1_b = ln1(g_normed)
-        return (g_x1 + g_x, g_ln1_g, g_ln1_b, *g_attn, g_ln2_g, g_ln2_b, g_w1, g_b1, g_w2, g_b2)
+        (rows1, inv1), attn, (rows2, inv2) = saved
+        normed = _scaled(rows2, ln2_g, ln2_b).reshape(shape)
+        hidden = _linear(normed, w1, b1)
+        np.maximum(hidden, 0.0, out=hidden)
+        g_hidden, g_w2, g_b2 = _linear_vjp(hidden, w2)(g)
+        g_hidden *= hidden > 0.0
+        del hidden
+        g_normed, g_w1, g_b1 = _linear_vjp(normed, w1)(g_hidden)
+        del normed, g_hidden
+        g_x1, g_ln2_g, g_ln2_b = _layer_norm_vjp(rows2, inv2, ln2_g)(g_normed)
+        g_x1 += g
+        g_normed, *g_attn = attn(g_x1, _scaled(rows1, ln1_g, ln1_b).reshape(shape))
+        g_x, g_ln1_g, g_ln1_b = _layer_norm_vjp(rows1, inv1, ln1_g)(g_normed)
+        g_x += g_x1
+        return (g_x, g_ln1_g, g_ln1_b, *g_attn, g_ln2_g, g_ln2_b, g_w1, g_b1, g_w2, g_b2)
 
     return _finish("encoder_layer", inputs, out, vjp)

@@ -4,12 +4,15 @@ Values are 64-bit numpy arrays. Each primitive evaluates eagerly and, when a
 Tape is recording, appends a record holding the inputs, the output and a
 closure mapping the output cotangent to input cotangents. Records land in
 execution order, which is a valid topological order by construction, so
-backward is a single reverse sweep that touches every record at most once.
-Only leaves (tensors built with ``requires_grad=True``) own a gradient
-buffer; cotangents of primitive outputs live in the sweep alone.
+backward is a single reverse sweep that pops every record off the tape,
+runs its vjp once and drops it: the sweep consumes the tape, and each
+record's arrays are freed as soon as its vjp has run. Only leaves (tensors
+built with ``requires_grad=True``) own a gradient buffer; cotangents of
+primitive outputs live in the sweep alone.
 The active tape lives in thread-local state, so tapes on different threads
 record side by side. A tape may be used by one thread at a time: exited on
-one thread, it can be re-entered, extended and backpropagated on another.
+one thread, it can be re-entered and extended on another, and
+backpropagated once.
 """
 
 from __future__ import annotations
@@ -60,8 +63,8 @@ class Tape:
     """Execution-ordered record of primitive applications.
 
     Use as a context manager around a forward pass; a fresh tape is built for
-    every pass. Outside any tape, primitives evaluate without recording and
-    their outputs do not require gradients.
+    every pass, and ``backward`` empties it. Outside any tape, primitives
+    evaluate without recording and their outputs do not require gradients.
     """
 
     def __init__(self):
@@ -124,7 +127,8 @@ class Tensor:
 
 
 def backward(root: Tensor, tape: Tape | None = None) -> None:
-    """Accumulate d(root)/d(leaf) into ``grad`` for every leaf on ``tape``.
+    """Accumulate d(root)/d(leaf) into ``grad`` for every leaf on ``tape``,
+    consuming the tape.
 
     ``root`` must be a tracked single-element tensor recorded on ``tape``
     (default: the currently active tape). Leaves add their cotangent into
@@ -134,6 +138,13 @@ def backward(root: Tensor, tape: Tape | None = None) -> None:
     record that produced them, which consumes and drops them. vjps may
     return one array for two inputs or a read-only view, so a pending
     cotangent is never updated in place.
+
+    The sweep pops each record off ``tape.records`` before running its vjp,
+    so the record and the arrays its vjp keeps are freed when the vjp
+    returns, and the tape is empty afterwards. Read the records before
+    calling backward. A second backward over the consumed tape, or any
+    backward of a tracked non-leaf root over an empty tape, raises
+    RuntimeError rather than leave every gradient untouched.
     """
     if tape is None:
         tape = active_tape()
@@ -143,6 +154,8 @@ def backward(root: Tensor, tape: Tape | None = None) -> None:
         raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
     if not root.requires_grad:
         raise RuntimeError("backward root is not tracked; it was not produced on a recording tape")
+    if root.grad is None and not tape.records:
+        raise RuntimeError("backward over an empty tape; backward consumes a tape, so run it once")
     pending: dict[int, np.ndarray] = {}
 
     def accumulate(tensor: Tensor, grad: np.ndarray) -> None:
@@ -152,11 +165,15 @@ def backward(root: Tensor, tape: Tape | None = None) -> None:
         prev = pending.get(id(tensor))
         pending[id(tensor)] = grad if prev is None else prev + grad
 
-    accumulate(root, np.ones_like(root.data))
-    for rec in reversed(tape.records):
+    def run(rec: TapeRecord) -> None:
         cotangent = pending.pop(id(rec.output), None)
         if cotangent is None:
-            continue
+            return
         for tensor, grad in zip(rec.inputs, rec.vjp(cotangent)):
             if grad is not None and tensor.requires_grad:
                 accumulate(tensor, grad)
+
+    accumulate(root, np.ones_like(root.data))
+    records = tape.records
+    while records:
+        run(records.pop())  # dropped, with the arrays its vjp keeps, when run returns

@@ -246,8 +246,9 @@ def train_epoch(
         noises = NoiseCache.draw(alpha_hat, config.model.bands, rng).split(len(parts))
         shares = [rows.size / idx.size for rows in parts]
         opt.grad_vec.fill(0.0)
+        # backward consumes each shard's tape, so fronts keeps only the heads,
+        # which shards holds as well
         shards = list(map_on_cores(back, zip(fronts, parts, shard_params, noises, shares)))
-        del fronts  # the tapes: kept to the next step, they raised a batch-128 peak by a quarter
         for grad_vec in grad_vecs[1 : len(parts)]:
             opt.grad_vec += grad_vec
             grad_vec.fill(0.0)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from unmix_ldvae.numcore import NumericError, ShapeError, Tape, Tensor, backward
-from unmix_ldvae.numcore.ops import _as_tensor, _attention, _finish, _layer_norm
+from unmix_ldvae.numcore.ops import _as_tensor, _attention, _finish, _layer_norm, _layer_norm_vjp
 
 
 def stack_factors(factors) -> np.ndarray:
@@ -89,17 +89,17 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 
 def layer_norm(a, gain, bias) -> Tensor:
-    """``ops._layer_norm`` as one record."""
+    """``ops._layer_norm`` as one record, whose vjp keeps its rows."""
     a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
-    out, vjp = _layer_norm(a.data, gain.data, bias.data)
-    return _finish("layer_norm", (a, gain, bias), out, vjp)
+    out, (normalized, inv) = _layer_norm(a.data, gain.data, bias.data)
+    return _finish("layer_norm", (a, gain, bias), out, _layer_norm_vjp(normalized, inv, gain.data))
 
 
 def attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int) -> Tensor:
-    """``ops._attention`` as one record."""
+    """``ops._attention`` as one record, whose vjp passes the input back in."""
     inputs = tuple(_as_tensor(t) for t in (x, wq, wk, wv, wo, bq, bv, bo))
     out, vjp = _attention(*(t.data for t in inputs), heads)
-    return _finish("attention", inputs, out, vjp)
+    return _finish("attention", inputs, out, lambda g: vjp(g, inputs[0].data))
 
 
 def finite_diff_check(f, x, h: float = 1e-5) -> float:

@@ -193,6 +193,17 @@ def test_backward_without_tape_raises():
         backward(x)
 
 
+def test_backward_consumes_its_tape_and_a_second_backward_raises():
+    x = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+    with Tape() as tape:
+        y = nc.sum_reduce(nc.multiply(x, x))
+    backward(y, tape)
+    assert len(tape) == 0
+    with pytest.raises(RuntimeError, match="empty tape"):
+        backward(y, tape)
+    np.testing.assert_allclose(x.grad, 2.0 * x.data)
+
+
 def test_leaf_grads_accumulate_across_tapes():
     x = Tensor(2.0, requires_grad=True)
     for _ in range(2):
@@ -235,10 +246,11 @@ def test_tape_reentered_on_another_thread_sees_every_record():
     def second_half():
         with tape:
             y = nc.sum_reduce(nc.multiply(square, Tensor(3.0)))
+            recorded = [rec.op for rec in tape.records]  # read before backward consumes them
             backward(y, tape)
+        return recorded
 
-    _on_thread(second_half)
-    assert [rec.op for rec in tape.records] == ["multiply", "multiply", "sum_reduce"]
+    assert _on_thread(second_half) == ["multiply", "multiply", "sum_reduce"]
     np.testing.assert_allclose(x.grad, 6.0 * x.data)
 
 
@@ -306,9 +318,10 @@ def test_backward_leaves_intermediates_without_buffers():
         w = Tensor(w_arr, requires_grad=True)
         y = nc.matmul(x, w)
         loss = nc.sum_reduce(nc.multiply(y, y))
+        records = list(tape.records)  # backward consumes the tape
         backward(loss, tape)
-    assert len(tape) == 3
-    assert all(rec.output.requires_grad and rec.output.grad is None for rec in tape.records)
+    assert len(records) == 3 and len(tape) == 0
+    assert all(rec.output.requires_grad and rec.output.grad is None for rec in records)
     y_arr = x_arr @ w_arr
     np.testing.assert_allclose(x.grad, 2.0 * y_arr @ w_arr.T, rtol=1e-14)
     np.testing.assert_allclose(w.grad, 2.0 * x_arr.T @ y_arr, rtol=1e-14)
