@@ -9,7 +9,6 @@ parameter trajectory of an uninterrupted one.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import json
 import math
@@ -329,7 +328,7 @@ def save_checkpoint(path, ck: Checkpoint) -> None:
             fh.write(name_bytes)
             fh.write(struct.pack("<I", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+            fh.write(arr.reshape(-1).view(np.uint8))  # the array's own bytes, not a copy
 
     _write_atomic(Path(path), write)
 
@@ -403,34 +402,6 @@ def load_checkpoint(path) -> Checkpoint:
 # fit driver
 
 
-def _snapshot(params, opt, rng, epoch: int, config: TrainConfig) -> Checkpoint:
-    """A copy of the training state that later steps cannot modify: building
-    its AdamState copies the weights and moments into new flat vectors."""
-    copies = {name: Tensor(p.data) for name, p in params.items()}
-    return Checkpoint(
-        params=copies,
-        opt=AdamState(copies, opt.m, opt.v, opt.t),
-        epoch=epoch,
-        rng_state=copy.deepcopy(rng.bit_generator.state),
-        model=config.model,
-        seed=config.seed,
-    )
-
-
-def _refresh(snapshot: Checkpoint, opt: AdamState, rng, epoch: int) -> None:
-    """Overwrite ``snapshot`` with the current training state, in place, so
-    a fit keeps one snapshot and allocates none per epoch."""
-    for dst, src in (
-        (snapshot.opt.param_vec, opt.param_vec),
-        (snapshot.opt.m_vec, opt.m_vec),
-        (snapshot.opt.v_vec, opt.v_vec),
-    ):
-        np.copyto(dst, src)
-    snapshot.opt.t = opt.t
-    snapshot.epoch = epoch
-    snapshot.rng_state = copy.deepcopy(rng.bit_generator.state)
-
-
 def _earlier_log_rows(checkpoint_path, epoch: int) -> list[str]:
     """The rows for epochs before ``epoch`` in the train_log.csv beside a
     checkpoint, kept as text (their repr floats round-trip); none when
@@ -442,24 +413,17 @@ def _earlier_log_rows(checkpoint_path, epoch: int) -> list[str]:
     return [row for row in rows if (head := row.split(",", 1)[0]).isdecimal() and int(head) < epoch]
 
 
-def _write_log(path, rows, earlier=()) -> None:
-    """Write the (epoch, LossBreakdown) rows after the ``earlier`` rows,
-    which a resumed run keeps as text."""
-    lines = [LOG_HEADER, *earlier]
-    for epoch, bd in rows:
-        lines.append(
-            ",".join(
-                [str(epoch)]
-                + [
-                    repr(float(value))
-                    for value in (
-                        bd.recon, bd.kl_dirichlet, bd.abundance,
-                        bd.endmember, bd.lambda_endmembers_now, bd.total,
-                    )
-                ]
-            )
-        )
-    text = "\n".join(lines) + "\n"
+def _log_row(epoch: int, bd: LossBreakdown) -> str:
+    """One train_log.csv row: the epoch, then repr floats, which round-trip."""
+    values = (
+        bd.recon, bd.kl_dirichlet, bd.abundance, bd.endmember, bd.lambda_endmembers_now, bd.total,
+    )
+    return ",".join([str(epoch), *(repr(float(value)) for value in values)])
+
+
+def _write_log(path, rows) -> None:
+    """Write the header and the text ``rows``."""
+    text = "\n".join([LOG_HEADER, *rows]) + "\n"
     _write_atomic(Path(path), lambda fh: fh.write(text.encode("utf-8")))
 
 
@@ -470,7 +434,8 @@ def fit(
     resume=None,
 ):
     """Train to config.epochs, writing checkpoint.ldvt and train_log.csv into
-    out_dir. Returns (final Checkpoint, log path).
+    out_dir. Returns (final Checkpoint, log path); the Checkpoint is over
+    the live training state, not a copy.
 
     A fresh fit is a resume from its initial state: without ``resume`` it
     builds the epoch-0 checkpoint (``init_params``, ``AdamState.zeros`` and
@@ -478,9 +443,14 @@ def fit(
     the saved epoch counter, optimizer moments and RNG state continue the
     trajectory bit-exactly, and the log keeps the earlier rows of the
     train_log.csv beside the resume checkpoint, so interrupted and
-    uninterrupted runs agree. However the epoch loop ends, the checkpoint
-    and log of the last completed epoch are written, once; a non-finite
-    loss or gradient aborts the run with TrainError.
+    uninterrupted runs agree.
+
+    The log and then the checkpoint are written, each atomically, before
+    the first epoch and after every completed one, so however the run ends,
+    SIGKILL included, the files hold the last completed epoch; an
+    interruption between the two writes leaves the log one row ahead, and
+    a resume drops that row. A non-finite loss or gradient aborts the run
+    with TrainError, which names the epoch the checkpoint on disk holds.
     """
     config.validate()
     if cube.gt_abundances is None or cube.gt_bundles is None:
@@ -501,10 +471,10 @@ def fit(
         start = Checkpoint(
             params, AdamState.zeros(params), 0, rng.bit_generator.state, config.model, config.seed
         )
-        earlier = []
+        rows = []
     else:
         start = load_checkpoint(resume)
-        earlier = _earlier_log_rows(resume, start.epoch)
+        rows = _earlier_log_rows(resume, start.epoch)
     if start.model.to_dict() != config.model.to_dict():
         raise TrainError("resume checkpoint was built for a different model config")
     if start.seed != config.seed:
@@ -521,19 +491,21 @@ def fit(
     ck_path = out_dir / "checkpoint.ldvt"
     log_path = out_dir / "train_log.csv"
 
-    rows = []
-    last_good = _snapshot(params, opt, rng, start.epoch, config)
+    def save(epoch: int) -> Checkpoint:  # the log first, so it is never behind the checkpoint
+        _write_log(log_path, rows)
+        saved = Checkpoint(params, opt, epoch, rng.bit_generator.state, config.model, config.seed)
+        save_checkpoint(ck_path, saved)
+        return saved
+
+    saved = save(start.epoch)
     try:
         for epoch in range(start.epoch, config.epochs):
             epoch_mean, _ = train_epoch(params, config, cube, split.train_indices, opt, epoch, rng)
-            rows.append((epoch, epoch_mean))
-            _refresh(last_good, opt, rng, epoch + 1)
+            rows.append(_log_row(epoch, epoch_mean))
+            saved = save(epoch + 1)
     except (NumericError, TrainError) as err:
         raise TrainError(
             f"aborted at epoch {epoch}: {err}; "
-            f"last good checkpoint (epoch {last_good.epoch}) kept at {ck_path}"
+            f"last good checkpoint (epoch {saved.epoch}) kept at {ck_path}"
         ) from err
-    finally:
-        save_checkpoint(ck_path, last_good)
-        _write_log(log_path, rows, earlier)
-    return last_good, log_path
+    return saved, log_path

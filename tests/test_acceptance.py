@@ -18,7 +18,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,7 @@ from unmix_ldvae.data import (
     SplitSpec,
     _read_bsq,
     load_cube,
+    save_cube,
     segment_sizes,
     split_pixels,
     synth_scene,
@@ -58,7 +59,7 @@ from unmix_ldvae.model import (
     sample_reconstruction,
 )
 from unmix_ldvae.numcore import Tensor, ops
-from unmix_ldvae.train import TrainConfig, fit
+from unmix_ldvae.train import TrainConfig, fit, load_checkpoint
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -710,10 +711,7 @@ def test_criterion_07_synthetic_recovery(tmp_path):
 # criterion 8: bit-exact determinism and resume
 
 
-def test_criterion_08_determinism_and_resume(tmp_path):
-    """Same seed and config twice gives byte-identical checkpoints; stopping
-    at the midpoint and resuming matches the uninterrupted run byte for
-    byte."""
+def _criterion_8_scene_and_config():
     scene = synth_scene(
         SceneConfig(
             height=8,
@@ -735,6 +733,14 @@ def test_criterion_08_determinism_and_resume(tmp_path):
         model=model,
         split=SplitSpec(train_fraction=0.5, seed=0),
     )
+    return scene, config
+
+
+def test_criterion_08_determinism_and_resume(tmp_path):
+    """Same seed and config twice gives byte-identical checkpoints; stopping
+    at the midpoint and resuming matches the uninterrupted run byte for
+    byte."""
+    scene, config = _criterion_8_scene_and_config()
     fit(config, scene, tmp_path / "a")
     fit(config, scene, tmp_path / "b")
     bytes_a = (tmp_path / "a" / "checkpoint.ldvt").read_bytes()
@@ -750,6 +756,63 @@ def test_criterion_08_determinism_and_resume(tmp_path):
         ok,
         f"repeat run byte-identical ({len(bytes_a)} bytes); midpoint resume "
         f"byte-identical to the uninterrupted run",
+    )
+
+
+def test_criterion_08_sigkilled_train_resumes_byte_identical(tmp_path):
+    """A train subprocess sent SIGKILL mid-run leaves the checkpoint of a
+    completed epoch, and a log at most one row ahead of it; resumed in its
+    own directory with --resume, it writes the checkpoint and log bytes of
+    an uninterrupted run. Temporary files a kill leaves are not compared."""
+    scene, config = _criterion_8_scene_and_config()
+    save_cube(scene, tmp_path / "scene")
+    settings = {
+        "batch_size": config.batch_size,
+        "seed": config.seed,
+        "model": asdict(config.model),
+        "split": asdict(config.split),
+    }
+
+    def train(run, epochs, *extra):
+        cfg = tmp_path / f"train-{epochs}.json"
+        cfg.write_text(json.dumps({**settings, "epochs": epochs}))
+        return [
+            sys.executable, "-m", "unmix_ldvae", "train", "--data", str(tmp_path / "scene"),
+            "--out", str(tmp_path / run), "--config", str(cfg), *extra,
+        ]
+
+    # far more epochs than run before the kill; the trajectory does not
+    # depend on the epoch count, so shorter runs below retrace its start
+    log = tmp_path / "run" / "train_log.csv"
+    proc = subprocess.Popen(train("run", 100_000), stdout=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not (log.is_file() and len(log.read_text().splitlines()) > 2):
+            assert proc.poll() is None, f"train exited {proc.returncode} before its second epoch"
+            assert time.monotonic() < deadline, "no second log row within 60 s"
+            time.sleep(0.005)
+    finally:
+        proc.kill()  # SIGKILL: no finally, no handler runs in the child
+        proc.wait(timeout=30)
+    checkpoint = tmp_path / "run" / "checkpoint.ldvt"
+    killed_at = load_checkpoint(checkpoint).epoch
+    rows = len(log.read_text().splitlines()) - 1
+    assert killed_at >= 1 and rows in (killed_at, killed_at + 1), (killed_at, rows)
+
+    end = killed_at + 2
+    for argv in (train("run", end, "--resume", str(checkpoint)), train("full", end)):
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert len(done.stdout.splitlines()) == 2
+    same = all(
+        (tmp_path / "run" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+        for name in ("checkpoint.ldvt", "train_log.csv")
+    )
+    _report(
+        8,
+        same,
+        f"SIGKILL after epoch {killed_at} (log {rows} rows) left a checkpoint that resumes to "
+        f"epoch {end} byte-identical to the uninterrupted run",
     )
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import shutil
 import sys
@@ -31,6 +32,7 @@ from unmix_ldvae.model import (
     NoiseCache,
     forward,
     init_params,
+    param_shapes,
     sample_reconstruction,
 )
 from unmix_ldvae.numcore import NumericError, Tape, Tensor, backward, blas, keep_freed_memory
@@ -40,6 +42,7 @@ from unmix_ldvae.train import (
     Checkpoint,
     TrainConfig,
     TrainError,
+    _log_row,
     _write_log,
     adam_step,
     fit,
@@ -63,6 +66,11 @@ def tiny_train_config(**overrides):
     )
     defaults.update(overrides)
     return TrainConfig(**defaults)
+
+
+def smallbatch_model():
+    """The fit_smallbatch benchmark's model: 96 bands, K=4, 277,668 parameters."""
+    return ModelConfig(patch=3, bands=96, k=4, seg_len=16, d=32, layers=2, heads=8, ff_dim=64)
 
 
 def tiny_scene(seed=0, height=6, width=6):
@@ -353,11 +361,36 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, artifact):
         if artifact == "checkpoint":
             save_checkpoint(target, later)
         else:
-            _write_log(target, [(0, LossBreakdown(1.0, 2.0, 3.0, 4.0, 10.0, 0.5))] * 3)
+            _write_log(target, [_log_row(0, LossBreakdown(1.0, 2.0, 3.0, 4.0, 10.0, 0.5))] * 3)
     monkeypatch.undo()
     assert target.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == listing
     assert load_checkpoint(tmp_path / "checkpoint.ldvt").epoch == 1
+
+
+def test_checkpoint_save_copies_no_tensor(tmp_path):
+    """save_checkpoint writes each tensor from its own buffer: its peak
+    stays below the bytes of the largest tensor (dec1.w2, 1.87 MB), which
+    a bytes copy of each payload would allocate."""
+    model = smallbatch_model()
+    rng = np.random.default_rng(7)
+    params = init_params(model, rng)
+    ck = Checkpoint(params, AdamState.zeros(params), 0, rng.bit_generator.state, model, 7)
+    path = tmp_path / "ck.ldvt"
+    save_checkpoint(path, ck)
+    largest = max(p.data.nbytes for p in params.values())
+    assert largest == params["dec1.w2"].data.nbytes
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        save_checkpoint(path, ck)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < largest, (peak - before, largest)
+    loaded = load_checkpoint(path)
+    for name, p in params.items():
+        assert np.array_equal(loaded.params[name].data, p.data), name
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +643,58 @@ def test_abort_keeps_the_state_of_the_last_completed_epoch(tmp_path, monkeypatch
         ).read_bytes()
 
 
+def test_interrupted_checkpoint_save_resumes_to_the_uninterrupted_bytes(tmp_path, monkeypatch):
+    """Each epoch writes the log, then the checkpoint. A KeyboardInterrupt
+    in epoch 2's checkpoint save leaves the log one row ahead of the
+    two-epoch checkpoint; the resume drops that row and retraces the
+    uninterrupted run byte for byte."""
+    scene = tiny_scene()
+    config = tiny_train_config(epochs=4)
+    fit(config, scene, tmp_path / "full")
+    real_save = train_module.save_checkpoint
+
+    def interrupted_save(path, ck):
+        if ck.epoch == 3:
+            raise KeyboardInterrupt("injected interrupt")
+        real_save(path, ck)
+
+    monkeypatch.setattr(train_module, "save_checkpoint", interrupted_save)
+    with pytest.raises(KeyboardInterrupt):
+        fit(config, scene, tmp_path / "run")
+    monkeypatch.undo()
+    kept = tmp_path / "run" / "checkpoint.ldvt"
+    assert load_checkpoint(kept).epoch == 2
+    log_rows = (tmp_path / "run" / "train_log.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in log_rows] == ["0", "1", "2"]
+    fit(config, scene, tmp_path / "run", resume=kept)
+    for name in ("checkpoint.ldvt", "train_log.csv"):
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+
+def test_small_batch_fit_peaks_under_eight_parameter_vectors(tmp_path):
+    """tracemalloc's peak over a two-epoch fit of the fit_smallbatch
+    benchmark's model at batch 8, in parameter vectors of 2.12 MiB. The
+    fit keeps the parameters, gradients and both Adam moments once, as
+    four vectors, and writes them to disk after every epoch; holding a
+    second copy of all four as the last good state, it peaked at 11."""
+    scene = synth_scene(
+        SceneConfig(height=8, width=8, bands=96, k=4, dirichlet_alpha=[20.0] * 4),
+        np.random.default_rng(3),
+    )
+    config = TrainConfig(
+        epochs=2, batch_size=8, seed=3, model=smallbatch_model(),
+        split=SplitSpec(train_fraction=0.5, seed=3),
+    )
+    vector = 8 * sum(math.prod(shape) for _, shape in param_shapes(config.model))
+    tracemalloc.start()
+    try:
+        fit(config, scene, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * vector, peak / vector
+
+
 def test_epoch_totals_regression_on_standard_scene(tmp_path):
     """Fifty epochs on the default scene, seed 0, with the desk-scale model.
 
@@ -787,9 +872,9 @@ def test_small_batch_fit_gives_the_same_bytes_at_one_and_two_blas_threads(tmp_pa
     scene = synth_scene(
         SceneConfig(bands=96, k=4, dirichlet_alpha=[20.0] * 4), np.random.default_rng(3)
     )
-    model = ModelConfig(patch=3, bands=96, k=4, seg_len=16, d=32, layers=2, heads=8, ff_dim=64)
     config = TrainConfig(
-        epochs=2, batch_size=8, seed=3, model=model, split=SplitSpec(train_fraction=0.2, seed=3)
+        epochs=2, batch_size=8, seed=3, model=smallbatch_model(),
+        split=SplitSpec(train_fraction=0.2, seed=3),
     )
     fit(config, scene, tmp_path / "two")
     blas._openblas()[1](1)
