@@ -300,13 +300,8 @@ def cmd_unmix(args) -> int:
     out, maps_path = _write_abundances(args.out, cube, prediction.abundances)
 
     bundles = [
-        EndmemberBundle(
-            name=f"em{j}",
-            mean=prediction.endmember_means[j],
-            chol_blocks=[segment[j] for segment in prediction.chol_blocks],
-            seg_len=model.seg_len,
-        )
-        for j in range(model.k)
+        EndmemberBundle(f"em{j}", mean, blocks, model.seg_len)
+        for j, (mean, blocks) in enumerate(zip(prediction.endmember_means, prediction.chol_blocks))
     ]
     bundles_path = out / "bundles.json"
     save_bundles(bundles_path, bundles)

@@ -90,12 +90,14 @@ def check_fields(obj, error: type[Exception], where: str = "") -> None:
 
 @dataclass
 class EndmemberBundle:
-    """Gaussian over spectra: a mean plus a block-diagonal covariance given
-    by one lower-triangular Cholesky factor per band segment."""
+    """Gaussian over spectra: a mean plus a block-diagonal covariance. Its
+    Cholesky factor is stacked (n_seg, L, L) as ``ops.tril_blocks`` stacks
+    it: one lower-triangular block per ``segment_sizes`` segment, L the
+    longest, a short last segment padded with the identity."""
 
     name: str
     mean: np.ndarray
-    chol_blocks: list[np.ndarray]
+    chol_blocks: np.ndarray
     seg_len: int
 
     def __post_init__(self):
@@ -104,25 +106,41 @@ class EndmemberBundle:
             raise DataError(f"bundle mean must be a 1-d spectrum, got shape {self.mean.shape}")
         if not np.isfinite(self.mean).all():
             raise DataError(f"bundle '{self.name}': mean contains non-finite values")
-        self.chol_blocks = [np.asarray(b, dtype=np.float64) for b in self.chol_blocks]
-        sizes = []
-        for b in self.chol_blocks:
-            if b.ndim != 2 or b.shape[0] != b.shape[1]:
-                raise DataError(f"Cholesky block must be square, got shape {b.shape}")
-            # every comparison with NaN is false, so the checks below would pass it
-            if not np.isfinite(b).all():
-                raise DataError(f"bundle '{self.name}': Cholesky block has non-finite values")
-            if np.any(np.diag(b) <= 0.0):
-                raise DataError(f"bundle '{self.name}': Cholesky diagonal must be strictly positive")
-            if np.any(np.triu(b, 1) != 0.0):
-                raise DataError(f"bundle '{self.name}': Cholesky block must be lower-triangular")
-            sizes.append(b.shape[0])
-        expected = segment_sizes(self.mean.size, self.seg_len)
-        if sizes != expected:
+        blocks = self.chol_blocks = np.asarray(self.chol_blocks, dtype=np.float64)
+        sizes = segment_sizes(self.mean.size, self.seg_len)
+        expected = (len(sizes), sizes[0], sizes[0])
+        if blocks.shape != expected:
             raise DataError(
-                f"bundle '{self.name}': block sizes {sizes} do not partition "
+                f"bundle '{self.name}': Cholesky stack of shape {blocks.shape} does not fit "
                 f"{self.mean.size} bands with segment length {self.seg_len} (expected {expected})"
             )
+        # every comparison with NaN is false, so the checks below would pass it
+        if not np.isfinite(blocks).all():
+            raise DataError(f"bundle '{self.name}': Cholesky block has non-finite values")
+        if np.any(np.diagonal(blocks, axis1=1, axis2=2) <= 0.0):
+            raise DataError(f"bundle '{self.name}': Cholesky diagonal must be strictly positive")
+        if np.any(np.triu(blocks, 1) != 0.0):
+            raise DataError(f"bundle '{self.name}': Cholesky block must be lower-triangular")
+        if np.any(blocks[-1, sizes[-1] :] != np.eye(sizes[0])[sizes[-1] :]):
+            raise DataError(f"bundle '{self.name}': Cholesky padding must be the identity")
+
+    @classmethod
+    def from_segments(cls, name: str, mean, blocks, seg_len: int) -> "EndmemberBundle":
+        """A bundle from one unpadded (m, m) Cholesky block per segment, the
+        layout of a bundle file, which must partition the bands."""
+        mean = np.asarray(mean, dtype=np.float64)
+        blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
+        shapes = [b.shape for b in blocks]
+        expected = [(m, m) for m in segment_sizes(mean.size, seg_len)]
+        if shapes != expected:
+            raise DataError(
+                f"bundle '{name}': block shapes {shapes} do not partition "
+                f"{mean.size} bands with segment length {seg_len} (expected {expected})"
+            )
+        stack = np.tile(np.eye(len(blocks[0])), (len(blocks), 1, 1))
+        for s, b in enumerate(blocks):
+            stack[s, : len(b), : len(b)] = b
+        return cls(name, mean, stack, seg_len)
 
     @property
     def bands(self) -> int:
@@ -133,10 +151,9 @@ class EndmemberBundle:
         n = int(size)
         out = np.empty((n, self.bands))
         start = 0
-        for block in self.chol_blocks:
-            m = block.shape[0]
+        for m, block in zip(segment_sizes(self.bands, self.seg_len), self.chol_blocks):
             eps = rng.standard_normal((n, m))
-            out[:, start : start + m] = self.mean[start : start + m] + eps @ block.T
+            out[:, start : start + m] = self.mean[start : start + m] + eps @ block[:m, :m].T
             start += m
         return out
 
@@ -275,7 +292,11 @@ def bundles_to_json(bundles: list[EndmemberBundle]) -> str:
             {
                 "name": b.name,
                 "mean": b.mean.tolist(),
-                "chol_blocks": [blk.tolist() for blk in b.chol_blocks],
+                # each segment's block without the padding of the stack
+                "chol_blocks": [
+                    blk[:m, :m].tolist()
+                    for m, blk in zip(segment_sizes(b.bands, b.seg_len), b.chol_blocks)
+                ],
             }
             for b in bundles
         ],
@@ -299,11 +320,8 @@ def bundles_from_json(text: str | bytes) -> list[EndmemberBundle]:
     try:
         seg_len = int(payload["seg_len"])
         return [
-            EndmemberBundle(
-                name=str(e.get("name", f"em{i}")),
-                mean=np.asarray(e["mean"], dtype=np.float64),
-                chol_blocks=[np.asarray(b, dtype=np.float64) for b in e["chol_blocks"]],
-                seg_len=seg_len,
+            EndmemberBundle.from_segments(
+                str(e.get("name", f"em{i}")), e["mean"], e["chol_blocks"], seg_len
             )
             for i, e in enumerate(entries)
         ]
@@ -489,27 +507,20 @@ def make_scene_bundles(config: SceneConfig) -> list[EndmemberBundle]:
     zero or overflow; the bundle then comes out non-finite, which
     ``EndmemberBundle`` rejects as a DataError."""
     config.validate()
-    sizes = segment_sizes(config.bands, config.seg_len)
-    kernel_chols: dict[int, np.ndarray] = {}
+    kernel_chols = []
     bundles = []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for m in sizes:
+        for m in segment_sizes(config.bands, config.seg_len):
             idx = np.arange(m)
             kernel = np.exp(-((idx[:, None] - idx[None, :]) ** 2) / (2.0 * config.corr_length**2))
-            kernel_chols[m] = np.linalg.cholesky(kernel + 1e-10 * np.eye(m))
+            kernel_chols.append(np.linalg.cholesky(kernel + 1e-10 * np.eye(m)))
         for i, spec in enumerate(config.resolved_bundle_spec()):
             # A zero covariance request keeps the Cholesky diagonal positive but
             # far below one ulp of any reflectance value, so draws equal the mean.
             scale = spec.cov_scale if spec.cov_scale > 0 else 1e-30
-            blocks = [scale * kernel_chols[m] for m in sizes]
-            bundles.append(
-                EndmemberBundle(
-                    name=f"em{i}",
-                    mean=spec.mean_spectrum(config.bands),
-                    chol_blocks=blocks,
-                    seg_len=config.seg_len,
-                )
-            )
+            blocks = [scale * chol for chol in kernel_chols]
+            mean = spec.mean_spectrum(config.bands)
+            bundles.append(EndmemberBundle.from_segments(f"em{i}", mean, blocks, config.seg_len))
     return bundles
 
 

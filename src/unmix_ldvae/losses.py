@@ -3,8 +3,8 @@ against the abundance prior, abundance MSE against ground truth, the
 mixture-weighted Gaussian KL between predicted and reference endmember
 bundles, and the geometric annealing schedule that phases the bundle term in.
 
-Every term accepts a single vector or a batch; batches reduce to the mean so
-the scale is independent of batch size.
+Every term takes a batch of vectors and reduces it to the mean, so the
+scale is independent of batch size.
 """
 
 from __future__ import annotations
@@ -60,10 +60,8 @@ class LossBreakdown:
 
 def _as_batch(value, name: str) -> Tensor:
     t = value if isinstance(value, Tensor) else Tensor(value)
-    if t.ndim == 1:
-        t = ops.reshape(t, (1, t.shape[0]))
     if t.ndim != 2:
-        raise ShapeError(f"{name} must be a vector or a batch of vectors, got {t.shape}")
+        raise ShapeError(f"{name} must be a batch of vectors, got {t.shape}")
     return t
 
 
@@ -131,9 +129,9 @@ def kl_dirichlet(alpha_hat, alpha_prior) -> Tensor:
 @dataclass
 class ReferenceBlocks:
     """What ``kl_bundle`` needs of the K reference bundles: the inverses of
-    their Cholesky blocks stacked as (K, n_seg, L, L) by ``ops.tril_blocks``,
-    the layout of ``DecodedBundles.chol_blocks``,
-    their means (K, C) and the log-determinants (K,) of their covariances."""
+    their stacked Cholesky blocks (K, n_seg, L, L), the layout of
+    ``DecodedBundles.chol_blocks``, their means (K, C) and the
+    log-determinants (K,) of their covariances."""
 
     inv_chols: np.ndarray
     means: np.ndarray
@@ -142,25 +140,21 @@ class ReferenceBlocks:
 
 def reference_blocks(gt_bundles: list[EndmemberBundle]) -> ReferenceBlocks:
     """The constants of ``kl_bundle``, computed once so a training loop can
-    reuse them for every batch. ``ops.tril_blocks`` stacks the reference
-    Cholesky blocks, padding a short last segment with the identity, so every
-    block stays lower-triangular and ``special.tril_inverse`` inverts the
-    whole stack at once."""
+    reuse them for every batch. The identity padding of a short last segment
+    keeps every block lower-triangular, so ``special.tril_inverse`` inverts
+    the whole stack at once; it sits at the end of the stacked diagonal,
+    whose first C entries are the diagonal of the covariance's factor."""
     if not gt_bundles:
         raise ShapeError("need at least one reference bundle")
-    sizes = [blk.shape[0] for blk in gt_bundles[0].chol_blocks]
-    for bundle in gt_bundles:
-        if [blk.shape[0] for blk in bundle.chol_blocks] != sizes:
-            raise ShapeError("reference bundles disagree on segment sizes")
-    diag = np.stack([np.concatenate([np.diag(blk) for blk in b.chol_blocks]) for b in gt_bundles])
-    off = np.stack([
-        np.concatenate([blk[np.tril_indices(len(blk), -1)] for blk in b.chol_blocks])
-        for b in gt_bundles
-    ])
+    if len({(b.bands, b.chol_blocks.shape) for b in gt_bundles}) > 1:
+        raise ShapeError("reference bundles disagree on segment sizes")
+    blocks = np.stack([b.chol_blocks for b in gt_bundles])
+    means = np.stack([b.mean for b in gt_bundles])
+    diag = np.diagonal(blocks, axis1=-2, axis2=-1).reshape(len(gt_bundles), -1)
     return ReferenceBlocks(
-        inv_chols=special.tril_inverse(ops.tril_blocks(diag, off, sizes).data),
-        means=np.stack([b.mean for b in gt_bundles]),
-        logdets=2.0 * np.log(diag).sum(axis=1),
+        inv_chols=special.tril_inverse(blocks),
+        means=means,
+        logdets=2.0 * np.log(diag[:, : means.shape[1]]).sum(axis=1),
     )
 
 

@@ -210,10 +210,10 @@ LAYER_PARAMS = (
 )
 
 
-def encode_batch(tokens: Tensor, params: dict, config: ModelConfig):
-    """(B, S, d) tokens -> (h: (B, S, d), x_latent: (B, d)). Each pre-norm
-    layer, layer norm, attention, residual add, layer norm, FFN and residual
-    add, is one ``ops.encoder_layer`` record."""
+def encode_batch(tokens: Tensor, params: dict, config: ModelConfig) -> Tensor:
+    """(B, S, d) tokens -> (B, d) latent, the max over the encoded tokens.
+    Each pre-norm layer, layer norm, attention, residual add, layer norm,
+    FFN and residual add, is one ``ops.encoder_layer`` record."""
     if tokens.ndim != 3 or tokens.shape[1] != config.n_tokens or tokens.shape[2] != config.d:
         raise ShapeError(
             f"token batch shape {tokens.shape} does not match (B, {config.n_tokens}, {config.d})"
@@ -222,7 +222,7 @@ def encode_batch(tokens: Tensor, params: dict, config: ModelConfig):
     for i in range(config.layers):
         layer = (params[f"enc{i}.{name}"] for name in LAYER_PARAMS)
         x = ops.encoder_layer(x, *layer, config.heads)
-    return x, ops.max_reduce(x, axis=1)
+    return ops.max_reduce(x, axis=1)
 
 
 def alpha_head(x_latent: Tensor, params: dict, config: ModelConfig) -> Tensor:
@@ -236,16 +236,12 @@ def dirichlet_mean(alpha: Tensor) -> Tensor:
     return ops.divide(alpha, total)
 
 
-def sample_abundances(alpha: Tensor, rng=None, noise: GammaNoise | None = None):
-    """Reparameterized Dirichlet draw: normalized Gamma(alpha_i, 1) draws.
-    Returns (z, noise) so the draw can be replayed."""
-    if noise is None:
-        if rng is None:
-            raise ValueError("sample_abundances needs an rng when no noise is given")
-        noise = draw_gamma_noise(alpha.data, rng)
+def sample_abundances(alpha: Tensor, noise: GammaNoise) -> Tensor:
+    """Reparameterized Dirichlet draw: the Gamma(alpha_i, 1) draws that
+    ``noise`` from ``draw_gamma_noise`` gives, normalized."""
     gamma = gamma_from_noise(alpha, noise)
     total = ops.sum_reduce(gamma, axis=-1, keepdims=True)
-    return ops.divide(gamma, total), noise
+    return ops.divide(gamma, total)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +324,7 @@ def forward(patches: np.ndarray, params: dict, config: ModelConfig) -> Heads:
     """The deterministic pass over a batch of patches: tokenizer, encoder,
     the concentration head with its Dirichlet mean, and the bundle head."""
     tokens = tokenize_batch(patches, params, config)
-    _, x_latent = encode_batch(tokens, params, config)
+    x_latent = encode_batch(tokens, params, config)
     alpha = alpha_head(x_latent, params, config)
     return Heads(
         alpha_hat=alpha,
@@ -370,14 +366,12 @@ class SampledReconstruction:
 
 
 def sample_reconstruction(
-    heads: Heads, params: dict, config: ModelConfig, rng=None, noise: NoiseCache | None = None
+    heads: Heads, params: dict, config: ModelConfig, noise: NoiseCache
 ) -> SampledReconstruction:
-    """Draw abundances, then endmembers, from ``heads`` and mix them through
-    the refinement MLP. The draws come from ``NoiseCache.draw`` on ``rng``
-    unless ``noise`` replays an earlier call."""
-    if noise is None:
-        noise = NoiseCache.draw(heads.alpha_hat.data, config.bands, rng)
-    z_hat, _ = sample_abundances(heads.alpha_hat, noise=noise.gamma)
+    """Draw abundances, then endmembers, from ``heads`` with the
+    ``NoiseCache.draw`` draws ``noise`` and mix them through the refinement
+    MLP."""
+    z_hat = sample_abundances(heads.alpha_hat, noise.gamma)
     endmembers = sample_endmembers(heads.bundles, config, noise.endmember_eps)
     return SampledReconstruction(
         z_hat=z_hat,
@@ -394,7 +388,7 @@ class Prediction:
 
     abundances: np.ndarray  # (N, K) Dirichlet means
     endmember_means: np.ndarray  # (K, C)
-    chol_blocks: list  # per segment: (K, m, m) lower-triangular factors
+    chol_blocks: np.ndarray  # (K, n_seg, L, L) as in DecodedBundles
 
 
 def predict_cube(
@@ -407,9 +401,9 @@ def predict_cube(
     """Per-pixel abundance means plus the endmember bundles averaged over the
     pixels, computed batch by batch by ``forward`` alone on ``map_on_cores``.
     Results are copied and summed in batch order, so the output is
-    bit-identical to a one-worker run. Two batches
-    of 32 in flight hold about what one of 64 did; on the criterion-7 model,
-    batches of 32 to 128 ran within noise of each other serially."""
+    bit-identical to a one-worker run. Two batches of 32 in flight hold about
+    what one of 64 did; on the criterion-7 model, batches of 32 to 128 ran
+    within noise of each other serially."""
     source = PatchSource(cube, config.patch)
     if indices is None:
         indices = np.arange(cube.n_pixels)
@@ -417,8 +411,8 @@ def predict_cube(
     if indices.size == 0:
         raise ModelError("predict_cube needs at least one pixel")
     abundances = np.empty((indices.size, config.k))
-    mean_sum = np.zeros((config.k, config.bands))
-    block_sum = 0.0  # takes its (K, n_seg, L, L) shape from the decoded blocks
+    # each sum takes its shape, (K, C) or (K, n_seg, L, L), from the first batch
+    mean_sum = block_sum = 0.0
     starts = range(0, indices.size, batch_size)
 
     def run(start):  # one batch's abundances and bundle sums
@@ -429,13 +423,6 @@ def predict_cube(
     # results first, so that the pool's generator runs to its end within the loop
     for (z_mean, means, blocks), start in zip(map_on_cores(run, starts), starts):
         abundances[start : start + batch_size] = z_mean
-        mean_sum += means
+        mean_sum = mean_sum + means
         block_sum = block_sum + blocks
-    return Prediction(
-        abundances=abundances,
-        endmember_means=mean_sum / indices.size,
-        chol_blocks=[
-            block_sum[:, s, :m, :m] / indices.size
-            for s, m in enumerate(config.cov_segment_sizes())
-        ],
-    )
+    return Prediction(abundances, mean_sum / indices.size, block_sum / indices.size)

@@ -554,19 +554,19 @@ def _layer_norm_vjp(normalized, inv, gain):
     return vjp
 
 
-def max_reduce(a, axis: int, keepdims: bool = False) -> Tensor:
+def max_reduce(a, axis: int) -> Tensor:
     """Elementwise maximum over one axis; ties route their gradient to the
     lowest index along that axis."""
     a = _as_tensor(a)
     if axis is None or not isinstance(axis, (int, np.integer)):
         raise ShapeError("max_reduce needs a single integer axis")
     ax = int(axis) % a.ndim
-    out = np.max(a.data, axis=ax, keepdims=keepdims)
+    out = np.max(a.data, axis=ax)
 
     def vjp(g):
-        gg = g if keepdims else np.expand_dims(g, ax)
         buf = np.zeros_like(a.data)
-        np.put_along_axis(buf, np.expand_dims(np.argmax(a.data, axis=ax), ax), gg, ax)
+        index = np.expand_dims(np.argmax(a.data, axis=ax), ax)
+        np.put_along_axis(buf, index, np.expand_dims(g, ax), ax)
         return (buf,)
 
     return _finish("max_reduce", (a,), out, vjp)

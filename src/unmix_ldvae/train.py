@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import HsiCube, PatchSource, SplitSpec, check_fields, checked, split_pixels
+from .data import HsiCube, PatchSource, SplitSpec, check_fields, checked, segment_sizes
+from .data import split_pixels
 from .losses import (
     LossBreakdown,
     LossWeights,
@@ -403,14 +404,19 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def _earlier_log_rows(checkpoint_path, epoch: int) -> list[str]:
-    """The rows for epochs before ``epoch`` in the train_log.csv beside a
-    checkpoint, kept as text (their repr floats round-trip); none when
-    there is no such log."""
+    """The whole rows for epochs before ``epoch`` in the train_log.csv beside
+    a checkpoint, kept as text (their repr floats round-trip); none when
+    there is no such log. A row a kill tore is dropped: it lacks fields,
+    which keeps one cut inside its epoch digits from reading as an earlier
+    epoch, or it names the checkpoint's own epoch."""
     path = Path(checkpoint_path).parent / "train_log.csv"
     if not path.is_file():
         return []
     rows = path.read_text(encoding="utf-8", errors="replace").splitlines()[1:]
-    return [row for row in rows if (head := row.split(",", 1)[0]).isdecimal() and int(head) < epoch]
+    whole = (row for row in rows if row.count(",") == LOG_HEADER.count(","))
+    return [
+        row for row in whole if (head := row.split(",", 1)[0]).isdecimal() and int(head) < epoch
+    ]
 
 
 def _log_row(epoch: int, bd: LossBreakdown) -> str:
@@ -422,7 +428,7 @@ def _log_row(epoch: int, bd: LossBreakdown) -> str:
 
 
 def _write_log(path, rows) -> None:
-    """Write the header and the text ``rows``."""
+    """Write the header and the text ``rows`` atomically."""
     text = "\n".join([LOG_HEADER, *rows]) + "\n"
     _write_atomic(Path(path), lambda fh: fh.write(text.encode("utf-8")))
 
@@ -445,12 +451,15 @@ def fit(
     train_log.csv beside the resume checkpoint, so interrupted and
     uninterrupted runs agree.
 
-    The log and then the checkpoint are written, each atomically, before
-    the first epoch and after every completed one, so however the run ends,
-    SIGKILL included, the files hold the last completed epoch; an
-    interruption between the two writes leaves the log one row ahead, and
-    a resume drops that row. A non-finite loss or gradient aborts the run
-    with TrainError, which names the epoch the checkpoint on disk holds.
+    Before the first epoch the log (header and earlier rows) and then the
+    checkpoint are written, each atomically. After every completed epoch its
+    row is appended to the log and flushed to disk, and only then is the
+    checkpoint written, atomically, so however the run ends, SIGKILL
+    included, the checkpoint holds the last completed epoch and the log its
+    row; an interruption before the checkpoint is written leaves the log one
+    row ahead, perhaps torn, and a resume drops that row. A non-finite loss
+    or gradient aborts the run with TrainError, which names the epoch the
+    checkpoint on disk holds.
     """
     config.validate()
     if cube.gt_abundances is None or cube.gt_bundles is None:
@@ -461,7 +470,7 @@ def fit(
         raise TrainError(
             f"model expects {config.model.k} endmembers but cube has {len(cube.gt_bundles)}"
         )
-    sizes = [block.shape[0] for block in cube.gt_bundles[0].chol_blocks]
+    sizes = segment_sizes(cube.bands, cube.gt_bundles[0].seg_len)
     if config.model.cov_segment_sizes() != sizes:
         raise TrainError(f"model seg_len {config.model.seg_len} splits the bands unlike the "
                          f"ground-truth bundles' segments {sizes}")
@@ -491,18 +500,20 @@ def fit(
     ck_path = out_dir / "checkpoint.ldvt"
     log_path = out_dir / "train_log.csv"
 
-    def save(epoch: int) -> Checkpoint:  # the log first, so it is never behind the checkpoint
-        _write_log(log_path, rows)
-        saved = Checkpoint(params, opt, epoch, rng.bit_generator.state, config.model, config.seed)
-        save_checkpoint(ck_path, saved)
-        return saved
-
-    saved = save(start.epoch)
+    saved = Checkpoint(params, opt, start.epoch, rng.bit_generator.state, config.model, config.seed)
+    # each write to the log comes first, so it is never behind the checkpoint
+    _write_log(log_path, rows)
+    save_checkpoint(ck_path, saved)
     try:
-        for epoch in range(start.epoch, config.epochs):
-            epoch_mean, _ = train_epoch(params, config, cube, split.train_indices, opt, epoch, rng)
-            rows.append(_log_row(epoch, epoch_mean))
-            saved = save(epoch + 1)
+        with open(log_path, "ab") as log:
+            for epoch in range(start.epoch, config.epochs):
+                mean, _ = train_epoch(params, config, cube, split.train_indices, opt, epoch, rng)
+                log.write(f"{_log_row(epoch, mean)}\n".encode("utf-8"))
+                log.flush()
+                os.fsync(log.fileno())
+                state = rng.bit_generator.state
+                saved = dataclasses.replace(saved, epoch=epoch + 1, rng_state=state)
+                save_checkpoint(ck_path, saved)
     except (NumericError, TrainError) as err:
         raise TrainError(
             f"aborted at epoch {epoch}: {err}; "

@@ -52,13 +52,14 @@ from unmix_ldvae.metrics import evaluate, match_endmembers, rmse_abundance, sad
 from unmix_ldvae.model import (
     DecodedBundles,
     ModelConfig,
+    NoiseCache,
     forward,
     init_params,
     predict_cube,
     sample_abundances,
     sample_reconstruction,
 )
-from unmix_ldvae.numcore import Tensor, ops
+from unmix_ldvae.numcore import Tensor, draw_gamma_noise, ops
 from unmix_ldvae.train import TrainConfig, fit, load_checkpoint
 
 
@@ -76,7 +77,7 @@ def bundles_from_factors(means, factors):
 
 
 def gt_bundle_from_factor(mean, factors, seg_len):
-    return EndmemberBundle("gt", mean, [np.asarray(f) for f in factors], seg_len=seg_len)
+    return EndmemberBundle.from_segments("gt", mean, factors, seg_len)
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +516,9 @@ def test_criterion_04_gradient_suite():
     # is flat in alpha at init and the check would only measure roundoff.
     weights_cfg = LossWeights(alpha_prior=np.array([0.6, 2.4]))
     pipe_ref = reference_blocks(pipe_gt)
-    noise = sample_reconstruction(
-        forward(patches, params, config), params, config, rng=np.random.default_rng(26)
-    ).noise
+    noise = NoiseCache.draw(
+        forward(patches, params, config).alpha_hat.data, config.bands, np.random.default_rng(26)
+    )
 
     def pipeline_objective(name):
         def objective(p):
@@ -573,7 +574,8 @@ def test_criterion_05_sampler_simplex_invariants():
     worst_sigma = 0.0
     rng = np.random.default_rng(55)
     for row in alphas:
-        z, _ = sample_abundances(Tensor(np.tile(row, (n, 1))), rng)
+        alpha = np.tile(row, (n, 1))
+        z = sample_abundances(Tensor(alpha), draw_gamma_noise(alpha, rng))
         draws = z.data
         total += draws.shape[0]
         assert draws.min() >= 0.0, f"negative abundance for alpha {row}"

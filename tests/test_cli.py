@@ -648,7 +648,7 @@ def test_fewer_bands_than_model_seg_len_train_and_unmix(capsys, tmp_path):
                            "--data", scene, "--out", str(tmp_path / "unmix"))
     assert rc == 0, err
     bundles = load_bundles(out[1]["bundles"])
-    assert [[block.shape for block in b.chol_blocks] for b in bundles] == [[(8, 8)]] * 3
+    assert [b.chol_blocks.shape for b in bundles] == [(1, 8, 8)] * 3
 
 
 def test_unmix_matches_eval_and_round_trips(ws, capsys):
@@ -675,8 +675,7 @@ def test_unmix_matches_eval_and_round_trips(ws, capsys):
     assert len(bundles) == 3
     assert all(b.bands == 16 for b in bundles)
     for b in bundles:
-        for block in b.chol_blocks:
-            assert np.all(np.diag(block) > 0)
+        assert np.all(np.diagonal(b.chol_blocks, axis1=1, axis2=2) > 0)
 
 
 # the child makes scipy unimportable, then imports the CLI and runs one command

@@ -29,8 +29,10 @@ from unmix_ldvae.data import (
     bundles_to_json,
     check_fields,
     checked,
+    load_bundles,
     load_cube,
     make_scene_bundles,
+    save_bundles,
     save_cube,
     segment_sizes,
     split_pixels,
@@ -81,8 +83,8 @@ def test_segment_sizes_rejects_bad_args():
 
 
 def test_bundle_rejects_nonpositive_cholesky_diagonal():
-    with pytest.raises(DataError):
-        EndmemberBundle("bad", np.ones(4), [np.diag([1.0, -0.5, 1.0, 1.0])], seg_len=4)
+    with pytest.raises(DataError, match="strictly positive"):
+        EndmemberBundle("bad", np.ones(4), np.diag([1.0, -0.5, 1.0, 1.0])[None], seg_len=4)
 
 
 def test_bundle_rejects_cholesky_block_with_upper_entries():
@@ -104,19 +106,74 @@ def test_bundle_rejects_nonfinite_values(where, value):
     else:
         block[1, 1 if where == "diagonal" else 0] = value
     with pytest.raises(DataError, match="non-finite"):
-        EndmemberBundle("bad", mean, [block], seg_len=2)
+        EndmemberBundle("bad", mean, block[None], seg_len=2)
 
 
 def test_bundle_rejects_wrong_block_partition():
     blocks = [np.eye(4), np.eye(4)]
-    with pytest.raises(DataError):
-        EndmemberBundle("bad", np.ones(6), blocks, seg_len=4)
+    with pytest.raises(DataError, match="do not partition"):
+        EndmemberBundle.from_segments("bad", np.ones(6), blocks, seg_len=4)
+    with pytest.raises(DataError, match="does not fit"):
+        EndmemberBundle("bad", np.ones(6), np.stack(blocks * 2), seg_len=4)
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [np.eye(4), np.eye(4)],  # one block short
+        [np.eye(4), np.eye(4), np.eye(2), np.eye(2)],  # one block too many
+        [np.eye(4), np.eye(4), np.eye(2)[:, :1]],  # a non-square block
+        [np.eye(4), np.eye(4), np.eye(2)[None]],  # a block of three dimensions
+        # numpy would broadcast a 1x1 block over the 2x2 segment it stands for
+        [np.eye(4), np.eye(4), [[0.5]]],
+    ],
+    ids=["short", "long", "non-square", "3-d", "1x1-for-2x2"],
+)
+def test_bundle_from_segments_rejects_blocks_that_do_not_partition_the_bands(blocks):
+    with pytest.raises(DataError, match="do not partition"):
+        EndmemberBundle.from_segments("bad", np.ones(10), blocks, seg_len=4)
+
+
+def test_bundle_rejects_padding_other_than_the_identity():
+    """A short last segment's block is padded with the identity; any other
+    padding would change the covariance the bundle KL sees."""
+    good = EndmemberBundle.from_segments("b", np.ones(6), [np.eye(4), 0.5 * np.eye(2)], seg_len=4)
+    assert np.array_equal(good.chol_blocks[1], np.diag([0.5, 0.5, 1.0, 1.0]))
+    for where, value in (((1, 3, 3), 2.0), ((1, 3, 1), 0.1), ((1, 2, 2), 1.5)):
+        stack = good.chol_blocks.copy()
+        stack[where] = value
+        with pytest.raises(DataError, match="padding must be the identity"):
+            EndmemberBundle("bad", np.ones(6), stack, seg_len=4)
+
+
+def test_bundle_json_round_trips_a_short_last_segment_byte_for_byte(tmp_path):
+    """The file holds each segment's unpadded block; loading pads the stack
+    and saving strips the padding again."""
+    rng = np.random.default_rng(8)
+    entries = [
+        {
+            "chol_blocks": [
+                (np.tril(rng.random((m, m)), -1) * 0.01 + np.diag(0.05 + rng.random(m))).tolist()
+                for m in (4, 4, 2)
+            ],
+            "mean": rng.random(10).tolist(),
+            "name": f"em{j}",
+        }
+        for j in range(2)
+    ]
+    text = json.dumps({"endmembers": entries, "seg_len": 4}, sort_keys=True)
+    path = tmp_path / "bundles.json"
+    path.write_text(text)
+    bundles = load_bundles(path)
+    assert [b.chol_blocks.shape for b in bundles] == [(3, 4, 4)] * 2
+    save_bundles(tmp_path / "again.json", bundles)
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 def test_bundle_sample_moments_match_requested_gaussian():
     rng = np.random.default_rng(3)
     blocks = [np.linalg.cholesky(np.array([[0.04, 0.01], [0.01, 0.09]])), np.array([[0.2]])]
-    bundle = EndmemberBundle("b", np.array([1.0, 2.0, 3.0]), blocks, seg_len=2)
+    bundle = EndmemberBundle.from_segments("b", np.array([1.0, 2.0, 3.0]), blocks, seg_len=2)
     draws = bundle.sample(rng, size=200_000)
     assert np.abs(draws.mean(axis=0) - bundle.mean).max() < 5e-3
     first = np.cov(draws[:, :2], rowvar=False)
@@ -125,7 +182,7 @@ def test_bundle_sample_moments_match_requested_gaussian():
 
 
 def test_bundle_sample_without_size_returns_one_row():
-    bundle = EndmemberBundle("b", np.zeros(3), [np.eye(2), np.eye(1)], seg_len=2)
+    bundle = EndmemberBundle("b", np.zeros(3), np.stack([np.eye(2)] * 2), seg_len=2)
     assert bundle.sample(np.random.default_rng(0)).shape == (1, 3)
 
 
@@ -136,8 +193,7 @@ def test_bundle_json_round_trip_is_exact():
     for a, b in zip(scene.gt_bundles, back):
         assert a.name == b.name
         assert np.array_equal(a.mean, b.mean)
-        for x, y in zip(a.chol_blocks, b.chol_blocks):
-            assert np.array_equal(x, y)
+        assert np.array_equal(a.chol_blocks, b.chol_blocks)
 
 
 def test_bundle_json_rejects_garbage():
@@ -446,4 +502,5 @@ def test_scene_config_validation():
 def test_scene_bundles_reuse_config_segmentation():
     config = SceneConfig(bands=20, seg_len=8, dirichlet_alpha=[1.0, 1.0, 1.0])
     bundles = make_scene_bundles(config)
-    assert [b.shape[0] for b in bundles[0].chol_blocks] == [8, 8, 4]
+    assert bundles[0].chol_blocks.shape == (3, 8, 8)
+    assert np.array_equal(bundles[0].chol_blocks[2, 4:], np.eye(8)[4:])

@@ -31,6 +31,7 @@ from unmix_ldvae.losses import (
 from unmix_ldvae.model import (
     DecodedBundles,
     ModelConfig,
+    NoiseCache,
     forward,
     init_params,
     sample_reconstruction,
@@ -75,7 +76,7 @@ def bundles_from_factors(means, factors):
 
 
 def gt_bundle_from_factor(mean, factors, seg_len):
-    return EndmemberBundle("gt", mean, [np.asarray(f) for f in factors], seg_len=seg_len)
+    return EndmemberBundle.from_segments("gt", mean, factors, seg_len)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +89,7 @@ def test_recon_zero_for_identical_inputs():
 
 
 def test_recon_unit_example():
-    assert loss_recon(Tensor([1.0, 1.0]), Tensor([0.0, 0.0])).item() == pytest.approx(1.0)
+    assert loss_recon(Tensor([[1.0, 1.0]]), Tensor([[0.0, 0.0]])).item() == pytest.approx(1.0)
 
 
 def test_recon_gradient_is_scaled_difference():
@@ -109,11 +110,14 @@ def test_recon_gradient_is_scaled_difference():
 def test_recon_rejects_mismatched_shapes():
     with pytest.raises(ShapeError):
         loss_recon(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 5))))
+    # a single spectrum is a batch of one, (1, C); a bare (C,) vector is not
+    with pytest.raises(ShapeError, match="batch of vectors"):
+        loss_recon(Tensor(np.ones(4)), Tensor(np.ones(4)))
 
 
 def test_abundance_examples():
-    assert loss_abundance(Tensor([1.0, 0.0]), Tensor([0.0, 1.0])).item() == pytest.approx(1.0)
-    assert loss_abundance(Tensor([0.5, 0.5]), Tensor([1.0, 0.0])).item() == pytest.approx(0.25)
+    assert loss_abundance(Tensor([[1.0, 0.0]]), Tensor([[0.0, 1.0]])).item() == pytest.approx(1.0)
+    assert loss_abundance(Tensor([[0.5, 0.5]]), Tensor([[1.0, 0.0]])).item() == pytest.approx(0.25)
     z = np.random.default_rng(2).dirichlet([1, 1, 1], size=4)
     assert loss_abundance(Tensor(z), Tensor(z.copy())).item() == 0.0
 
@@ -124,13 +128,13 @@ def test_abundance_examples():
 
 def test_dirichlet_kl_zero_for_identical():
     alpha = np.array([3.0, 0.5, 7.0])
-    assert abs(kl_dirichlet(Tensor(alpha), alpha).item()) < 1e-10
+    assert abs(kl_dirichlet(Tensor(alpha[None]), alpha).item()) < 1e-10
 
 
 def test_dirichlet_kl_matches_monte_carlo_22_11():
     a = np.array([2.0, 2.0])
     p = np.array([1.0, 1.0])
-    ours = kl_dirichlet(Tensor(a), p).item()
+    ours = kl_dirichlet(Tensor(a[None]), p).item()
     rng = np.random.default_rng(0)
     draws = rng.dirichlet(a, size=1_000_000)
     ratio = dirichlet_log_pdf(draws, a) - dirichlet_log_pdf(draws, p)
@@ -148,7 +152,7 @@ def test_dirichlet_kl_monte_carlo_sweep():
         k = int(rng.integers(2, 5))
         a = rng.uniform(0.5, 5.0, size=k)
         p = rng.uniform(0.5, 5.0, size=k)
-        ours = kl_dirichlet(Tensor(a), p).item()
+        ours = kl_dirichlet(Tensor(a[None]), p).item()
         draws = rng.dirichlet(a, size=200_000)
         ratio = dirichlet_log_pdf(draws, a) - dirichlet_log_pdf(draws, p)
         se = ratio.std() / math.sqrt(draws.shape[0])
@@ -168,7 +172,7 @@ def test_dirichlet_kl_identity_sweep():
     rng = np.random.default_rng(5)
     for k in range(2, 9):
         alpha = rng.uniform(0.1, 8.0, size=k)
-        assert abs(kl_dirichlet(Tensor(alpha), alpha).item()) < 1e-10
+        assert abs(kl_dirichlet(Tensor(alpha[None]), alpha).item()) < 1e-10
 
 
 def test_dirichlet_kl_agrees_with_independent_closed_form():
@@ -177,15 +181,15 @@ def test_dirichlet_kl_agrees_with_independent_closed_form():
         k = int(rng.integers(2, 7))
         a = rng.uniform(0.1, 9.0, size=k)
         p = rng.uniform(0.1, 9.0, size=k)
-        ours = kl_dirichlet(Tensor(a), p).item()
+        ours = kl_dirichlet(Tensor(a[None]), p).item()
         assert ours == pytest.approx(closed_form_dirichlet_kl(a, p), rel=1e-10, abs=1e-12)
 
 
 def test_dirichlet_kl_rejects_nonpositive():
     with pytest.raises(LossError):
-        kl_dirichlet(Tensor([1.0, 0.0]), np.ones(2))
+        kl_dirichlet(Tensor([[1.0, 0.0]]), np.ones(2))
     with pytest.raises(LossError):
-        kl_dirichlet(Tensor([1.0, 1.0]), np.array([1.0, -2.0]))
+        kl_dirichlet(Tensor([[1.0, 1.0]]), np.array([1.0, -2.0]))
 
 
 def test_dirichlet_prior_constant_is_evaluated_once_per_prior(monkeypatch):
@@ -280,7 +284,8 @@ def test_bundle_kl_matches_dense_oracle():
                 lo = 0
                 for s, m in enumerate(sizes):
                     hi = lo + m
-                    sig_gt = gt[j].chol_blocks[s] @ gt[j].chol_blocks[s].T
+                    l_gt = gt[j].chol_blocks[s, :m, :m]
+                    sig_gt = l_gt @ l_gt.T
                     l_hat = factors[s][i, j]
                     sig_hat = l_hat @ l_hat.T
                     inv_gt = np.linalg.inv(sig_gt)
@@ -493,7 +498,8 @@ def test_backward_reaches_every_parameter_group():
 
     def losses(epoch):
         heads = forward(patches, params, config)
-        sampled = sample_reconstruction(heads, params, config, rng=np.random.default_rng(16))
+        noise = NoiseCache.draw(heads.alpha_hat.data, config.bands, np.random.default_rng(16))
+        sampled = sample_reconstruction(heads, params, config, noise)
         return compute_losses(heads, sampled, x, z_gt, reference, LossWeights(), epoch=epoch)
 
     with Tape() as tape:
@@ -552,11 +558,36 @@ def test_reference_blocks_invert_each_cholesky_block():
     assert inv_chols.shape == (2, 3, 4, 4)
     for j, bundle in enumerate(gt):
         for s, (m, block) in enumerate(zip(sizes, bundle.chol_blocks)):
-            residual = inv_chols[j, s, :m, :m] @ block - np.eye(m)
+            residual = inv_chols[j, s, :m, :m] @ block[:m, :m] - np.eye(m)
             assert np.abs(residual).max() <= 1e-13
     np.testing.assert_array_equal(inv_chols[:, 2, 3:, 3:], np.ones((2, 1, 1)))
     np.testing.assert_array_equal(inv_chols[:, 2, 3:, :3], 0.0)
     np.testing.assert_array_equal(inv_chols[:, 2, :3, 3:], 0.0)
+
+
+def test_reference_logdets_are_the_concatenated_diagonal_sum_bit_for_bit():
+    """The stacked diagonal holds the C diagonal entries of the factor in
+    band order, then the padding of a short last segment, so its first C
+    entries give the sum the per-segment blocks gave, in the same order."""
+    rng = np.random.default_rng(23)
+    sizes = [5, 5, 2]
+    factors = [
+        [np.tril(rng.random((m, m)), -1) + np.diag(0.01 + rng.random(m)) for m in sizes]
+        for _ in range(3)
+    ]
+    gt = [gt_bundle_from_factor(rng.random(12), f, 5) for f in factors]
+    assert gt[0].chol_blocks.shape == (3, 5, 5)
+    diag = np.stack([np.concatenate([np.diag(block) for block in f]) for f in factors])
+    expected = 2.0 * np.log(diag).sum(axis=1)
+    assert reference_blocks(gt).logdets.tobytes() == expected.tobytes()
+
+
+def test_reference_blocks_reject_bundles_of_different_segments():
+    rng = np.random.default_rng(24)
+    a = gt_bundle_from_factor(rng.random(8), [np.eye(4), np.eye(4)], 4)
+    b = gt_bundle_from_factor(rng.random(7), [np.eye(4), np.eye(3)], 4)
+    with pytest.raises(ShapeError, match="segment sizes"):
+        reference_blocks([a, b])
 
 
 def test_reference_blocks_reject_empty_list():

@@ -49,7 +49,7 @@ from unmix_ldvae.model import (
     segment_patch_values,
     tokenize_batch,
 )
-from unmix_ldvae.numcore import ShapeError, Tape, Tensor, backward, blas, ops
+from unmix_ldvae.numcore import ShapeError, Tape, Tensor, backward, blas, draw_gamma_noise, ops
 from unmix_ldvae.train import AdamState, Checkpoint, save_checkpoint
 
 GRAD_TOL = 1e-4
@@ -57,6 +57,13 @@ GRAD_TOL = 1e-4
 
 def toy_config():
     return ModelConfig(patch=1, bands=8, k=2, seg_len=4, d=8, layers=1, heads=2, ff_dim=8)
+
+
+def drawn_reconstruction(heads, params, config, seed):
+    """``sample_reconstruction`` with the draws of ``NoiseCache.draw`` on a
+    fresh generator of ``seed``, as a training step makes them."""
+    noise = NoiseCache.draw(heads.alpha_hat.data, config.bands, np.random.default_rng(seed))
+    return sample_reconstruction(heads, params, config, noise)
 
 
 def small_config():
@@ -137,7 +144,9 @@ def test_single_token_latent_equals_hidden_state():
     assert config.n_tokens == 1
     params = init_params(config, np.random.default_rng(1))
     tokens = tokenize_batch(np.random.default_rng(2).random((1, 1, 1, 8)), params, config)
-    h, x_latent = encode_batch(tokens, params, config)
+    x_latent = encode_batch(tokens, params, config)
+    layer = (params[f"enc0.{name}"] for name in model_module.LAYER_PARAMS)
+    h = ops.encoder_layer(ops.add(tokens, params["pos"]), *layer, config.heads)
     assert h.shape == (1, 1, config.d) and x_latent.shape == (1, config.d)
     np.testing.assert_array_equal(x_latent.data[0], h.data[0, 0])
 
@@ -152,8 +161,8 @@ def test_residual_only_encoder_is_permutation_invariant():
     rng = np.random.default_rng(4)
     tokens = rng.random((2, config.n_tokens, config.d))
     perm = rng.permutation(config.n_tokens)
-    _, base = encode_batch(Tensor(tokens), params, config)
-    _, shuffled = encode_batch(Tensor(tokens[:, perm]), params, config)
+    base = encode_batch(Tensor(tokens), params, config)
+    shuffled = encode_batch(Tensor(tokens[:, perm]), params, config)
     np.testing.assert_array_equal(base.data, shuffled.data)
 
 
@@ -446,7 +455,7 @@ def test_alpha_head_gradients_match_finite_differences():
 def test_sampled_abundances_live_on_the_simplex():
     rng = np.random.default_rng(0)
     alpha = Tensor(np.abs(rng.random((500, 4))) + 0.1)
-    z, _ = sample_abundances(alpha, rng)
+    z = sample_abundances(alpha, draw_gamma_noise(alpha.data, rng))
     assert np.all(z.data >= 0)
     assert np.abs(z.data.sum(axis=1) - 1.0).max() < 1e-12
 
@@ -455,7 +464,7 @@ def test_sampled_abundance_mean_matches_dirichlet():
     rng = np.random.default_rng(1)
     n = 100_000
     alpha = Tensor(np.ones((n, 3)))
-    z, _ = sample_abundances(alpha, rng)
+    z = sample_abundances(alpha, draw_gamma_noise(alpha.data, rng))
     observed = z.data.mean(axis=0)
     # Dirichlet(1,1,1) coordinates have variance 1/18
     se = math.sqrt((1.0 / 18.0) / n)
@@ -465,7 +474,7 @@ def test_sampled_abundance_mean_matches_dirichlet():
 def test_extreme_concentrations_pin_the_draw():
     rng = np.random.default_rng(2)
     alpha = Tensor(np.tile([100.0, 0.01], (2000, 1)))
-    z, _ = sample_abundances(alpha, rng)
+    z = sample_abundances(alpha, draw_gamma_noise(alpha.data, rng))
     assert z.data[:, 0].mean() > 0.99
 
 
@@ -613,7 +622,7 @@ def test_forward_shapes_and_invariants():
     params = init_params(config, np.random.default_rng(13))
     patches = np.random.default_rng(14).random((5, 3, 3, 20))
     heads = forward(patches, params, config)
-    sampled = sample_reconstruction(heads, params, config, rng=np.random.default_rng(15))
+    sampled = drawn_reconstruction(heads, params, config, 15)
     assert heads.alpha_hat.shape == (5, 3)
     assert heads.z_mean.shape == (5, 3)
     assert heads.bundles.means.shape == (5, 3, 20)
@@ -645,11 +654,11 @@ def test_forward_with_seed_is_bit_reproducible():
     params = init_params(config, np.random.default_rng(18))
     patches = np.random.default_rng(19).random((3, 3, 3, 20))
     heads = forward(patches, params, config)
-    a = sample_reconstruction(heads, params, config, rng=np.random.default_rng(42))
-    b = sample_reconstruction(heads, params, config, rng=np.random.default_rng(42))
+    a = drawn_reconstruction(heads, params, config, 42)
+    b = drawn_reconstruction(heads, params, config, 42)
     np.testing.assert_array_equal(a.z_hat.data, b.z_hat.data)
     np.testing.assert_array_equal(a.x_recon.data, b.x_recon.data)
-    c = sample_reconstruction(heads, params, config, rng=np.random.default_rng(43))
+    c = drawn_reconstruction(heads, params, config, 43)
     assert not np.array_equal(c.z_hat.data, a.z_hat.data)
 
 
@@ -658,7 +667,7 @@ def test_forward_replays_exactly_from_noise_cache():
     params = init_params(config, np.random.default_rng(20))
     patches = np.random.default_rng(21).random((3, 3, 3, 20))
     heads = forward(patches, params, config)
-    first = sample_reconstruction(heads, params, config, rng=np.random.default_rng(0))
+    first = drawn_reconstruction(heads, params, config, 0)
     replay = sample_reconstruction(heads, params, config, noise=first.noise)
     np.testing.assert_array_equal(first.z_hat.data, replay.z_hat.data)
     np.testing.assert_array_equal(first.x_recon.data, replay.x_recon.data)
@@ -669,9 +678,7 @@ def test_full_pipeline_gradients_for_every_parameter_group():
     params = init_params(config, np.random.default_rng(22))
     rng = np.random.default_rng(23)
     patches = rng.random((2, 1, 1, 8))
-    noise = sample_reconstruction(
-        forward(patches, params, config), params, config, rng=np.random.default_rng(24)
-    ).noise
+    noise = drawn_reconstruction(forward(patches, params, config), params, config, 24).noise
     w_recon = rng.random((2, 8))
     w_z = rng.random((2, 2))
     w_alpha = rng.random((2, 2))
@@ -723,7 +730,7 @@ def test_predict_cube_outputs_are_clean():
     prediction = predict_cube(params, config, scene, batch_size=7)
     assert prediction.abundances.shape == (30, 3)
     assert prediction.endmember_means.shape == (3, 12)
-    assert [b.shape for b in prediction.chol_blocks] == [(3, 4, 4)] * 3
+    assert prediction.chol_blocks.shape == (3, 3, 4, 4)
     assert np.abs(prediction.abundances.sum(axis=1) - 1.0).max() < 1e-9
     assert np.isfinite(prediction.endmember_means).all()
     for block in prediction.chol_blocks:
@@ -743,11 +750,12 @@ def test_predict_cube_blocks_are_the_pixel_mean_of_the_decoded_blocks():
     prediction = predict_cube(params, config, scene, indices, batch_size=2)
     patches = PatchSource(scene, config.patch).batch(indices)
     bundles = forward(patches, params, config).bundles
-    assert [block.shape for block in prediction.chol_blocks] == [(2, 4, 4), (2, 4, 4), (2, 2, 2)]
-    for s, block in enumerate(prediction.chol_blocks):
-        m = block.shape[-1]
-        decoded = bundles.chol_blocks.data[:, :, s, :m, :m]
-        np.testing.assert_allclose(block, decoded.mean(axis=0), rtol=1e-12, atol=1e-15)
+    assert prediction.chol_blocks.shape == (2, 3, 4, 4)
+    np.testing.assert_allclose(
+        prediction.chol_blocks, bundles.chol_blocks.data.mean(axis=0), rtol=1e-12, atol=1e-15
+    )
+    # the short last segment's padding averages to the exact identity
+    np.testing.assert_array_equal(prediction.chol_blocks[:, 2, 2:], [np.eye(4)[2:]] * 2)
     np.testing.assert_allclose(
         prediction.endmember_means, bundles.means.data.mean(axis=0), rtol=1e-12, atol=1e-15
     )
@@ -770,7 +778,7 @@ def test_fewer_bands_than_seg_len_make_one_block_of_the_band_count():
     kl = kl_bundle(bundles, reference_blocks(scene.gt_bundles), 0.5 + rng.random((5, 2)))
     assert np.isfinite(kl.data)
     prediction = predict_cube(params, config, scene, batch_size=5)
-    assert [block.shape for block in prediction.chol_blocks] == [(2, 8, 8)]
+    assert prediction.chol_blocks.shape == (2, 1, 8, 8)
     with pytest.raises(ModelError, match="at least one pixel"):
         predict_cube(params, config, scene, np.array([], dtype=np.int64))
 
@@ -847,8 +855,7 @@ def test_predict_cube_is_bit_identical_to_one_worker(monkeypatch, subset):
     assert workers == ([cores] if blas._openblas() and cores > 1 else [])
     assert np.array_equal(pooled.abundances, serial.abundances)
     assert np.array_equal(pooled.endmember_means, serial.endmember_means)
-    for a, b in zip(pooled.chol_blocks, serial.chol_blocks, strict=True):
-        assert np.array_equal(a, b)
+    assert np.array_equal(pooled.chol_blocks, serial.chol_blocks)
 
 
 def test_predict_cube_with_more_workers_than_cores_matches_one_worker(monkeypatch):
@@ -866,8 +873,7 @@ def test_predict_cube_with_more_workers_than_cores_matches_one_worker(monkeypatc
         sys.setswitchinterval(interval)
     assert np.array_equal(crowded.abundances, serial.abundances)
     assert np.array_equal(crowded.endmember_means, serial.endmember_means)
-    for a, b in zip(crowded.chol_blocks, serial.chol_blocks, strict=True):
-        assert np.array_equal(a, b)
+    assert np.array_equal(crowded.chol_blocks, serial.chol_blocks)
 
 
 def test_predict_cube_holds_the_blas_at_one_thread_and_restores_it(monkeypatch, blas_at_two):

@@ -153,20 +153,16 @@ def test_reference_inverses_with_a_padded_last_segment():
     """Bundles of 13 bands in segments of 5: the last block is 3x3 and the
     stack pads it with the identity, whose inverse is the identity."""
     rng = np.random.default_rng(8)
+    factors = [[_well_conditioned_blocks(rng, (m, m)) for m in (5, 5, 3)] for _ in range(3)]
     bundles = [
-        EndmemberBundle(
-            name=f"e{k}",
-            mean=rng.uniform(0.1, 0.9, 13),
-            chol_blocks=[_well_conditioned_blocks(rng, (m, m)) for m in (5, 5, 3)],
-            seg_len=5,
-        )
-        for k in range(3)
+        EndmemberBundle.from_segments(f"e{k}", rng.uniform(0.1, 0.9, 13), f, seg_len=5)
+        for k, f in enumerate(factors)
     ]
     inv = reference_blocks(bundles).inv_chols
     assert inv.shape == (3, 3, 5, 5)
     blocks = np.zeros_like(inv)
-    for k, bundle in enumerate(bundles):
-        for s, block in enumerate(bundle.chol_blocks):
+    for k, segments in enumerate(factors):
+        for s, block in enumerate(segments):
             m = block.shape[0]
             blocks[k, s] = np.eye(5)
             blocks[k, s, :m, :m] = block

@@ -463,7 +463,8 @@ def test_batch_gradient_is_mean_of_single_sample_gradients():
 
     with Tape() as tape:
         heads = forward(patches, params, config)
-        sampled = sample_reconstruction(heads, params, config, rng=np.random.default_rng(14))
+        noise = NoiseCache.draw(heads.alpha_hat.data, config.bands, np.random.default_rng(14))
+        sampled = sample_reconstruction(heads, params, config, noise)
         total, _ = compute_losses(heads, sampled, x, z_gt, reference, weights, epoch=0)
         for p in params.values():
             p.grad[...] = 0.0
@@ -644,10 +645,10 @@ def test_abort_keeps_the_state_of_the_last_completed_epoch(tmp_path, monkeypatch
 
 
 def test_interrupted_checkpoint_save_resumes_to_the_uninterrupted_bytes(tmp_path, monkeypatch):
-    """Each epoch writes the log, then the checkpoint. A KeyboardInterrupt
-    in epoch 2's checkpoint save leaves the log one row ahead of the
-    two-epoch checkpoint; the resume drops that row and retraces the
-    uninterrupted run byte for byte."""
+    """Each epoch appends its row to the log, then writes the checkpoint. A
+    KeyboardInterrupt in epoch 2's checkpoint save leaves the log one row
+    ahead of the two-epoch checkpoint; the resume drops that row and
+    retraces the uninterrupted run byte for byte."""
     scene = tiny_scene()
     config = tiny_train_config(epochs=4)
     fit(config, scene, tmp_path / "full")
@@ -669,6 +670,48 @@ def test_interrupted_checkpoint_save_resumes_to_the_uninterrupted_bytes(tmp_path
     fit(config, scene, tmp_path / "run", resume=kept)
     for name in ("checkpoint.ldvt", "train_log.csv"):
         assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "keep", [1, 7, -1], ids=["inside-epoch-digits", "inside-a-float", "inside-the-last-float"]
+)
+def test_log_torn_mid_row_resumes_to_the_uninterrupted_bytes(tmp_path, keep):
+    """A kill while epoch 11's row is appended leaves the 11-epoch checkpoint
+    and the log with that row torn. Cut inside its epoch digits, "11" leaves
+    "1", which must not pass for epoch 1's row, hence the 12-epoch run; cut
+    elsewhere, the row lacks fields or names epoch 11. The resume drops it
+    and retraces the uninterrupted run byte for byte."""
+    scene = tiny_scene()
+    fit(tiny_train_config(epochs=12), scene, tmp_path / "full")
+    fit(tiny_train_config(epochs=11), scene, tmp_path / "run")
+    last = (tmp_path / "full" / "train_log.csv").read_text().splitlines()[-1]
+    assert last.startswith("11,0.")
+    with open(tmp_path / "run" / "train_log.csv", "a") as log:
+        log.write(last[:keep])
+    kept = tmp_path / "run" / "checkpoint.ldvt"
+    fit(tiny_train_config(epochs=12), scene, tmp_path / "run", resume=kept)
+    for name in ("checkpoint.ldvt", "train_log.csv"):
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+
+def test_fit_writes_the_whole_log_once_and_then_appends(tmp_path, monkeypatch):
+    """Rewriting the log every epoch costs time in its length, so a run of
+    E epochs would take time in E squared; the whole log is written once."""
+    scene = tiny_scene()
+    calls = []
+    real_write = train_module._write_log
+
+    def counting_write(path, rows):
+        calls.append(len(rows))
+        real_write(path, rows)
+
+    monkeypatch.setattr(train_module, "_write_log", counting_write)
+    fit(tiny_train_config(epochs=3), scene, tmp_path / "run")
+    assert calls == [0]
+    fit(tiny_train_config(epochs=5), scene, tmp_path / "run",
+        resume=tmp_path / "run" / "checkpoint.ldvt")
+    assert calls == [0, 3]
+    assert len((tmp_path / "run" / "train_log.csv").read_text().splitlines()) == 1 + 5
 
 
 def test_small_batch_fit_peaks_under_eight_parameter_vectors(tmp_path):
@@ -819,7 +862,8 @@ def test_one_shard_step_is_the_unsharded_step_bit_for_bit():
     idx = rng.permutation(np.arange(batch))
     with Tape() as tape:
         heads = forward(PatchSource(scene, config.model.patch).batch(idx), params, config.model)
-        sampled = sample_reconstruction(heads, params, config.model, rng=rng)
+        noise = NoiseCache.draw(heads.alpha_hat.data, config.model.bands, rng)
+        sampled = sample_reconstruction(heads, params, config.model, noise)
         total, want = compute_losses(
             heads, sampled, scene.pixels()[idx], scene.abundance_pixels()[idx],
             reference_blocks(scene.gt_bundles), config.loss_weights, 0,
