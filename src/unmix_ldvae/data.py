@@ -285,9 +285,11 @@ def _read_bsq(base: Path) -> np.ndarray:
 def bundles_to_json(bundles: list[EndmemberBundle]) -> str:
     if not bundles:
         raise DataError("cannot serialize an empty bundle list")
-    seg_len = bundles[0].seg_len
+    seg_lens = {b.seg_len for b in bundles}
+    if len(seg_lens) > 1:
+        raise DataError(f"one bundle file holds one segment length, got {sorted(seg_lens)}")
     payload = {
-        "seg_len": seg_len,
+        "seg_len": bundles[0].seg_len,
         "endmembers": [
             {
                 "name": b.name,

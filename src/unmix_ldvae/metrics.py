@@ -4,7 +4,7 @@ shaped CSV report."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -117,7 +117,7 @@ class EvalReport:
     avg_sad: float
     avg_rmse: float
     assignment: np.ndarray
-    names: list[str] = field(default_factory=list)
+    names: list[str]
 
 
 def evaluate(
@@ -164,12 +164,9 @@ def report_to_csv(report: EvalReport) -> str:
     """Table-shaped CSV: one row per endmember, then the average row. Values
     use round-trip formatting so the averages recompute exactly."""
     lines = ["endmember,sad_rad,rmse"]
-    k = report.per_endmember_sad.shape[0]
-    names = report.names if len(report.names) == k else [f"em{j}" for j in range(k)]
-    for j in range(k):
-        sad_j = format(float(report.per_endmember_sad[j]), ".17g")
-        rmse_j = format(float(report.per_endmember_rmse[j]), ".17g")
-        lines.append(f"{names[j]},{sad_j},{rmse_j}")
+    rows = zip(report.names, report.per_endmember_sad, report.per_endmember_rmse)
+    for name, sad_j, rmse_j in rows:
+        lines.append(f"{name},{format(float(sad_j), '.17g')},{format(float(rmse_j), '.17g')}")
     lines.append(
         f"average,{format(report.avg_sad, '.17g')},{format(report.avg_rmse, '.17g')}"
     )

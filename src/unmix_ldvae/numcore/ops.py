@@ -1,14 +1,18 @@
 """Differentiable primitives over Tensor values.
 
-Elementwise primitives follow numpy broadcasting; their vjps reduce the
-cotangent back onto each input's shape. matmul contracts the last two axes
-and broadcasts leading batch axes, with 2-d weight operands shared across
-the batch. Reductions accept an int, a tuple of ints, or None for the axis.
-
-The binary arithmetic primitives, matmul and linear return None instead of
-a cotangent for an input that does not require gradients, so constants cost
-nothing in backward. A vjp never writes into the cotangent it is given:
-backward may hand one array to several records.
+Each family of primitives has one body. ``_binary`` runs add, subtract,
+multiply, divide and matmul: it coerces the inputs, turns numpy's broadcast
+ValueError into a ShapeError that names the op, records the op, and builds
+a vjp that sums each input's partial back onto that input's shape and
+returns None instead of a cotangent for an input that does not require
+gradients, so constants cost nothing in backward (``linear`` skips them
+too). Each op states only its numpy function and its two partials; matmul,
+which contracts the last two axes and broadcasts leading batch axes, checks
+its ranks and inner dimensions first. ``_pointwise`` runs log, softplus,
+relu, lgamma and digamma: it records ``fn(x)`` with the vjp ``grad(g, x)``.
+``sum_reduce`` takes an int, a tuple of ints, or None for the axis, and
+``mean_reduce`` the mean of every entry. A vjp never writes into the
+cotangent it is given: backward may hand one array to several records.
 
 Layer norm, attention and linear are kernels over arrays. ``_layer_norm``
 returns its output and the rows that ``_layer_norm_vjp`` reads,
@@ -76,74 +80,47 @@ def _norm_axes(axis, ndim: int) -> tuple:
     return axes
 
 
-# elementwise arithmetic
+# elementwise arithmetic and matmul
+
+
+def _binary(op: str, a, b, fn, grad_a, grad_b) -> Tensor:
+    """``fn`` of two inputs' arrays, recorded as ``op``. ``grad_a`` and
+    ``grad_b`` map (g, a, b, out) to an input's cotangent before it is summed
+    back onto that input's shape; the vjp gives None for an input that does
+    not require gradients and never calls its partial."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    try:
+        out = fn(a.data, b.data)
+    except ValueError as exc:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from exc
+
+    def vjp(g):
+        return (
+            _unbroadcast(grad_a(g, a.data, b.data, out), a.shape) if a.requires_grad else None,
+            _unbroadcast(grad_b(g, a.data, b.data, out), b.shape) if b.requires_grad else None,
+        )
+
+    return _finish(op, (a, b), out, vjp)
 
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        out = a.data + b.data
-    except ValueError as exc:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from exc
-
-    def vjp(g):
-        return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(g, b.shape) if b.requires_grad else None,
-        )
-
-    return _finish("add", (a, b), out, vjp)
+    return _binary("add", a, b, np.add, lambda g, a, b, out: g, lambda g, a, b, out: g)
 
 
 def subtract(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        out = a.data - b.data
-    except ValueError as exc:
-        raise ShapeError(f"subtract: shapes {a.shape} and {b.shape} do not broadcast") from exc
-
-    def vjp(g):
-        return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g, b.shape) if b.requires_grad else None,
-        )
-
-    return _finish("subtract", (a, b), out, vjp)
+    return _binary("subtract", a, b, np.subtract, lambda g, a, b, out: g, lambda g, a, b, out: -g)
 
 
 def multiply(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        out = a.data * b.data
-    except ValueError as exc:
-        raise ShapeError(f"multiply: shapes {a.shape} and {b.shape} do not broadcast") from exc
-
-    def vjp(g):
-        return (
-            _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(g * a.data, b.shape) if b.requires_grad else None,
-        )
-
-    return _finish("multiply", (a, b), out, vjp)
+    return _binary(
+        "multiply", a, b, np.multiply, lambda g, a, b, out: g * b, lambda g, a, b, out: g * a
+    )
 
 
 def divide(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        out = a.data / b.data
-    except ValueError as exc:
-        raise ShapeError(f"divide: shapes {a.shape} and {b.shape} do not broadcast") from exc
-
-    def vjp(g):
-        return (
-            _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g * out / b.data, b.shape) if b.requires_grad else None,
-        )
-
-    return _finish("divide", (a, b), out, vjp)
-
-
-# linear algebra and structure
+    return _binary(
+        "divide", a, b, np.divide, lambda g, a, b, out: g / b, lambda g, a, b, out: -g * out / b
+    )
 
 
 def matmul(a, b) -> Tensor:
@@ -152,17 +129,14 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: operands need ndim >= 2, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    try:
-        out = a.data @ b.data
-    except ValueError as exc:
-        raise ShapeError(f"matmul: batch dimensions do not broadcast, {a.shape} @ {b.shape}") from exc
+    return _binary(
+        "matmul", a, b, np.matmul,
+        lambda g, a, b, out: g @ np.swapaxes(b, -1, -2),
+        lambda g, a, b, out: np.swapaxes(a, -1, -2) @ g,
+    )
 
-    def vjp(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if b.requires_grad else None
-        return ga, gb
 
-    return _finish("matmul", (a, b), out, vjp)
+# linear algebra and structure
 
 
 def _linear(x, w, b):
@@ -437,14 +411,16 @@ def tril_blocks(diag, off, sizes) -> Tensor:
 # pointwise nonlinearities
 
 
-def log(a) -> Tensor:
+def _pointwise(op: str, a, fn, grad) -> Tensor:
+    """``fn`` of an input's array, recorded as ``op`` with the vjp that maps
+    g to ``grad(g, a)``."""
     a = _as_tensor(a)
-    out = np.log(a.data)
+    x = a.data
+    return _finish(op, (a,), fn(x), lambda g: (grad(g, x),))
 
-    def vjp(g):
-        return (g / a.data,)
 
-    return _finish("log", (a,), out, vjp)
+def log(a) -> Tensor:
+    return _pointwise("log", a, np.log, lambda g, x: g / x)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -452,51 +428,35 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def softplus(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.logaddexp(0.0, a.data)
-
-    def vjp(g):
-        return (g * _sigmoid(a.data),)
-
-    return _finish("softplus", (a,), out, vjp)
+    return _pointwise(
+        "softplus", a, lambda x: np.logaddexp(0.0, x), lambda g, x: g * _sigmoid(x)
+    )
 
 
 def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.maximum(a.data, 0.0)
-
-    def vjp(g):
-        return (g * (a.data > 0.0),)
-
-    return _finish("relu", (a,), out, vjp)
+    return _pointwise("relu", a, lambda x: np.maximum(x, 0.0), lambda g, x: g * (x > 0.0))
 
 
-def _positive(a: Tensor) -> np.ndarray:
+def _positive(x: np.ndarray) -> np.ndarray:
     """The values of a gamma-family argument, which must lie on the positive
     axis where lgamma is real and digamma is finite."""
-    if np.any(a.data <= 0.0):
+    if np.any(x <= 0.0):
         raise ValueError("argument must be strictly positive")
-    return a.data
+    return x
 
 
 def lgamma(a) -> Tensor:
-    a = _as_tensor(a)
-    x = _positive(a)
-
-    def vjp(g):
-        return (g * special.digamma(x),)
-
-    return _finish("lgamma", (a,), special.lgamma(x), vjp)
+    return _pointwise(
+        "lgamma", a, lambda x: special.lgamma(_positive(x)),
+        lambda g, x: g * special.digamma(x),
+    )
 
 
 def digamma(a) -> Tensor:
-    a = _as_tensor(a)
-    x = _positive(a)
-
-    def vjp(g):
-        return (g * special.trigamma(x),)
-
-    return _finish("digamma", (a,), special.digamma(x), vjp)
+    return _pointwise(
+        "digamma", a, lambda x: special.digamma(_positive(x)),
+        lambda g, x: g * special.trigamma(x),
+    )
 
 
 # normalizations and reductions
@@ -584,17 +544,14 @@ def sum_reduce(a, axis=None, keepdims: bool = False) -> Tensor:
     return _finish("sum_reduce", (a,), out, vjp)
 
 
-def mean_reduce(a, axis=None, keepdims: bool = False) -> Tensor:
+def mean_reduce(a) -> Tensor:
+    """The mean of all of ``a``'s entries."""
     a = _as_tensor(a)
-    axes = _norm_axes(axis, a.ndim)
-    count = int(np.prod([a.shape[i] for i in axes])) if axes else 1
-    out = a.data.mean(axis=axes, keepdims=keepdims) if axes else a.data.copy()
 
     def vjp(g):
-        gg = g if keepdims else np.expand_dims(g, axes)
-        return (np.broadcast_to(gg / count, a.shape),)
+        return (np.broadcast_to(g / a.size, a.shape),)
 
-    return _finish("mean_reduce", (a,), out, vjp)
+    return _finish("mean_reduce", (a,), a.data.mean(), vjp)
 
 
 # the transformer layer

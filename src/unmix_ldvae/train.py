@@ -69,6 +69,7 @@ class TrainConfig:
         check_fields(self, TrainError)
         self.model.validate()
         self.loss_weights.validate()
+        self.loss_weights.prior_for(self.model.k)
 
 
 def _views(flat: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
@@ -477,20 +478,20 @@ def fit(
     if resume is None:
         rng = np.random.default_rng(config.seed)
         params = init_params(config.model, rng)
-        start = Checkpoint(
+        ck = Checkpoint(
             params, AdamState.zeros(params), 0, rng.bit_generator.state, config.model, config.seed
         )
         rows = []
     else:
-        start = load_checkpoint(resume)
-        rows = _earlier_log_rows(resume, start.epoch)
-    if start.model.to_dict() != config.model.to_dict():
+        ck = load_checkpoint(resume)
+        rows = _earlier_log_rows(resume, ck.epoch)
+    if ck.model.to_dict() != config.model.to_dict():
         raise TrainError("resume checkpoint was built for a different model config")
-    if start.seed != config.seed:
-        raise TrainError(f"resume checkpoint used seed {start.seed}, config says {config.seed}")
-    params, opt = start.params, start.opt
+    if ck.seed != config.seed:
+        raise TrainError(f"resume checkpoint used seed {ck.seed}, config says {config.seed}")
+    params, opt = ck.params, ck.opt
     rng = np.random.default_rng(config.seed)
-    rng.bit_generator.state = start.rng_state
+    rng.bit_generator.state = ck.rng_state
 
     split = split_pixels(cube.n_pixels, config.split)
     if split.train_indices.size == 0:
@@ -500,23 +501,22 @@ def fit(
     ck_path = out_dir / "checkpoint.ldvt"
     log_path = out_dir / "train_log.csv"
 
-    saved = Checkpoint(params, opt, start.epoch, rng.bit_generator.state, config.model, config.seed)
     # each write to the log comes first, so it is never behind the checkpoint
     _write_log(log_path, rows)
-    save_checkpoint(ck_path, saved)
+    save_checkpoint(ck_path, ck)
     try:
         with open(log_path, "ab") as log:
-            for epoch in range(start.epoch, config.epochs):
+            for epoch in range(ck.epoch, config.epochs):
                 mean, _ = train_epoch(params, config, cube, split.train_indices, opt, epoch, rng)
                 log.write(f"{_log_row(epoch, mean)}\n".encode("utf-8"))
                 log.flush()
                 os.fsync(log.fileno())
                 state = rng.bit_generator.state
-                saved = dataclasses.replace(saved, epoch=epoch + 1, rng_state=state)
-                save_checkpoint(ck_path, saved)
+                ck = dataclasses.replace(ck, epoch=epoch + 1, rng_state=state)
+                save_checkpoint(ck_path, ck)
     except (NumericError, TrainError) as err:
         raise TrainError(
             f"aborted at epoch {epoch}: {err}; "
-            f"last good checkpoint (epoch {saved.epoch}) kept at {ck_path}"
+            f"last good checkpoint (epoch {ck.epoch}) kept at {ck_path}"
         ) from err
-    return saved, log_path
+    return ck, log_path

@@ -115,7 +115,6 @@ def gradient_cases():
     spread = np.array([[0.1, 1.4, -2.0, 0.6], [3.0, -1.0, 2.2, 0.4], [-0.5, 0.9, 1.7, -1.2]])
     cases.append(("max_reduce", lambda t: weighted(nc.max_reduce(t, axis=1), _w((3,))), spread))
     cases.append(("sum_reduce", lambda t: weighted(nc.sum_reduce(t, axis=(0, 2)), _w((3,))), _x((2, 3, 4), 40)))
-    cases.append(("mean_reduce", lambda t: weighted(nc.mean_reduce(t, axis=1, keepdims=True), _w((2, 1, 4))), _x((2, 3, 4), 41)))
     cases.append(("mean_reduce_all", lambda t: nc.mean_reduce(t), _x((3, 4), 42)))
 
     tri_off = _x((2, 3), 43)
@@ -336,6 +335,7 @@ def test_vjp_gives_no_cotangent_for_a_constant(op, constant_slot):
         inputs = [Tensor(a, requires_grad=i != constant_slot) for i, a in enumerate(arrays)]
         getattr(nc, op)(*inputs)
     (rec,) = tape.records
+    assert rec.op == op
     grads = rec.vjp(np.ones((2, 2)))
     assert grads[constant_slot] is None
     assert grads[1 - constant_slot].shape == (2, 2)

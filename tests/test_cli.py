@@ -554,6 +554,7 @@ def test_config_section_must_be_an_object(ws, capsys, tmp_path, command, section
         ({"model": {**TRAIN_CFG["model"], "eps_alpha": "x"}}, "ModelError"),
         ({"loss_weights": {"alpha_prior": [float("nan"), 1.0, 1.0]}}, "LossError"),
         ({"loss_weights": {"alpha_prior": [1.0, float("inf"), 1.0]}}, "LossError"),
+        ({"loss_weights": {"alpha_prior": [1.0, 1.0]}}, "LossError"),
         ({"model": {**TRAIN_CFG["model"], "seg_len": 4}}, "TrainError"),
         ({"model": {**TRAIN_CFG["model"], "seg_len": 100_000_000_000}}, "TrainError"),
         ({"model": {**TRAIN_CFG["model"], "ff_dim": 100_000_000_000}}, "MemoryError"),
@@ -561,7 +562,8 @@ def test_config_section_must_be_an_object(ws, capsys, tmp_path, command, section
     ids=[
         "seed-string", "seed-float", "seed-negative", "epochs-float", "batch-size-null",
         "learning-rate-string", "train-fraction-string", "anneal-epochs-string",
-        "eps-alpha-string", "alpha-prior-nan", "alpha-prior-infinity", "seg-len-unlike-scene",
+        "eps-alpha-string", "alpha-prior-nan", "alpha-prior-infinity",
+        "alpha-prior-wrong-length", "seg-len-unlike-scene",
         "seg-len-huge", "ff-dim-beyond-memory",
     ],
 )

@@ -196,6 +196,17 @@ def test_bundle_json_round_trip_is_exact():
         assert np.array_equal(a.chol_blocks, b.chol_blocks)
 
 
+def test_save_bundles_rejects_mixed_segment_lengths(tmp_path):
+    """The file holds one seg_len, so bundles that differ in it would save a
+    file that does not load; saving writes nothing instead."""
+    a = EndmemberBundle("a", np.ones(8), np.stack([np.eye(4)] * 2), seg_len=4)
+    b = EndmemberBundle("b", np.ones(8), np.eye(8)[None], seg_len=8)
+    path = tmp_path / "bundles.json"
+    with pytest.raises(DataError, match=r"segment length, got \[4, 8\]"):
+        save_bundles(path, [a, b])
+    assert not path.exists()
+
+
 def test_bundle_json_rejects_garbage():
     with pytest.raises(DataError):
         bundles_from_json("not json at all {")

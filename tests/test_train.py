@@ -26,7 +26,13 @@ from unmix_ldvae.data import (
     split_pixels,
     synth_scene,
 )
-from unmix_ldvae.losses import LossBreakdown, LossWeights, compute_losses, reference_blocks
+from unmix_ldvae.losses import (
+    LossBreakdown,
+    LossError,
+    LossWeights,
+    compute_losses,
+    reference_blocks,
+)
 from unmix_ldvae.model import (
     ModelConfig,
     NoiseCache,
@@ -586,6 +592,16 @@ def test_fit_rejects_model_data_mismatch(tmp_path):
     config = tiny_train_config(model=ModelConfig(patch=1, bands=24, k=2, seg_len=8, d=8, layers=1, heads=2, ff_dim=8))
     with pytest.raises(TrainError, match="bands"):
         fit(config, scene, tmp_path)
+
+
+def test_fit_rejects_a_prior_of_the_wrong_length_before_writing(tmp_path):
+    """A prior with one entry per endmember is part of a valid config, so a
+    prior of another length stops fit before it writes the log or the
+    epoch-0 checkpoint."""
+    config = tiny_train_config(loss_weights=LossWeights(alpha_prior=np.ones(3)))
+    with pytest.raises(LossError, match="does not match K=2"):
+        fit(config, tiny_scene(), tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
 def test_fit_rejects_resume_with_different_model(tmp_path):
