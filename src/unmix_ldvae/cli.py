@@ -266,20 +266,16 @@ def cmd_eval(args) -> int:
     metrics_path = out / "metrics.csv"
     save_report(report, metrics_path)
 
-    k = len(cube.gt_bundles)
-    pred_for_gt = np.empty(k, dtype=np.int64)
-    pred_for_gt[report.assignment] = np.arange(k)
     spectra_path = out / "spectra.csv"
     header = ["band"]
     for name in report.names:
         header += [f"pred_{name}", f"gt_{name}"]
     rows = [",".join(header)]
-    gt_means = np.stack([b.mean for b in cube.gt_bundles])
+    pairs = [(means[i], gt.mean) for i, gt in zip(report.pred_for_gt, cube.gt_bundles)]
     for c in range(cube.bands):
         cells = [str(c)]
-        for j in range(k):
-            cells.append(f"{means[pred_for_gt[j]][c]:.17g}")
-            cells.append(f"{gt_means[j][c]:.17g}")
+        for pred, gt in pairs:
+            cells += [f"{pred[c]:.17g}", f"{gt[c]:.17g}"]
         rows.append(",".join(cells))
     spectra_path.write_text("\n".join(rows) + "\n")
 

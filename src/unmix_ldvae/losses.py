@@ -4,7 +4,9 @@ mixture-weighted Gaussian KL between predicted and reference endmember
 bundles, and the geometric annealing schedule that phases the bundle term in.
 
 Every term takes a batch of vectors and reduces it to the mean, so the
-scale is independent of batch size.
+scale is independent of batch size. The two KL terms are numpy kernels
+that each record one tape entry through ``ops._finish``, with their
+closed-form gradients as the vjp.
 """
 
 from __future__ import annotations
@@ -92,11 +94,15 @@ def _prior_constant(prior: tuple) -> float:
     return float(special.lgamma(p.sum()) - special.lgamma(p).sum())
 
 
-def kl_dirichlet_per(alpha_hat, alpha_prior) -> Tensor:
-    """Per-row KL(Dir(alpha_hat) || Dir(alpha_prior)), closed form.
+def kl_dirichlet(alpha_hat, alpha_prior) -> Tensor:
+    """Batch mean of the closed-form KL(Dir(alpha_hat) || Dir(alpha_prior)),
+    as one record. Per row, with a0 = sum a and p0 = sum p:
 
-    KL = lgamma(sum a) - sum lgamma(a) - lgamma(sum p) + sum lgamma(p)
-         + sum (a - p) * (digamma(a) - digamma(sum a))
+    KL = lgamma(a0) - sum lgamma(a) - lgamma(p0) + sum lgamma(p)
+         + sum (a - p) * (digamma(a) - digamma(a0))
+
+    Its gradient in a is (a - p) * trigamma(a) - trigamma(a0) * (a0 - p0),
+    so the vjp reads only the concentrations and the prior.
     """
     alpha = _as_batch(alpha_hat, "alpha_hat")
     prior = np.asarray(alpha_prior, dtype=np.float64).reshape(-1)
@@ -106,24 +112,20 @@ def kl_dirichlet_per(alpha_hat, alpha_prior) -> Tensor:
         )
     if np.any(alpha.data <= 0) or np.any(prior <= 0):
         raise LossError("Dirichlet concentrations must be strictly positive")
-    b = alpha.shape[0]
-    alpha_sum = ops.sum_reduce(alpha, axis=1)
-    entropy_terms = ops.subtract(
-        ops.lgamma(alpha_sum), ops.sum_reduce(ops.lgamma(alpha), axis=1)
-    )
+    a = alpha.data
+    a0 = a.sum(axis=1)
+    entropy_terms = special.lgamma(a0) - special.lgamma(a).sum(axis=1)
     prior_const = _prior_constant(tuple(prior.tolist()))
-    centered_digamma = ops.subtract(
-        ops.digamma(alpha), ops.reshape(ops.digamma(alpha_sum), (b, 1))
-    )
-    cross = ops.sum_reduce(
-        ops.multiply(ops.subtract(alpha, Tensor(prior)), centered_digamma), axis=1
-    )
-    return ops.add(ops.subtract(entropy_terms, Tensor(prior_const)), cross)
+    centered_digamma = special.digamma(a) - special.digamma(a0)[:, None]
+    cross = ((a - prior) * centered_digamma).sum(axis=1)
+    per_row = (entropy_terms - prior_const) + cross
 
+    def vjp(g):
+        grad = (a - prior) * special.trigamma(a)
+        grad -= (special.trigamma(a0) * (a0 - prior.sum()))[:, None]
+        return (grad * (g / len(a)),)
 
-def kl_dirichlet(alpha_hat, alpha_prior) -> Tensor:
-    """Batch mean of the closed-form Dirichlet KL to the prior."""
-    return ops.mean_reduce(kl_dirichlet_per(alpha_hat, alpha_prior))
+    return ops._finish("kl_dirichlet", (alpha,), per_row.mean(), vjp)
 
 
 @dataclass
@@ -159,16 +161,22 @@ def reference_blocks(gt_bundles: list[EndmemberBundle]) -> ReferenceBlocks:
 
 
 def kl_bundle(pred: DecodedBundles, ref: ReferenceBlocks, alpha_hat) -> Tensor:
-    """Abundance-weighted Gaussian KL from predicted to reference bundles.
+    """Abundance-weighted Gaussian KL from predicted to reference bundles,
+    as one record.
 
     Per pixel: sum_k w_k KL(N(mu_hat_k, L_hat_k L_hat_k^T) || N(mu_k, Sigma_k))
     with w = alpha_hat / sum(alpha_hat); the batch reduces to its mean.
     ``ref`` holds the ``reference_blocks`` of the reference bundles. Both
-    covariances are block-diagonal over the segments, so one batched matmul
-    whitens every predicted block and one the zero-padded mean difference.
+    covariances are block-diagonal over the segments, so with A the stacked
+    inverse reference blocks, one batched matmul whitens every predicted
+    block, A L_hat, and one the zero-padded mean difference d = mu - mu_hat.
     A padded identity row adds exactly 1 to the trace and nothing to the
     quadratic form or the log-determinants, so the trace term subtracts
     n_seg * L in place of C.
+
+    With G = g / B, the vjp gives -G w A^T (A d) for the means, cut back to
+    C bands, G w A^T (A L_hat) for the blocks, -G w / diag for the diagonal
+    and G (KL_k - sum_j w_j KL_j) / sum(alpha_hat) for the concentrations.
     """
     alpha = _as_batch(alpha_hat, "alpha_hat")
     k, c = ref.means.shape
@@ -187,23 +195,32 @@ def kl_bundle(pred: DecodedBundles, ref: ReferenceBlocks, alpha_hat) -> Tensor:
             f"reference {ref.inv_chols.shape[-3:]}"
         )
     b, _, n_seg, width = pred.chol_blocks.shape[:4]
-    inv_chols = Tensor(ref.inv_chols)
-    whitened_chol = ops.matmul(inv_chols, pred.chol_blocks)
-    trace = ops.sum_reduce(ops.multiply(whitened_chol, whitened_chol), axis=(-3, -2, -1))
-    diff = ops.subtract(Tensor(ref.means), pred.means)
-    if n_seg * width != c:
-        diff = ops.concat([diff, Tensor(np.zeros((b, k, n_seg * width - c)))], axis=-1)
-    whitened_diff = ops.matmul(inv_chols, ops.reshape(diff, (b, k, n_seg, width, 1)))
-    quad = ops.sum_reduce(ops.multiply(whitened_diff, whitened_diff), axis=(-3, -2, -1))
-    logdet_hat = ops.multiply(ops.sum_reduce(ops.log(pred.chol_diag), axis=-1), Tensor(2.0))
-    gap = ops.subtract(Tensor(ref.logdets), logdet_hat)
-    kl_bk = ops.multiply(
-        ops.add(ops.add(trace, quad), ops.subtract(gap, Tensor(float(n_seg * width)))),
-        Tensor(0.5),
-    )
-    weights = ops.divide(alpha, ops.sum_reduce(alpha, axis=1, keepdims=True))
-    per_pixel = ops.sum_reduce(ops.multiply(weights, kl_bk), axis=1)
-    return ops.mean_reduce(per_pixel)
+    inv_chols, diag = ref.inv_chols, pred.chol_diag.data
+    whitened_chol = inv_chols @ pred.chol_blocks.data
+    trace = (whitened_chol * whitened_chol).sum(axis=(-3, -2, -1))
+    diff = np.zeros((b, k, n_seg * width))
+    diff[..., :c] = ref.means - pred.means.data
+    whitened_diff = inv_chols @ diff.reshape(b, k, n_seg, width, 1)
+    quad = (whitened_diff * whitened_diff).sum(axis=(-3, -2, -1))
+    gap = ref.logdets - np.log(diag).sum(axis=-1) * 2.0
+    kl_bk = ((trace + quad) + (gap - float(n_seg * width))) * 0.5
+    alpha_sum = alpha.data.sum(axis=1, keepdims=True)
+    weights = alpha.data / alpha_sum
+    per_pixel = (weights * kl_bk).sum(axis=1)
+
+    def vjp(g):
+        scale = weights * (g / b)
+        inv_t = np.swapaxes(inv_chols, -1, -2)
+        g_diff = (inv_t @ whitened_diff).reshape(b, k, -1)[..., :c]
+        return (
+            g_diff * -scale[..., None],
+            (inv_t @ whitened_chol) * scale[..., None, None, None],
+            -scale[..., None] / diag,
+            (kl_bk - per_pixel[:, None]) * (g / b) / alpha_sum,
+        )
+
+    inputs = (pred.means, pred.chol_blocks, pred.chol_diag, alpha)
+    return ops._finish("kl_bundle", inputs, per_pixel.mean(), vjp)
 
 
 def anneal_lambda(epoch: int, weights: LossWeights) -> float:

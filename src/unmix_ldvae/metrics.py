@@ -116,7 +116,7 @@ class EvalReport:
     per_endmember_rmse: np.ndarray
     avg_sad: float
     avg_rmse: float
-    assignment: np.ndarray
+    pred_for_gt: np.ndarray  # entry j: the predicted endmember matched to ground truth j
     names: list[str]
 
 
@@ -141,10 +141,9 @@ def evaluate(
             f"ground truth {z_gt.shape}"
         )
     gt_means = np.stack([b.mean for b in cube.gt_bundles])
-    assignment = match_endmembers(pred_endmember_means, gt_means)
     k = gt_means.shape[0]
     pred_for_gt = np.empty(k, dtype=np.int64)
-    pred_for_gt[assignment] = np.arange(k)
+    pred_for_gt[match_endmembers(pred_endmember_means, gt_means)] = np.arange(k)
     sad_scores = np.array(
         [sad(pred_endmember_means[pred_for_gt[j]], gt_means[j]) for j in range(k)]
     )
@@ -155,7 +154,7 @@ def evaluate(
         per_endmember_rmse=rmse_scores,
         avg_sad=float(sad_scores.mean()),
         avg_rmse=float(rmse_scores.mean()),
-        assignment=assignment,
+        pred_for_gt=pred_for_gt,
         names=[b.name for b in cube.gt_bundles],
     )
 

@@ -1,8 +1,7 @@
-"""Minimal tensor library: reverse-mode autodiff on numpy, with lgamma and
-digamma primitives over the in-package series of ``special`` (which also
-inverts the reference Cholesky blocks, so nothing here needs scipy),
-reparameterized gamma sampling and a process-wide worker pool that runs
-BLAS-bound items one per core.
+"""Minimal tensor library: reverse-mode autodiff on numpy, the in-package
+gamma-family series and stacked triangular inverse of ``special`` (so
+nothing here needs scipy), reparameterized gamma sampling and a
+process-wide worker pool that runs BLAS-bound items one per core.
 
 It exports only what the rest of the package calls."""
 
@@ -11,13 +10,9 @@ from .blas import keep_freed_memory, map_on_cores
 from .gamma import GammaNoise, draw_gamma_noise, gamma_from_noise
 from .ops import (
     add,
-    concat,
-    digamma,
     divide,
     encoder_layer,
-    lgamma,
     linear,
-    log,
     matmul,
     max_reduce,
     mean_reduce,
@@ -40,16 +35,12 @@ __all__ = [
     "Tensor",
     "add",
     "backward",
-    "concat",
-    "digamma",
     "divide",
     "draw_gamma_noise",
     "encoder_layer",
     "gamma_from_noise",
     "keep_freed_memory",
-    "lgamma",
     "linear",
-    "log",
     "map_on_cores",
     "matmul",
     "max_reduce",

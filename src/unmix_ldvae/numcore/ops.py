@@ -8,8 +8,8 @@ returns None instead of a cotangent for an input that does not require
 gradients, so constants cost nothing in backward (``linear`` skips them
 too). Each op states only its numpy function and its two partials; matmul,
 which contracts the last two axes and broadcasts leading batch axes, checks
-its ranks and inner dimensions first. ``_pointwise`` runs log, softplus,
-relu, lgamma and digamma: it records ``fn(x)`` with the vjp ``grad(g, x)``.
+its ranks and inner dimensions first. ``_pointwise`` runs softplus and
+relu: it records ``fn(x)`` with the vjp ``grad(g, x)``.
 ``sum_reduce`` takes an int, a tuple of ints, or None for the axis, and
 ``mean_reduce`` the mean of every entry. A vjp never writes into the
 cotangent it is given: backward may hand one array to several records.
@@ -20,7 +20,9 @@ returns its output and the rows that ``_layer_norm_vjp`` reads,
 ``_linear`` its output alone, since ``_linear_vjp`` reads only the input
 and the weight. ``linear`` records one kernel; ``encoder_layer``, a whole
 transformer layer, records one chain of them, so each kernel has a single
-copy however it is recorded.
+copy however it is recorded. The loss terms with closed-form gradients,
+the two KL terms of ``losses``, record through ``_finish`` as kernels of
+their own, so no primitive here serves them alone.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ import math
 
 import numpy as np
 
-from . import special
-from .tensor import NumericError, ShapeError, Tensor, active_tape
+from .tensor import ShapeError, Tensor, active_tape
 
 
 def _as_tensor(value) -> Tensor:
@@ -326,23 +327,6 @@ def reshape(a, shape) -> Tensor:
     return _finish("reshape", (a,), out, vjp)
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
-    ts = tuple(_as_tensor(t) for t in tensors)
-    if not ts:
-        raise ShapeError("concat needs at least one input")
-    try:
-        out = np.concatenate([t.data for t in ts], axis=axis)
-    except ValueError as exc:
-        raise ShapeError(f"concat: incompatible shapes {[t.shape for t in ts]} on axis {axis}") from exc
-    ax = axis % out.ndim
-    offsets = np.cumsum([t.shape[ax] for t in ts])[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, offsets, axis=ax))
-
-    return _finish("concat", ts, out, vjp)
-
-
 def slice_(a, index) -> Tensor:
     """Basic indexing (ints, slices, Ellipsis); the vjp scatters into zeros."""
     a = _as_tensor(a)
@@ -419,10 +403,6 @@ def _pointwise(op: str, a, fn, grad) -> Tensor:
     return _finish(op, (a,), fn(x), lambda g: (grad(g, x),))
 
 
-def log(a) -> Tensor:
-    return _pointwise("log", a, np.log, lambda g, x: g / x)
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
@@ -435,28 +415,6 @@ def softplus(a) -> Tensor:
 
 def relu(a) -> Tensor:
     return _pointwise("relu", a, lambda x: np.maximum(x, 0.0), lambda g, x: g * (x > 0.0))
-
-
-def _positive(x: np.ndarray) -> np.ndarray:
-    """The values of a gamma-family argument, which must lie on the positive
-    axis where lgamma is real and digamma is finite."""
-    if np.any(x <= 0.0):
-        raise ValueError("argument must be strictly positive")
-    return x
-
-
-def lgamma(a) -> Tensor:
-    return _pointwise(
-        "lgamma", a, lambda x: special.lgamma(_positive(x)),
-        lambda g, x: g * special.digamma(x),
-    )
-
-
-def digamma(a) -> Tensor:
-    return _pointwise(
-        "digamma", a, lambda x: special.digamma(_positive(x)),
-        lambda g, x: g * special.trigamma(x),
-    )
 
 
 # normalizations and reductions

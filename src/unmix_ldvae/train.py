@@ -348,7 +348,10 @@ def load_checkpoint(path) -> Checkpoint:
         (header_len,) = struct.unpack_from("<I", buf, pos)
         pos += 4
         header = json.loads(buf[pos : pos + header_len].decode("utf-8"))
-        adam_t, epoch, seed = (int(header[key]) for key in ("adam_t", "epoch", "seed"))
+        adam_t, epoch, seed = (header[key] for key in ("adam_t", "epoch", "seed"))
+        for key, n in (("adam_t", adam_t), ("epoch", epoch), ("seed", seed)):
+            if type(n) is not int or n < 0:  # a JSON true is an int, but no count
+                raise TrainError(f"corrupt checkpoint {path}: {key} {n!r} is not an int >= 0")
         rng_state = header["rng_state"]
         model = ModelConfig.from_dict(header["model"])
         pos += header_len

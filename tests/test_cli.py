@@ -433,6 +433,31 @@ def test_malformed_checkpoint_header_is_one_json_error(ws, capsys, tmp_path, edi
     assert not (tmp_path / "maps").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("epoch", -1), ("epoch", 1.5), ("epoch", True), ("adam_t", -1), ("adam_t", -3),
+     ("adam_t", 1.7), ("seed", 0.5)],
+)
+def test_checkpoint_counters_must_be_nonnegative_integers(ws, capsys, tmp_path, key, value):
+    """A resume from a checkpoint whose epoch, step count or seed is not a
+    JSON integer >= 0 fails on load, before it touches the run it resumes."""
+    run = tmp_path / "run"
+    shutil.copytree(ws / "run", run)
+    buf = (run / "checkpoint.ldvt").read_bytes()
+    (length,) = struct.unpack_from("<I", buf, 8)
+    header = json.loads(buf[12 : 12 + length])
+    header[key] = value
+    packed = json.dumps(header).encode("utf-8")
+    (run / "checkpoint.ldvt").write_bytes(
+        buf[:8] + struct.pack("<I", len(packed)) + packed + buf[12 + length :]
+    )
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    rc = main(["train", "--data", str(ws / "data" / "scene"), "--out", str(run),
+               "--config", str(ws / "train.json"), "--resume", str(run / "checkpoint.ldvt")])
+    one_json_error(capsys, rc, 1, "TrainError")
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
 def _drop_alpha_w(ck):
     for store in (ck.params, ck.opt.m, ck.opt.v):
         del store["alpha.w"]

@@ -22,7 +22,6 @@ from unmix_ldvae.losses import (
     compute_losses,
     kl_bundle,
     kl_dirichlet,
-    kl_dirichlet_per,
     loss_abundance,
     loss_recon,
     reference_blocks,
@@ -164,8 +163,8 @@ def test_dirichlet_kl_nonnegative_sweep():
     for k in (2, 3, 4, 5, 6):
         alpha = rng.uniform(0.05, 10.0, size=(200, k))
         prior = rng.uniform(0.05, 10.0, size=k)
-        values = kl_dirichlet_per(Tensor(alpha), prior).data
-        assert values.min() > -1e-10
+        values = [kl_dirichlet(Tensor(row[None]), prior).item() for row in alpha]
+        assert min(values) > -1e-10
 
 
 def test_dirichlet_kl_identity_sweep():
@@ -200,12 +199,32 @@ def test_dirichlet_prior_constant_is_evaluated_once_per_prior(monkeypatch):
     monkeypatch.setattr(special, "lgamma", lambda x: calls.append(1) or lgamma(x))
     prior = np.array([0.35, 1.75, 2.45])  # a prior no other test uses
     alpha = Tensor(np.array([[0.8, 1.5, 3.0], [2.2, 0.6, 1.1]]))
-    first = kl_dirichlet_per(alpha, prior).data
+    first = kl_dirichlet(alpha, prior).data
     first_calls = len(calls)
-    second = kl_dirichlet_per(alpha, prior.copy()).data
+    second = kl_dirichlet(alpha, prior.copy()).data
     # the second call skips the prior's sum and entries
     assert len(calls) - first_calls == first_calls - 2
     assert (second == first).all()
+
+
+def test_dirichlet_kl_gradient_is_the_closed_form():
+    """The one record's vjp against (a - p) trigamma(a) - trigamma(a0) (a0 - p0),
+    over the batch size, with scipy's polygamma for trigamma."""
+    from scipy.special import polygamma
+
+    rng = np.random.default_rng(13)
+    for k in range(2, 7):
+        alpha = np.exp(rng.uniform(np.log(0.05), np.log(50.0), size=(4, k)))
+        prior = np.exp(rng.uniform(np.log(0.05), np.log(50.0), size=k))
+        t = Tensor(alpha, requires_grad=True)
+        with Tape() as tape:
+            value = kl_dirichlet(t, prior)
+            assert [rec.op for rec in tape.records] == ["kl_dirichlet"]
+            backward(value, tape)
+        a0 = alpha.sum(axis=1, keepdims=True)
+        want = (alpha - prior) * polygamma(1, alpha) - polygamma(1, a0) * (a0 - prior.sum())
+        want /= len(alpha)
+        assert np.abs(t.grad - want).max() <= 1e-12 * np.abs(want).max(), k
 
 
 def test_dirichlet_kl_gradient_matches_finite_differences():
@@ -352,40 +371,40 @@ def test_bundle_kl_rejects_segment_mismatch():
 
 
 def test_bundle_kl_gradients_match_finite_differences():
+    """Every cotangent of the one record, with full segments and with a
+    short last segment, whose padded mean difference the vjp cuts back."""
     rng = np.random.default_rng(12)
-    seg_len, c, k = 2, 4, 2
-    gt = []
-    for _ in range(k):
-        factors = [np.tril(rng.random((2, 2)) * 0.2) + np.eye(2) * 0.5 for _ in range(2)]
-        gt.append(gt_bundle_from_factor(rng.random(c), factors, seg_len))
-    alpha = rng.uniform(0.5, 3.0, size=(2, k))
-    base_means = rng.random((2, k, c))
-    base_diag = rng.uniform(0.2, 0.8, size=(2, k, c))
-    base_off = rng.standard_normal((2, k, 2)) * 0.2
-    ref = reference_blocks(gt)
+    k = 2
+    for sizes in ([2, 2], [2, 2, 1]):
+        c = sum(sizes)
+        gt = []
+        for _ in range(k):
+            factors = [np.tril(rng.random((m, m)) * 0.2) + np.eye(m) * 0.5 for m in sizes]
+            gt.append(gt_bundle_from_factor(rng.random(c), factors, sizes[0]))
+        alpha = rng.uniform(0.5, 3.0, size=(2, k))
+        base = {
+            "means": rng.random((2, k, c)),
+            "diag": rng.uniform(0.2, 0.8, size=(2, k, c)),
+            "off": rng.standard_normal((2, k, 2)) * 0.2,
+            "alpha": alpha,
+        }
+        ref = reference_blocks(gt)
 
-    def rebuild(means_t, diag_t, off_t):
-        return DecodedBundles(
-            means=means_t, chol_diag=diag_t, chol_blocks=ops.tril_blocks(diag_t, off_t, [2, 2])
-        )
-
-    def check(which):
-        def objective(p):
-            parts = {
-                "means": Tensor(base_means),
-                "diag": Tensor(base_diag),
-                "off": Tensor(base_off),
-                "alpha": Tensor(alpha),
-            }
+        def objective(p, which, sizes=sizes, base=base, ref=ref):
+            parts = {name: Tensor(arr) for name, arr in base.items()}
             parts[which] = p
-            pred = rebuild(parts["means"], parts["diag"], parts["off"])
+            pred = DecodedBundles(
+                means=parts["means"],
+                chol_diag=parts["diag"],
+                chol_blocks=ops.tril_blocks(parts["diag"], parts["off"], sizes),
+            )
             return kl_bundle(pred, ref, parts["alpha"])
 
-        base = {"means": base_means, "diag": base_diag, "off": base_off, "alpha": alpha}[which]
-        return finite_diff_check(objective, Tensor(base.copy(), requires_grad=True))
-
-    for which in ("means", "diag", "off", "alpha"):
-        assert check(which) < GRAD_TOL, which
+        for which in ("means", "diag", "off", "alpha"):
+            err = finite_diff_check(
+                lambda p: objective(p, which), Tensor(base[which].copy(), requires_grad=True)
+            )
+            assert err < GRAD_TOL, (sizes, which)
 
 
 # ---------------------------------------------------------------------------

@@ -270,7 +270,14 @@ def test_report_averages_recompute_from_rows():
     report = evaluate(z_noisy, noisy_means, scene)
     assert report.avg_sad == pytest.approx(report.per_endmember_sad.mean(), abs=1e-12)
     assert report.avg_rmse == pytest.approx(report.per_endmember_rmse.mean(), abs=1e-12)
-    assert sorted(report.assignment.tolist()) == [0, 1, 2]
+    assert report.pred_for_gt.tolist() == [0, 1, 2]
+    # the prediction matched to ground truth j, and its abundances, moved to order[j]
+    order = np.array([2, 0, 1])
+    permuted = np.empty_like(noisy_means)
+    permuted[order] = noisy_means
+    shuffled = evaluate(z_noisy[:, order.argsort()], permuted, scene)
+    assert shuffled.pred_for_gt.tolist() == order.tolist()
+    np.testing.assert_array_equal(shuffled.per_endmember_sad, report.per_endmember_sad)
 
 
 def test_csv_round_trips_average_exactly():

@@ -29,7 +29,7 @@ from unmix_ldvae.data import (
     save_cube,
     synth_scene,
 )
-from unmix_ldvae.losses import kl_bundle, reference_blocks
+from unmix_ldvae.losses import kl_bundle, kl_dirichlet, reference_blocks
 from unmix_ldvae.model import (
     DecodedBundles,
     ModelConfig,
@@ -518,7 +518,8 @@ def test_decoded_covariances_are_positive_definite():
 
 def test_bundle_records_do_not_grow_with_the_segment_count():
     """decode_bundles, sample_endmembers and kl_bundle add the same tape
-    records for 2 segments as for 6, with and without a short last one."""
+    records for 2 segments as for 6, with and without a short last one, and
+    each KL term adds exactly one."""
 
     def bundle_ops(bands, seg_len):
         config = ModelConfig(patch=1, bands=bands, k=2, seg_len=seg_len, d=8, layers=1,
@@ -537,6 +538,7 @@ def test_bundle_records_do_not_grow_with_the_segment_count():
             sample_endmembers(bundles, config, eps=rng.standard_normal(bundles.means.shape))
             sampled = len(tape)
             kl_bundle(bundles, reference, alpha)
+            kl_dirichlet(alpha, np.ones(2))
         ops_ = [rec.op for rec in tape.records]
         return ops_[:decoded], ops_[decoded:sampled], ops_[sampled:]
 
@@ -544,6 +546,7 @@ def test_bundle_records_do_not_grow_with_the_segment_count():
         assert len(ModelConfig(bands=bands, seg_len=long_seg).cov_segment_sizes()) == 2
         assert len(ModelConfig(bands=bands, seg_len=short_seg).cov_segment_sizes()) == 6
         assert bundle_ops(bands, long_seg) == bundle_ops(bands, short_seg)
+        assert bundle_ops(bands, short_seg)[2] == ["kl_bundle", "kl_dirichlet"]
 
 
 def test_endmember_draw_with_zero_factor_is_the_mean():

@@ -535,6 +535,25 @@ def test_fit_writes_artifacts_and_is_bit_deterministic(tmp_path):
     assert all(np.isfinite(float(v)) for v in first_row[1:])
 
 
+def test_fit_at_full_bundle_weight_stays_finite_and_lowers_the_bundle_kl(tmp_path):
+    """anneal_epochs=1 weights the bundle KL by 1 from epoch 1 on, where the
+    other fits keep it near 1e-6, so its gradient drives the decoder: every
+    term stays finite and the bundle KL falls by more than ten times."""
+    scene = synth_scene(SceneConfig(height=12, width=12, bands=24, seg_len=8),
+                        np.random.default_rng(0))
+    config = TrainConfig(
+        epochs=30, batch_size=16, learning_rate=2e-3,
+        model=ModelConfig(patch=1, bands=24, k=3, seg_len=8, d=8, layers=1, heads=2, ff_dim=8),
+        loss_weights=LossWeights(anneal_epochs=1),
+    )
+    _, log = fit(config, scene, tmp_path)
+    rows = np.array([line.split(",") for line in log.read_text().splitlines()[1:]], dtype=float)
+    assert np.isfinite(rows).all()
+    endmember, lambda_em = rows[:, 4], rows[:, 5]
+    assert (lambda_em[1:] == 1.0).all()
+    assert endmember[-1] < 0.1 * endmember[0]
+
+
 @pytest.mark.parametrize("first", [2, 0], ids=["from-epoch-2", "from-epoch-0"])
 def test_fit_resume_matches_uninterrupted_run(tmp_path, first):
     """A fresh fit is a resume from its initial state, so resuming the
