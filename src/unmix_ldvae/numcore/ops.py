@@ -207,8 +207,10 @@ def _attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int):
     read as (3, heads, e, B, S), so the q^T, k^T and v^T of a head and a
     sample are (e, S) matrices with unit stride along S that the BLAS reads
     where they lie. ctx^T = v^T p^T lands in the (d, B * S) buffer that the
-    output projection reads, and the vjp writes g_q^T, g_k^T and g_v^T into
-    one (3d, B * S) buffer: no step copies an array to change its layout.
+    output projection reads, and the vjp writes g_q^T, g_k^T and g_v^T over
+    q^T, k^T and v^T block by block, so the projection it rebuilds becomes
+    the (3d, B * S) cotangent: no step copies an array to change its layout,
+    and only a block's g_q^T waits in a scratch of its own.
 
     The (heads, S, S) scores run in blocks of as many batch rows as fit in
     ``ATTENTION_BLOCK_BYTES`` (11 rows at 16 heads and S = 27), exponentiated
@@ -241,14 +243,15 @@ def _attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int):
     blocks = [slice(i, min(i + rows, b)) for i in range(0, b, rows)]
 
     def project(x2):
-        """(heads, B, e, S) views of q^T, k^T and v^T, q carrying the scale,
-        and whether the scores need their row maxima subtracted."""
+        """The (3d, B * S) projection, its (heads, B, e, S) views of q^T, k^T
+        and v^T, q carrying the scale, and whether the scores need their row
+        maxima subtracted."""
         qkv_t = w_qkv.T @ x2.T
         qkv_t[:d] += bq[:, None]
         qkv_t[:d] *= scale
         qkv_t[2 * d :] += bv[:, None]
         shift = e * np.abs(qkv_t[:d]).max() * np.abs(qkv_t[d : 2 * d]).max() > ATTENTION_EXP_BOUND
-        return (*qkv_t.reshape(3, heads, e, b, s).swapaxes(2, 3), shift)
+        return (qkv_t, *qkv_t.reshape(3, heads, e, b, s).swapaxes(2, 3), shift)
 
     def probs(q, k, shift, blk, out):
         p = np.matmul(q[:, blk].swapaxes(-1, -2), k[:, blk], out=out[:, : blk.stop - blk.start])
@@ -263,7 +266,7 @@ def _attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int):
     # the context, transposed per head and sample: the merged heads as (d, B * S)
     merged_t = np.empty((d, b * s))
     ctx_t = merged_t.reshape(heads, e, b, s)
-    q, k, v, shift = project(x.reshape(b * s, d))
+    qkv_t, q, k, v, shift = project(x.reshape(b * s, d))
     p_buf = np.empty((heads, rows, s, s))
     for blk in blocks:
         p = probs(q, k, shift, blk, p_buf)
@@ -272,11 +275,11 @@ def _attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int):
     ctx_t /= l[:, None]
     out = merged_t.T @ wo
     out += bo
-    del p_buf, p, q, k, v
+    del p_buf, p, qkv_t, q, k, v
 
     def vjp(g, x):
         x2 = x.reshape(b * s, d)
-        q, k, v, shift = project(x2)
+        g_qkv_t, q, k, v, shift = project(x2)
         g2 = g.reshape(b * s, d)
         # attn = p / l, so each product with attn is one with p and g_ctx / l.
         # The softmax vjp (g_ctx v^T - r) * p, where r holds the row sums of
@@ -288,20 +291,24 @@ def _attention(x, wq, wk, wv, wo, bq, bv, bo, heads: int):
         rhs_t = np.ones((heads, e + 1, b, s))
         rhs_t[:, :e] = v.swapaxes(1, 2)
         lhs, rhs = lhs_t.swapaxes(1, 2), rhs_t.swapaxes(1, 2)
-        # g_q^T, g_k^T and g_v^T, written where the projection's cotangent lies
-        g_qkv_t = np.empty((3 * d, b * s))
-        g_q, g_k, g_v = g_qkv_t.reshape(3, heads, e, b, s).swapaxes(2, 3)
+        # g_q^T, g_k^T and g_v^T go over q^T, k^T and v^T block by block, so
+        # the projection's buffer becomes its cotangent's. rhs_t holds a copy
+        # of v, so g_v goes straight over it; g_q reads k and g_k reads q, so
+        # g_q waits in a block scratch until g_k is over k.
         p_buf = np.empty((heads, rows, s, s))
         g_buf = np.empty((heads, rows, s, s))
+        g_q_buf = np.empty((heads, rows, e, s))
         for blk in blocks:
             p = probs(q, k, shift, blk, p_buf)
-            np.matmul(lhs[:, blk, :e], p, out=g_v[:, blk])
-            g_scores = np.matmul(lhs[:, blk].swapaxes(-1, -2), rhs[:, blk], out=g_buf[:, : p.shape[1]])
+            n = p.shape[1]
+            np.matmul(lhs[:, blk, :e], p, out=v[:, blk])
+            g_scores = np.matmul(lhs[:, blk].swapaxes(-1, -2), rhs[:, blk], out=g_buf[:, :n])
             g_scores *= p
-            np.matmul(k[:, blk], g_scores.swapaxes(-1, -2), out=g_q[:, blk])
-            np.matmul(q[:, blk], g_scores, out=g_k[:, blk])
+            np.matmul(k[:, blk], g_scores.swapaxes(-1, -2), out=g_q_buf[:, :n])
+            np.matmul(q[:, blk], g_scores, out=k[:, blk])
+            q[:, blk] = g_q_buf[:, :n]
         # the scratch is freed before the weight and input cotangents exist
-        del q, k, v, lhs_t, rhs_t, lhs, rhs, g_ctx_t, p_buf, g_buf, p, g_scores
+        del q, k, v, lhs_t, rhs_t, lhs, rhs, g_ctx_t, p_buf, g_buf, g_q_buf, p, g_scores
         g_qkv_t[:d] *= scale
         gw = x2.T @ g_qkv_t.T
         gb = g_qkv_t.sum(axis=1)
@@ -527,16 +534,17 @@ def encoder_layer(
     forward runs the ``_layer_norm``, ``_attention`` and ``_linear`` kernels,
     so every value is the same bit for bit as the composed records'. The
     vjp chains their vjps by hand. It keeps only what costs a kernel's pass
-    to rebuild: the normalized rows and inverse deviations of both layer
-    norms, and attention's row sums and context. Everything else it
+    to rebuild: attention's row sums and context, and the second layer
+    norm's normalized rows and inverse deviations. Everything else it
     recomputes with the forward's own operations on the same arrays, so
-    with the same bits: both layer-norm outputs, as ``_scaled`` rows;
-    attention's q, k and v, inside its vjp; and the relu output, as one
-    ``_linear`` of the second layer-norm output with the relu in place. No
-    vjp reads the attention output, the residual sum x1 or the second
-    linear's output, so the layer keeps none of them. With no tape
-    recording, each kernel's saved state is dropped as soon as its output
-    exists, so the forward holds no more at once than the layer's
+    with the same bits: the first layer norm, rows and output, from the
+    input x, which the record holds anyway; the second layer norm's output,
+    as ``_scaled`` rows; attention's q, k and v, inside its vjp; and the
+    relu output, as one ``_linear`` of the second layer-norm output with
+    the relu in place. No vjp reads the attention output, the residual sum
+    x1 or the second linear's output, so the layer keeps none of them. With
+    no tape recording, each kernel's saved state is dropped as soon as its
+    output exists, so the forward holds no more at once than the layer's
     primitives one by one. The vjp returns the cotangents of all 16 arrays,
     in argument order."""
     inputs = (x, ln1_g, ln1_b, wq, wk, wv, wo, bq, bv, bo, ln2_g, ln2_b, w1, b1, w2, b2)
@@ -554,7 +562,7 @@ def encoder_layer(
             saved.append(state)
         return out
 
-    x1 = run(_attention, run(_layer_norm, x, ln1_g, ln1_b), wq, wk, wv, wo, bq, bv, bo, heads)
+    x1 = run(_attention, _layer_norm(x, ln1_g, ln1_b)[0], wq, wk, wv, wo, bq, bv, bo, heads)
     x1 += x
     hidden = _linear(run(_layer_norm, x1, ln2_g, ln2_b), w1, b1)
     np.maximum(hidden, 0.0, out=hidden)
@@ -563,7 +571,7 @@ def encoder_layer(
     out += x1
 
     def vjp(g):
-        (rows1, inv1), attn, (rows2, inv2) = saved
+        attn, (rows2, inv2) = saved
         normed = _scaled(rows2, ln2_g, ln2_b).reshape(shape)
         hidden = _linear(normed, w1, b1)
         np.maximum(hidden, 0.0, out=hidden)
@@ -574,7 +582,9 @@ def encoder_layer(
         del normed, g_hidden
         g_x1, g_ln2_g, g_ln2_b = _layer_norm_vjp(rows2, inv2, ln2_g)(g_normed)
         g_x1 += g
-        g_normed, *g_attn = attn(g_x1, _scaled(rows1, ln1_g, ln1_b).reshape(shape))
+        normed, (rows1, inv1) = _layer_norm(x, ln1_g, ln1_b)
+        g_normed, *g_attn = attn(g_x1, normed)
+        del normed
         g_x, g_ln1_g, g_ln1_b = _layer_norm_vjp(rows1, inv1, ln1_g)(g_normed)
         g_x += g_x1
         return (g_x, g_ln1_g, g_ln1_b, *g_attn, g_ln2_g, g_ln2_b, g_w1, g_b1, g_w2, g_b2)

@@ -218,19 +218,25 @@ def train_epoch(
         rows, leaves = shard
         with Tape() as tape:
             heads = forward(source.batch(rows), leaves, config.model)
-        return tape, heads
+        return [tape, heads]  # a list, which back empties
 
     @_raising_float_errors()
     def back(shard):  # its draws and losses, and the backward pass of its share
-        (tape, heads), rows, leaves, noise, share = shard
+        taped, rows, leaves, noise, share = shard
+        tape, heads = taped
+        taped.clear()  # fronts holds this list too
         with tape:
             sampled = sample_reconstruction(heads, leaves, config.model, noise=noise)
             total, bd = compute_losses(
                 heads, sampled, x_pixels[rows], z_pixels[rows], reference,
                 config.loss_weights, epoch,
             )
+            # the records hold what backward reads of the heads and draws, so
+            # with these references gone each array is freed as the last
+            # record that holds it pops, before the encoder's vjps run
+            del heads, sampled
             backward(ops.multiply(total, Tensor(share)), tape)
-        return heads, sampled, bd
+        return bd
 
     batch_logs: list[LossBreakdown] = []
     sums = np.zeros(5)
@@ -238,26 +244,19 @@ def train_epoch(
         idx = order[start : start + config.batch_size]
         parts = np.array_split(idx, -(-idx.size // SHARD_ROWS))
         fronts = list(map_on_cores(front, zip(parts, shard_params)))
-        # The previous step's heads and draws live until this step's forward
-        # passes have run, as in the unsharded loop: freed sooner, their pages
-        # were faulted in again (ten times the minor faults, a fifth slower at
-        # batch 8); held through the backward passes, they raise peak memory.
-        shards = None
         alpha_hat = np.concatenate([heads.alpha_hat.data for _, heads in fronts])
         noises = NoiseCache.draw(alpha_hat, config.model.bands, rng).split(len(parts))
         shares = [rows.size / idx.size for rows in parts]
         opt.grad_vec.fill(0.0)
-        # backward consumes each shard's tape, so fronts keeps only the heads,
-        # which shards holds as well
-        shards = list(map_on_cores(back, zip(fronts, parts, shard_params, noises, shares)))
+        # back takes each shard's heads out of fronts and backward consumes
+        # its tape, so no step's heads or draws outlive its backward passes
+        bds = list(map_on_cores(back, zip(fronts, parts, shard_params, noises, shares)))
         for grad_vec in grad_vecs[1 : len(parts)]:
             opt.grad_vec += grad_vec
             grad_vec.fill(0.0)
         adam_step(opt, config)
-        terms = sum(
-            share * np.array(dataclasses.astuple(bd)[:5]) for share, (*_, bd) in zip(shares, shards)
-        )
-        batch_logs.append(LossBreakdown(*terms, shards[0][2].lambda_endmembers_now))
+        terms = sum(share * np.array(dataclasses.astuple(bd)[:5]) for share, bd in zip(shares, bds))
+        batch_logs.append(LossBreakdown(*terms, bds[0].lambda_endmembers_now))
         sums += idx.size * terms
     means = sums / order.size
     epoch_mean = LossBreakdown(*means, anneal_lambda(epoch, config.loss_weights))

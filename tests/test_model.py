@@ -386,13 +386,15 @@ def criterion_7_forward_bytes(record: bool):
     return held - before, peak - before
 
 
-def test_encoder_layer_forward_tape_holds_at_most_12_mib():
+def test_encoder_layer_forward_tape_holds_at_most_10_mib():
     """A 64-row criterion-7 shard's forward tape keeps only what costs a
     kernel's pass to rebuild. With a record per layer norm, attention, add,
     linear and relu it held 31 MiB; with one record per layer that kept
-    everything its kernels' vjps read, 22.5 MiB."""
+    everything its kernels' vjps read, 22.5 MiB; keeping the first layer
+    norm's rows as well, which the vjp rebuilds from the layer input,
+    10.7 MiB."""
     held, _ = criterion_7_forward_bytes(record=True)
-    assert held <= 12 * 2**20, held / 2**20
+    assert held <= 10 * 2**20, held / 2**20
 
 
 def test_encoder_layer_without_a_tape_peaks_no_higher_than_its_records(monkeypatch):
