@@ -5,10 +5,11 @@ becomes one token, and a small pre-norm transformer encodes the sequence.
 An element-wise max over tokens gives the latent vector, from which two
 heads read out: Dirichlet concentrations over abundances and per-endmember
 Gaussian bundles (mean plus block-diagonal Cholesky factors). ``forward``
-stops at the heads and is all inference runs. Training also draws
-abundances and endmembers from them and mixes the draws through a
-reconstruction MLP that starts out as the plain linear mixing model
-(``sample_reconstruction``).
+stops at the heads and is all inference runs; inference's abundances are
+the Dirichlet mean, which ``predict_cube`` takes from the concentrations'
+array. Training also draws abundances and endmembers from the heads and
+mixes the draws through a reconstruction MLP that starts out as the plain
+linear mixing model (``sample_reconstruction``).
 
 All internal math runs batched, shapes (B, ...), on the tape-based Tensor
 type so gradients reach every parameter. Each encoder layer is one tape
@@ -231,17 +232,19 @@ def alpha_head(x_latent: Tensor, params: dict, config: ModelConfig) -> Tensor:
     return ops.add(ops.softplus(raw), Tensor(config.eps_alpha))
 
 
-def dirichlet_mean(alpha: Tensor) -> Tensor:
-    total = ops.sum_reduce(alpha, axis=-1, keepdims=True)
-    return ops.divide(alpha, total)
-
-
 def sample_abundances(alpha: Tensor, noise: GammaNoise) -> Tensor:
     """Reparameterized Dirichlet draw: the Gamma(alpha_i, 1) draws that
-    ``noise`` from ``draw_gamma_noise`` gives, normalized."""
+    ``noise`` from ``draw_gamma_noise`` gives, z = gamma / S with S their
+    row sum. The normalization is one record with the vjp
+    g / S - sum(g z) / S."""
     gamma = gamma_from_noise(alpha, noise)
-    total = ops.sum_reduce(gamma, axis=-1, keepdims=True)
-    return ops.divide(gamma, total)
+    total = gamma.data.sum(axis=-1, keepdims=True)
+    z = gamma.data / total
+
+    def vjp(g):
+        return (g / total + (-g * z / total).sum(axis=-1, keepdims=True),)
+
+    return ops._finish("sample_abundances", (gamma,), z, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +278,7 @@ def decode_bundles(x_latent: Tensor, params: dict, config: ModelConfig) -> Decod
     return DecodedBundles(means=means, chol_diag=diag, chol_blocks=blocks)
 
 
-def sample_endmembers(bundles: DecodedBundles, config: ModelConfig, eps: np.ndarray) -> Tensor:
+def sample_endmembers(bundles: DecodedBundles, eps: np.ndarray) -> Tensor:
     """Reparameterized spectra draws (B, K, C) from the standard normal
     ``eps`` of the same shape: mean + L @ eps, all segments in one batched
     matmul over the zero-padded noise."""
@@ -316,19 +319,16 @@ class Heads:
     differentiable."""
 
     alpha_hat: Tensor  # (B, K) Dirichlet concentrations
-    z_mean: Tensor  # (B, K) Dirichlet mean
     bundles: DecodedBundles
 
 
 def forward(patches: np.ndarray, params: dict, config: ModelConfig) -> Heads:
     """The deterministic pass over a batch of patches: tokenizer, encoder,
-    the concentration head with its Dirichlet mean, and the bundle head."""
+    the concentration head and the bundle head."""
     tokens = tokenize_batch(patches, params, config)
     x_latent = encode_batch(tokens, params, config)
-    alpha = alpha_head(x_latent, params, config)
     return Heads(
-        alpha_hat=alpha,
-        z_mean=dirichlet_mean(alpha),
+        alpha_hat=alpha_head(x_latent, params, config),
         bundles=decode_bundles(x_latent, params, config),
     )
 
@@ -360,25 +360,16 @@ class SampledReconstruction:
     """Training-time draws from the heads and the spectra they mix to."""
 
     z_hat: Tensor  # (B, K) sampled abundances
-    endmembers: Tensor  # (B, K, C) sampled spectra
     x_recon: Tensor  # (B, C)
-    noise: NoiseCache
 
 
-def sample_reconstruction(
-    heads: Heads, params: dict, config: ModelConfig, noise: NoiseCache
-) -> SampledReconstruction:
+def sample_reconstruction(heads: Heads, params: dict, noise: NoiseCache) -> SampledReconstruction:
     """Draw abundances, then endmembers, from ``heads`` with the
     ``NoiseCache.draw`` draws ``noise`` and mix them through the refinement
     MLP."""
     z_hat = sample_abundances(heads.alpha_hat, noise.gamma)
-    endmembers = sample_endmembers(heads.bundles, config, noise.endmember_eps)
-    return SampledReconstruction(
-        z_hat=z_hat,
-        endmembers=endmembers,
-        x_recon=reconstruct(z_hat, endmembers, params),
-        noise=noise,
-    )
+    endmembers = sample_endmembers(heads.bundles, noise.endmember_eps)
+    return SampledReconstruction(z_hat=z_hat, x_recon=reconstruct(z_hat, endmembers, params))
 
 
 @dataclass
@@ -400,6 +391,8 @@ def predict_cube(
 ) -> Prediction:
     """Per-pixel abundance means plus the endmember bundles averaged over the
     pixels, computed batch by batch by ``forward`` alone on ``map_on_cores``.
+    The abundance means, alpha over its row sum, come from the
+    concentrations' array: inference records no tape.
     Results are copied and summed in batch order, so the output is
     bit-identical to a one-worker run. Two batches of 32 in flight hold about
     what one of 64 did; on the criterion-7 model, batches of 32 to 128 ran
@@ -417,8 +410,9 @@ def predict_cube(
 
     def run(start):  # one batch's abundances and bundle sums
         heads = forward(source.batch(indices[start : start + batch_size]), params, config)
+        alpha = heads.alpha_hat.data
         means, blocks = heads.bundles.means.data, heads.bundles.chol_blocks.data
-        return heads.z_mean.data, means.sum(axis=0), blocks.sum(axis=0)
+        return alpha / alpha.sum(axis=-1, keepdims=True), means.sum(axis=0), blocks.sum(axis=0)
 
     # results first, so that the pool's generator runs to its end within the loop
     for (z_mean, means, blocks), start in zip(map_on_cores(run, starts), starts):

@@ -10,7 +10,6 @@ from .blas import keep_freed_memory, map_on_cores
 from .gamma import GammaNoise, draw_gamma_noise, gamma_from_noise
 from .ops import (
     add,
-    divide,
     encoder_layer,
     linear,
     matmul,
@@ -22,7 +21,6 @@ from .ops import (
     slice_,
     softplus,
     subtract,
-    sum_reduce,
     tril_blocks,
 )
 from .tensor import NumericError, ShapeError, Tape, Tensor, backward
@@ -35,7 +33,6 @@ __all__ = [
     "Tensor",
     "add",
     "backward",
-    "divide",
     "draw_gamma_noise",
     "encoder_layer",
     "gamma_from_noise",
@@ -52,6 +49,5 @@ __all__ = [
     "softplus",
     "special",
     "subtract",
-    "sum_reduce",
     "tril_blocks",
 ]

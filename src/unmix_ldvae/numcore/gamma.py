@@ -74,9 +74,7 @@ def draw_gamma_noise(shape_param, rng: np.random.Generator) -> GammaNoise:
         accepted[idx[take]] = cand[take]
         pending[idx[take]] = False
     boost_u = np.where(boosted, rng.random(size=a.shape), 1.0)
-    return GammaNoise(
-        normal=accepted.reshape(a.shape), boost_u=boost_u, boosted=boosted.copy()
-    )
+    return GammaNoise(normal=accepted.reshape(a.shape), boost_u=boost_u, boosted=boosted)
 
 
 def gamma_from_noise(shape_param, noise: GammaNoise) -> Tensor:

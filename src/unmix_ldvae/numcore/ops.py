@@ -1,7 +1,7 @@
 """Differentiable primitives over Tensor values.
 
 Each family of primitives has one body. ``_binary`` runs add, subtract,
-multiply, divide and matmul: it coerces the inputs, turns numpy's broadcast
+multiply and matmul: it coerces the inputs, turns numpy's broadcast
 ValueError into a ShapeError that names the op, records the op, and builds
 a vjp that sums each input's partial back onto that input's shape and
 returns None instead of a cotangent for an input that does not require
@@ -9,10 +9,9 @@ gradients, so constants cost nothing in backward (``linear`` skips them
 too). Each op states only its numpy function and its two partials; matmul,
 which contracts the last two axes and broadcasts leading batch axes, checks
 its ranks and inner dimensions first. ``_pointwise`` runs softplus and
-relu: it records ``fn(x)`` with the vjp ``grad(g, x)``.
-``sum_reduce`` takes an int, a tuple of ints, or None for the axis, and
-``mean_reduce`` the mean of every entry. A vjp never writes into the
-cotangent it is given: backward may hand one array to several records.
+relu: it records ``fn(x)`` with the vjp ``grad(g, x)``. ``mean_reduce``
+takes the mean of every entry. A vjp never writes into the cotangent it is
+given: backward may hand one array to several records.
 
 Layer norm, attention and linear are kernels over arrays. ``_layer_norm``
 returns its output and the rows that ``_layer_norm_vjp`` reads,
@@ -20,9 +19,10 @@ returns its output and the rows that ``_layer_norm_vjp`` reads,
 ``_linear`` its output alone, since ``_linear_vjp`` reads only the input
 and the weight. ``linear`` records one kernel; ``encoder_layer``, a whole
 transformer layer, records one chain of them, so each kernel has a single
-copy however it is recorded. The loss terms with closed-form gradients,
-the two KL terms of ``losses``, record through ``_finish`` as kernels of
-their own, so no primitive here serves them alone.
+copy however it is recorded. The two KL terms of ``losses`` and the
+normalization of ``model.sample_abundances`` have closed-form gradients and
+record through ``_finish`` as kernels of their own, so no primitive here
+serves them alone.
 """
 
 from __future__ import annotations
@@ -70,23 +70,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _norm_axes(axis, ndim: int) -> tuple:
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, (int, np.integer)):
-        axis = (int(axis),)
-    axes = tuple(sorted(a % ndim for a in axis))
-    if len(set(axes)) != len(axes):
-        raise ShapeError(f"duplicate reduction axes {axis}")
-    return axes
-
-
 # elementwise arithmetic and matmul
 
 
 def _binary(op: str, a, b, fn, grad_a, grad_b) -> Tensor:
     """``fn`` of two inputs' arrays, recorded as ``op``. ``grad_a`` and
-    ``grad_b`` map (g, a, b, out) to an input's cotangent before it is summed
+    ``grad_b`` map (g, a, b) to an input's cotangent before it is summed
     back onto that input's shape; the vjp gives None for an input that does
     not require gradients and never calls its partial."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -97,31 +86,23 @@ def _binary(op: str, a, b, fn, grad_a, grad_b) -> Tensor:
 
     def vjp(g):
         return (
-            _unbroadcast(grad_a(g, a.data, b.data, out), a.shape) if a.requires_grad else None,
-            _unbroadcast(grad_b(g, a.data, b.data, out), b.shape) if b.requires_grad else None,
+            _unbroadcast(grad_a(g, a.data, b.data), a.shape) if a.requires_grad else None,
+            _unbroadcast(grad_b(g, a.data, b.data), b.shape) if b.requires_grad else None,
         )
 
     return _finish(op, (a, b), out, vjp)
 
 
 def add(a, b) -> Tensor:
-    return _binary("add", a, b, np.add, lambda g, a, b, out: g, lambda g, a, b, out: g)
+    return _binary("add", a, b, np.add, lambda g, a, b: g, lambda g, a, b: g)
 
 
 def subtract(a, b) -> Tensor:
-    return _binary("subtract", a, b, np.subtract, lambda g, a, b, out: g, lambda g, a, b, out: -g)
+    return _binary("subtract", a, b, np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
 
 
 def multiply(a, b) -> Tensor:
-    return _binary(
-        "multiply", a, b, np.multiply, lambda g, a, b, out: g * b, lambda g, a, b, out: g * a
-    )
-
-
-def divide(a, b) -> Tensor:
-    return _binary(
-        "divide", a, b, np.divide, lambda g, a, b, out: g / b, lambda g, a, b, out: -g * out / b
-    )
+    return _binary("multiply", a, b, np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
 
 
 def matmul(a, b) -> Tensor:
@@ -132,8 +113,8 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
     return _binary(
         "matmul", a, b, np.matmul,
-        lambda g, a, b, out: g @ np.swapaxes(b, -1, -2),
-        lambda g, a, b, out: np.swapaxes(a, -1, -2) @ g,
+        lambda g, a, b: g @ np.swapaxes(b, -1, -2),
+        lambda g, a, b: np.swapaxes(a, -1, -2) @ g,
     )
 
 
@@ -495,18 +476,6 @@ def max_reduce(a, axis: int) -> Tensor:
         return (buf,)
 
     return _finish("max_reduce", (a,), out, vjp)
-
-
-def sum_reduce(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    axes = _norm_axes(axis, a.ndim)
-    out = a.data.sum(axis=axes, keepdims=keepdims)
-
-    def vjp(g):
-        gg = g if keepdims else np.expand_dims(g, axes)
-        return (np.broadcast_to(gg, a.shape),)
-
-    return _finish("sum_reduce", (a,), out, vjp)
 
 
 def mean_reduce(a) -> Tensor:

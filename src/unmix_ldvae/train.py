@@ -226,7 +226,7 @@ def train_epoch(
         tape, heads = taped
         taped.clear()  # fronts holds this list too
         with tape:
-            sampled = sample_reconstruction(heads, leaves, config.model, noise=noise)
+            sampled = sample_reconstruction(heads, leaves, noise)
             total, bd = compute_losses(
                 heads, sampled, x_pixels[rows], z_pixels[rows], reference,
                 config.loss_weights, epoch,

@@ -264,7 +264,7 @@ def test_criterion_04_gradient_suite():
         w = rng.random(w_shape)
 
         def objective(p):
-            return ops.sum_reduce(ops.multiply(op(p, *fixed_after, **kwargs), Tensor(w)))
+            return ops.mean_reduce(ops.multiply(op(p, *fixed_after, **kwargs), Tensor(w)))
 
         return objective
 
@@ -277,12 +277,15 @@ def test_criterion_04_gradient_suite():
     entries.append(
         ("multiply", a, weighted(lambda p: ops.multiply(p, Tensor(b_arr)), w_shape=(2, 3)))
     )
-    denom = 0.5 + rng.random((2, 3))
+    # the gamma draws' normalization, one record after gamma_from_noise's
+    alpha_base = 0.5 + rng.random((2, 3))
+    gamma_noise = draw_gamma_noise(alpha_base, rng)
     entries.append(
-        ("divide-lhs", a, weighted(lambda p: ops.divide(p, Tensor(denom)), w_shape=(2, 3)))
-    )
-    entries.append(
-        ("divide-rhs", denom, weighted(lambda p: ops.divide(Tensor(a), p), w_shape=(2, 3)))
+        (
+            "sample_abundances",
+            alpha_base,
+            weighted(lambda p: sample_abundances(p, gamma_noise), w_shape=(2, 3)),
+        )
     )
     entries.append(("negate", a, weighted(ref.negate, w_shape=(2, 3))))
     m_rhs = rng.random((3, 4))
@@ -374,13 +377,6 @@ def test_criterion_04_gradient_suite():
             weighted(lambda p: ops.max_reduce(p, axis=1), w_shape=(3,)),
         )
     )
-    entries.append(
-        (
-            "sum_reduce",
-            rng.random((3, 4)),
-            weighted(lambda p: ops.sum_reduce(p, axis=0), w_shape=(4,)),
-        )
-    )
     entries.append(("mean_reduce", rng.random((3, 4)), lambda p: ops.mean_reduce(p)))
 
     recon_target = rng.random((3, 5))
@@ -448,7 +444,7 @@ def test_criterion_04_gradient_suite():
     def slot_objective(op, args, w, slot, *fixed_after):
         def objective(p):
             inputs = [p if i == slot else Tensor(a) for i, a in enumerate(args)]
-            return ops.sum_reduce(ops.multiply(op(*inputs, *fixed_after), Tensor(w)))
+            return ops.mean_reduce(ops.multiply(op(*inputs, *fixed_after), Tensor(w)))
 
         return objective
 
@@ -511,7 +507,7 @@ def test_criterion_04_gradient_suite():
             trial = dict(params)
             trial[name] = p
             heads = forward(patches, trial, config)
-            sampled = sample_reconstruction(heads, trial, config, noise=noise)
+            sampled = sample_reconstruction(heads, trial, noise)
             total, _ = compute_losses(
                 heads, sampled, x, z_gt, pipe_ref, weights_cfg, epoch=100000
             )

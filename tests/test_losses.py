@@ -518,7 +518,7 @@ def test_backward_reaches_every_parameter_group():
     def losses(epoch):
         heads = forward(patches, params, config)
         noise = NoiseCache.draw(heads.alpha_hat.data, config.bands, np.random.default_rng(16))
-        sampled = sample_reconstruction(heads, params, config, noise)
+        sampled = sample_reconstruction(heads, params, noise)
         return compute_losses(heads, sampled, x, z_gt, reference, LossWeights(), epoch=epoch)
 
     with Tape() as tape:

@@ -37,7 +37,6 @@ from unmix_ldvae.model import (
     NoiseCache,
     alpha_head,
     decode_bundles,
-    dirichlet_mean,
     encode_batch,
     forward,
     init_params,
@@ -63,7 +62,7 @@ def drawn_reconstruction(heads, params, config, seed):
     """``sample_reconstruction`` with the draws of ``NoiseCache.draw`` on a
     fresh generator of ``seed``, as a training step makes them."""
     noise = NoiseCache.draw(heads.alpha_hat.data, config.bands, np.random.default_rng(seed))
-    return sample_reconstruction(heads, params, config, noise)
+    return sample_reconstruction(heads, params, noise)
 
 
 def small_config():
@@ -235,11 +234,11 @@ def attention_arrays(rng, b, s, d, spread):
 
 
 def layer_and_grads(layer, arrays, weights, heads):
-    """Output and the input gradients of sum(layer(...) * weights)."""
+    """Output and the input gradients of mean(layer(...) * weights)."""
     with Tape() as tape:
         inputs = [Tensor(a, requires_grad=True) for a in arrays]
         out = layer(*inputs, heads)
-        backward(ops.sum_reduce(ops.multiply(out, weights)), tape)
+        backward(ops.mean_reduce(ops.multiply(out, weights)), tape)
     return out.data, [t.grad for t in inputs]
 
 
@@ -448,7 +447,7 @@ def test_alpha_head_gradients_match_finite_differences():
         trial = dict(params)
         trial["alpha.w"] = p
         alpha = alpha_head(Tensor(x), trial, config)
-        return ops.sum_reduce(ops.multiply(alpha, Tensor(w)))
+        return ops.mean_reduce(ops.multiply(alpha, Tensor(w)))
 
     err = finite_diff_check(objective, Tensor(params["alpha.w"].data.copy(), requires_grad=True))
     assert err < 1e-6
@@ -481,9 +480,18 @@ def test_extreme_concentrations_pin_the_draw():
 
 
 def test_dirichlet_mean_normalizes():
-    alpha = Tensor(np.array([[2.0, 1.0, 1.0]]))
-    z = dirichlet_mean(alpha)
-    np.testing.assert_allclose(z.data, [[0.5, 0.25, 0.25]], atol=1e-15)
+    """With a zero alpha weight every pixel's concentrations are (2, 1, 1),
+    and predict_cube gives their mean (1/2, 1/4, 1/4)."""
+    config = ModelConfig(patch=1, bands=8, k=3, seg_len=4, d=8, layers=1, heads=2, ff_dim=8)
+    params = init_params(config, np.random.default_rng(3))
+    params["alpha.w"] = Tensor(np.zeros((config.d, config.k)))
+    # softplus(b) + eps_alpha = alpha
+    params["alpha.b"] = Tensor(np.log(np.expm1(np.array([2.0, 1.0, 1.0]) - config.eps_alpha)))
+    scene = synth_scene(
+        SceneConfig(height=2, width=3, bands=8, k=3, seg_len=4), np.random.default_rng(4)
+    )
+    abundances = predict_cube(params, config, scene).abundances
+    np.testing.assert_allclose(abundances, np.tile([0.5, 0.25, 0.25], (6, 1)), atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +545,7 @@ def test_bundle_records_do_not_grow_with_the_segment_count():
         with Tape() as tape:
             bundles = decode_bundles(latent, params, config)
             decoded = len(tape)
-            sample_endmembers(bundles, config, eps=rng.standard_normal(bundles.means.shape))
+            sample_endmembers(bundles, eps=rng.standard_normal(bundles.means.shape))
             sampled = len(tape)
             kl_bundle(bundles, reference, alpha)
             kl_dirichlet(alpha, np.ones(2))
@@ -553,20 +561,18 @@ def test_bundle_records_do_not_grow_with_the_segment_count():
 
 def test_endmember_draw_with_zero_factor_is_the_mean():
     means = Tensor(np.random.default_rng(0).random((3, 2, 8)))
-    config = toy_config()
     bundles = DecodedBundles(
         means=means,
         chol_diag=Tensor(np.full((3, 2, 8), 1e-12)),
         chol_blocks=Tensor(np.zeros((3, 2, 2, 4, 4))),
     )
     eps = np.random.default_rng(1).standard_normal((3, 2, 8))
-    drawn = sample_endmembers(bundles, config, eps=eps)
+    drawn = sample_endmembers(bundles, eps=eps)
     np.testing.assert_array_equal(drawn.data, means.data)
 
 
 def test_endmember_draw_covariance_matches_cholesky():
     n = 100_000
-    config = ModelConfig(patch=1, bands=2, k=1, seg_len=2, d=8, heads=2, layers=1)
     l = np.array([[0.3, 0.0], [0.1, 0.2]])
     bundles = DecodedBundles(
         means=Tensor(np.zeros((n, 1, 2))),
@@ -574,13 +580,12 @@ def test_endmember_draw_covariance_matches_cholesky():
         chol_blocks=Tensor(np.tile(l, (n, 1, 1, 1, 1))),
     )
     eps = np.random.default_rng(3).standard_normal((n, 1, 2))
-    drawn = sample_endmembers(bundles, config, eps=eps)
+    drawn = sample_endmembers(bundles, eps=eps)
     sample_cov = np.cov(drawn.data[:, 0, :], rowvar=False)
     assert np.abs(sample_cov - l @ l.T).max() < 3e-3
 
 
 def test_endmember_gradient_wrt_mean_is_identity_on_fixed_noise():
-    config = toy_config()
     rng = np.random.default_rng(4)
     means = Tensor(rng.random((1, 2, 8)), requires_grad=True)
     bundles = DecodedBundles(
@@ -591,10 +596,10 @@ def test_endmember_gradient_wrt_mean_is_identity_on_fixed_noise():
     weights = rng.random((1, 2, 8))
     with Tape() as tape:
         eps = np.random.default_rng(5).standard_normal((1, 2, 8))
-        drawn = sample_endmembers(bundles, config, eps=eps)
-        loss = ops.sum_reduce(ops.multiply(drawn, Tensor(weights)))
+        drawn = sample_endmembers(bundles, eps=eps)
+        loss = ops.mean_reduce(ops.multiply(drawn, Tensor(weights)))
         backward(loss, tape)
-    np.testing.assert_allclose(means.grad, weights, atol=1e-15)
+    np.testing.assert_allclose(means.grad, weights / weights.size, atol=1e-15)
 
 
 def test_reconstruct_identity_start_is_exact_linear_mixing():
@@ -627,31 +632,37 @@ def test_forward_shapes_and_invariants():
     params = init_params(config, np.random.default_rng(13))
     patches = np.random.default_rng(14).random((5, 3, 3, 20))
     heads = forward(patches, params, config)
-    sampled = drawn_reconstruction(heads, params, config, 15)
+    noise = NoiseCache.draw(heads.alpha_hat.data, config.bands, np.random.default_rng(15))
+    sampled = sample_reconstruction(heads, params, noise)
+    endmembers = sample_endmembers(heads.bundles, noise.endmember_eps)
     assert heads.alpha_hat.shape == (5, 3)
-    assert heads.z_mean.shape == (5, 3)
     assert heads.bundles.means.shape == (5, 3, 20)
     assert sampled.z_hat.shape == (5, 3)
-    assert sampled.endmembers.shape == (5, 3, 20)
+    assert endmembers.shape == (5, 3, 20)
     assert sampled.x_recon.shape == (5, 20)
     assert np.all(heads.alpha_hat.data >= config.eps_alpha)
     assert np.abs(sampled.z_hat.data.sum(axis=1) - 1.0).max() < 1e-9
-    assert np.abs(heads.z_mean.data.sum(axis=1) - 1.0).max() < 1e-9
-    for value in (heads.alpha_hat, heads.z_mean, sampled.z_hat, sampled.x_recon):
+    for value in (heads.alpha_hat, sampled.z_hat, endmembers, sampled.x_recon):
         assert np.isfinite(value.data).all()
 
 
 def test_forward_eval_mode_is_deterministic_and_uses_means():
-    """forward draws nothing: two calls agree bit for bit, and its abundances
-    are the Dirichlet mean of its concentrations."""
+    """forward draws nothing: two calls agree bit for bit, and predict_cube's
+    abundances are the Dirichlet mean of its concentrations, alpha_hat over
+    its row sum, bit for bit."""
     config = small_config()
     params = init_params(config, np.random.default_rng(16))
-    patches = np.random.default_rng(17).random((3, 3, 3, 20))
+    scene = synth_scene(
+        SceneConfig(height=2, width=3, bands=20, k=3, seg_len=8), np.random.default_rng(17)
+    )
+    patches = PatchSource(scene, config.patch).batch(np.arange(scene.n_pixels))
     a = forward(patches, params, config)
     b = forward(patches, params, config)
-    np.testing.assert_array_equal(a.z_mean.data, b.z_mean.data)
+    np.testing.assert_array_equal(a.alpha_hat.data, b.alpha_hat.data)
     np.testing.assert_array_equal(a.bundles.means.data, b.bundles.means.data)
-    np.testing.assert_array_equal(a.z_mean.data, dirichlet_mean(a.alpha_hat).data)
+    alpha = a.alpha_hat.data
+    abundances = predict_cube(params, config, scene, batch_size=scene.n_pixels).abundances
+    np.testing.assert_array_equal(abundances, alpha / alpha.sum(axis=1, keepdims=True))
 
 
 def test_forward_with_seed_is_bit_reproducible():
@@ -672,8 +683,9 @@ def test_forward_replays_exactly_from_noise_cache():
     params = init_params(config, np.random.default_rng(20))
     patches = np.random.default_rng(21).random((3, 3, 3, 20))
     heads = forward(patches, params, config)
-    first = drawn_reconstruction(heads, params, config, 0)
-    replay = sample_reconstruction(heads, params, config, noise=first.noise)
+    noise = NoiseCache.draw(heads.alpha_hat.data, config.bands, np.random.default_rng(0))
+    first = sample_reconstruction(heads, params, noise)
+    replay = sample_reconstruction(heads, params, noise)
     np.testing.assert_array_equal(first.z_hat.data, replay.z_hat.data)
     np.testing.assert_array_equal(first.x_recon.data, replay.x_recon.data)
 
@@ -683,7 +695,8 @@ def test_full_pipeline_gradients_for_every_parameter_group():
     params = init_params(config, np.random.default_rng(22))
     rng = np.random.default_rng(23)
     patches = rng.random((2, 1, 1, 8))
-    noise = drawn_reconstruction(forward(patches, params, config), params, config, 24).noise
+    alpha_hat = forward(patches, params, config).alpha_hat.data
+    noise = NoiseCache.draw(alpha_hat, config.bands, np.random.default_rng(24))
     w_recon = rng.random((2, 8))
     w_z = rng.random((2, 2))
     w_alpha = rng.random((2, 2))
@@ -695,15 +708,15 @@ def test_full_pipeline_gradients_for_every_parameter_group():
             trial = dict(params)
             trial[name] = p
             heads = forward(patches, trial, config)
-            sampled = sample_reconstruction(heads, trial, config, noise=noise)
-            total = ops.sum_reduce(ops.multiply(sampled.x_recon, Tensor(w_recon)))
-            total = ops.add(total, ops.sum_reduce(ops.multiply(sampled.z_hat, Tensor(w_z))))
-            total = ops.add(total, ops.sum_reduce(ops.multiply(heads.alpha_hat, Tensor(w_alpha))))
+            sampled = sample_reconstruction(heads, trial, noise)
+            total = ops.mean_reduce(ops.multiply(sampled.x_recon, Tensor(w_recon)))
+            total = ops.add(total, ops.mean_reduce(ops.multiply(sampled.z_hat, Tensor(w_z))))
+            total = ops.add(total, ops.mean_reduce(ops.multiply(heads.alpha_hat, Tensor(w_alpha))))
             total = ops.add(
-                total, ops.sum_reduce(ops.multiply(heads.bundles.chol_diag, Tensor(w_diag)))
+                total, ops.mean_reduce(ops.multiply(heads.bundles.chol_diag, Tensor(w_diag)))
             )
             blocks = heads.bundles.chol_blocks
-            return ops.add(total, ops.sum_reduce(ops.multiply(blocks, Tensor(w_blocks))))
+            return ops.add(total, ops.mean_reduce(ops.multiply(blocks, Tensor(w_blocks))))
 
         return objective
 
@@ -778,7 +791,7 @@ def test_fewer_bands_than_seg_len_make_one_block_of_the_band_count():
     rng = np.random.default_rng(33)
     bundles = forward(PatchSource(scene, config.patch).batch(np.arange(5)), params, config).bundles
     assert bundles.chol_blocks.shape == (5, 2, 1, 8, 8)
-    endmembers = sample_endmembers(bundles, config, eps=rng.standard_normal((5, 2, 8)))
+    endmembers = sample_endmembers(bundles, eps=rng.standard_normal((5, 2, 8)))
     assert endmembers.shape == (5, 2, 8)
     kl = kl_bundle(bundles, reference_blocks(scene.gt_bundles), 0.5 + rng.random((5, 2)))
     assert np.isfinite(kl.data)

@@ -470,19 +470,18 @@ def test_batch_gradient_is_mean_of_single_sample_gradients():
     with Tape() as tape:
         heads = forward(patches, params, config)
         noise = NoiseCache.draw(heads.alpha_hat.data, config.bands, np.random.default_rng(14))
-        sampled = sample_reconstruction(heads, params, config, noise)
+        sampled = sample_reconstruction(heads, params, noise)
         total, _ = compute_losses(heads, sampled, x, z_gt, reference, weights, epoch=0)
         for p in params.values():
             p.grad[...] = 0.0
         backward(total, tape)
     batch_grads = {name: p.grad.copy() for name, p in params.items()}
-    noise = sampled.noise
 
     summed = {name: np.zeros_like(p.data) for name, p in params.items()}
     for i, row in enumerate(noise.split(3)):
         with Tape() as tape:
             heads_i = forward(patches[i : i + 1], params, config)
-            sampled_i = sample_reconstruction(heads_i, params, config, noise=row)
+            sampled_i = sample_reconstruction(heads_i, params, row)
             total_i, _ = compute_losses(
                 heads_i, sampled_i, x[i : i + 1], z_gt[i : i + 1], reference, weights, epoch=0
             )
@@ -850,7 +849,7 @@ def test_criterion_7_shard_peaks_at_most_17_mib():
         with Tape() as tape:
             heads = forward(patches, params, model)
             noise = NoiseCache.draw(heads.alpha_hat.data, model.bands, np.random.default_rng(5))
-            sampled = sample_reconstruction(heads, params, model, noise=noise)
+            sampled = sample_reconstruction(heads, params, noise)
             total, _ = compute_losses(heads, sampled, x, z, reference, LossWeights(), 0)
             backward(total, tape)
 
@@ -863,6 +862,54 @@ def test_criterion_7_shard_peaks_at_most_17_mib():
     finally:
         tracemalloc.stop()
     assert peak - before <= 17 * 2**20, (peak - before) / 2**20
+
+
+@pytest.mark.parametrize(
+    "scene_config, model, batch, n_records",
+    [
+        pytest.param(
+            SceneConfig(bands=96, k=4, dirichlet_alpha=[20.0] * 4), smallbatch_model(), 8, [46],
+            id="fit_smallbatch-batch-8",
+        ),
+        pytest.param(
+            SceneConfig(),
+            ModelConfig(patch=3, bands=48, k=3, seg_len=16, d=32, layers=4, heads=16, ff_dim=64),
+            128, [48, 48], id="criterion-7-batch-128",
+        ),
+    ],
+)
+def test_backward_runs_the_vjp_of_each_record_a_fit_step_tapes(
+    monkeypatch, scene_config, model, batch, n_records
+):
+    """A training shard tapes only what backward reads: with each record's
+    vjp wrapped, every shard's backward in a one-batch epoch runs every one.
+    The Dirichlet mean, which only inference reads, is not taped."""
+    scene = synth_scene(scene_config, np.random.default_rng(0))
+    config = TrainConfig(batch_size=batch, model=model)
+    params = init_params(model, np.random.default_rng(3))
+    shards = []  # (records, ops whose vjp did not run), one per backward
+
+    def backward_noting_vjps(root, tape):
+        ops_, ran = [rec.op for rec in tape.records], set()
+
+        def noting(i, vjp):
+            def vjp_and_note(g):
+                ran.add(i)
+                return vjp(g)
+
+            return vjp_and_note
+
+        for i, rec in enumerate(tape.records):
+            rec.vjp = noting(i, rec.vjp)
+        backward(root, tape)
+        shards.append((len(ops_), [op for i, op in enumerate(ops_) if i not in ran]))
+
+    monkeypatch.setattr(train_module, "backward", backward_noting_vjps)
+    train_epoch(
+        params, config, scene, np.arange(batch), AdamState.zeros(params), 0,
+        np.random.default_rng(5),
+    )
+    assert shards == [(n, []) for n in n_records]
 
 
 def test_criterion_7_epoch_on_one_core_peaks_at_most_26_mib(monkeypatch):
@@ -927,7 +974,7 @@ def test_one_shard_step_is_the_unsharded_step_bit_for_bit():
     with Tape() as tape:
         heads = forward(PatchSource(scene, config.model.patch).batch(idx), params, config.model)
         noise = NoiseCache.draw(heads.alpha_hat.data, config.model.bands, rng)
-        sampled = sample_reconstruction(heads, params, config.model, noise)
+        sampled = sample_reconstruction(heads, params, noise)
         total, want = compute_losses(
             heads, sampled, scene.pixels()[idx], scene.abundance_pixels()[idx],
             reference_blocks(scene.gt_bundles), config.loss_weights, 0,
